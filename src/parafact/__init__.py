@@ -39,7 +39,6 @@ from .fileio import (
 )
 from .fullrank import (
     CanonicalForm,
-    FactorOptions,
     canonicalize,
     factor_positive_definite,
     scalar_factor,
@@ -105,7 +104,6 @@ __all__ = [
     "CanonicalForm",
     "Check",
     "DegenerateInputError",
-    "FactorOptions",
     "FactorReport",
     "IndeterminateError",
     "Instance",

@@ -35,6 +35,7 @@ from .fileio import read_matrix, write_matrix, write_report
 from .instances import gen_lossless, gen_spectrum
 from .paraunitary import LosslessRow, complete_to_paraunitary, verify_paraunitary
 from .rankdef import (
+    Check,
     RankDefOptions,
     estimate_rank,
     spectral_factor,
@@ -47,32 +48,6 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INVALID = 2
 EXIT_NUMERICAL = 3
-
-_HUGE = 1e308
-
-
-def _finite(x: float) -> float:
-    x = float(x)
-    if math.isfinite(x):
-        return x
-    return _HUGE if x > 0 else -_HUGE
-
-
-def _check_dict(check) -> dict:
-    """A verdict triple with non-finite measurements clamped for the file."""
-    return {
-        "pass": bool(check.passed),
-        "measured": _finite(check.measured),
-        "threshold": _finite(check.threshold),
-    }
-
-
-def _verdict(passed: bool, measured: float, threshold: float) -> dict:
-    return {
-        "pass": bool(passed),
-        "measured": _finite(measured),
-        "threshold": _finite(threshold),
-    }
 
 
 def _finish(args, verdicts: dict) -> int:
@@ -102,7 +77,7 @@ def _error_report(args, code: int) -> None:
             {
                 "command": getattr(args, "command", ""),
                 "options": args.echo(args) if hasattr(args, "echo") else {},
-                "verdicts": {"error_free": _verdict(False, 1.0, 0.5)},
+                "verdicts": {"error_free": Check(False, 1.0, 0.5).to_dict()},
                 "exit_code": code,
             },
         )
@@ -139,7 +114,7 @@ def cmd_factor(args) -> int:
         "factor %dx%d, order %s, residual %.3e"
         % (factor.rows, factor.cols, report.order, report.residual)
     )
-    verdicts = {name: _check_dict(c) for name, c in report.verdicts.items()}
+    verdicts = {name: c.to_dict() for name, c in report.verdicts.items()}
     return _finish(args, verdicts)
 
 
@@ -167,16 +142,15 @@ def cmd_complete(args) -> int:
         "completion %dx%d, det degree %d, det phase angle %.6f"
         % (U.rows, U.cols, report.degree, float(np.angle(phase)))
     )
-    verdicts = {name: _check_dict(c) for name, c in report.verdicts.items()}
-    verdicts["degree"] = _verdict(
+    checks = dict(report.verdicts)
+    checks["degree"] = Check(
         report.degree == row.length, float(report.degree), float(row.length)
     )
-    verdicts["det_phase_modulus"] = _verdict(
+    checks["det_phase_modulus"] = Check(
         abs(abs(phase) - 1.0) <= args.tol, abs(phase), 1.0 + args.tol
     )
-    verdicts["det_phase_angle"] = _verdict(
-        True, float(np.angle(phase)), 2.0 * math.pi
-    )
+    checks["det_phase_angle"] = Check(True, float(np.angle(phase)), 2.0 * math.pi)
+    verdicts = {name: c.to_dict() for name, c in checks.items()}
     return _finish(args, verdicts)
 
 
@@ -198,7 +172,7 @@ def cmd_verify(args) -> int:
     else:
         U, _ = read_matrix(args.paraunitary)
         report = verify_paraunitary(U, tol=args.tol)
-    verdicts = {name: _check_dict(c) for name, c in report.verdicts.items()}
+    verdicts = {name: c.to_dict() for name, c in report.verdicts.items()}
     failing = sorted(name for name, v in verdicts.items() if not v["pass"])
     if failing:
         print("FAIL: %s" % ", ".join(failing))

@@ -8,9 +8,11 @@ right-unitary equivalence class.
 The scalar case pairs the roots of z^N f(z) across the unit circle and keeps
 the outer representative of each pair.  The matrix case runs Bauer's method
 (Cholesky of a block Toeplitz section, whose deep rows converge to the factor
-coefficients), then polishes with damped Gauss-Newton least squares on the
-quadratic coefficient equations, and finally reflects any stray interior
-determinant zeros back across the circle.
+coefficients) and finally reflects any stray interior determinant zeros back
+across the circle.  Whenever a start misses the tolerance it is refined by
+polish_coefficients: damped Gauss-Newton least squares on the quadratic
+coefficient equations sum_q A_{n+q} A_q^H = C_n.  The rank-deficient
+pipeline ends with the same polish on its tall factor.
 """
 
 from __future__ import annotations
@@ -21,11 +23,10 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NotFactorableError, NumericalFailureError
-from .laurent import AnalyticPolyMatrix, LaurentMatrix, LaurentPoly
+from .laurent import AnalyticPolyMatrix, LaurentMatrix, LaurentPoly, _order_grid_count
 from .roots import cluster_points, laurent_roots, poly_roots, reflect_column_zero
 
 __all__ = [
-    "FactorOptions",
     "CanonicalForm",
     "scalar_factor",
     "factor_positive_definite",
@@ -40,40 +41,20 @@ _DIAG_TOL = 1e-12
 _CIRCLE_TOL = 1e-7
 # Interior determinant zeros beyond this band from the circle get reflected.
 _REFLECT_BAND = 1e-7
-
-
-def _next_pow2(n: int) -> int:
-    m = 1
-    while m < n:
-        m *= 2
-    return m
-
-
-@dataclass(frozen=True)
-class FactorOptions:
-    """Tuning knobs for the full-rank factorization.
-
-    tol is the relative residual target (coefficientwise, against the
-    largest input coefficient).  bauer_block_count and grid_count are
-    floors; the implementation raises them to at least 2*order + 2 and
-    2*order + 1 respectively.  max_refine_iters bounds the number of
-    block-count doublings.
-    """
-
-    tol: float = 1e-9
-    bauer_block_count: int = 32
-    max_refine_iters: int = 6
-    grid_count: int = 64
-
-    def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
-        if self.bauer_block_count < 2:
-            raise ValueError("bauer_block_count must be at least 2")
-        if self.max_refine_iters < 0:
-            raise ValueError("max_refine_iters must be nonnegative")
-        if self.grid_count < 1:
-            raise ValueError("grid_count must be positive")
+# Bauer's Toeplitz section has at least this many block rows (and at least
+# 2 * order + 2); it is doubled up to _BAUER_DOUBLINGS times while the
+# polished estimate misses the tolerance.
+_BAUER_BLOCKS = 32
+_BAUER_DOUBLINGS = 6
+# A Gauss-Newton step that is large along ill-conditioned directions
+# overshoots by its quadratic term, which the next step removes; so a step
+# may raise the residual up to _POLISH_GROWTH times the best one before it
+# is halved.  The polish stops after _POLISH_STALLS consecutive steps that
+# fail to halve the best residual, and in any case after _POLISH_MAX_ITERS.
+_POLISH_GROWTH = 10.0
+_POLISH_STALLS = 3
+_POLISH_MAX_ITERS = 30
+_POLISH_HALVINGS = 10
 
 
 @dataclass(frozen=True)
@@ -84,22 +65,20 @@ class CanonicalForm:
     applied_unitary: np.ndarray
 
 
-def _unit_grid_count(order: int, opts: FactorOptions) -> int:
-    return _next_pow2(max(opts.grid_count, 2 * order + 1, 64))
-
-
 def scalar_factor(f: LaurentPoly, tol: float = 1e-9) -> LaurentPoly:
     """Outer spectral factor of a scalar symbol: q analytic with q q~ = f.
 
     f must be para-Hermitian and nonnegative on the unit circle.  The roots
     of z^N f(z) come in pairs reflected across the circle; q takes the outer
     representative of each pair and half of every (necessarily even) cluster
-    of unit-circle roots.  q is normalized so q(0) is real positive, which
-    pins the unit-modulus phase freedom.
+    of unit-circle roots.  Rebuilding q from many roots loses digits, so
+    when q q~ misses tol its coefficients are refined by polish_coefficients.
+    q is normalized so q(0) is real positive, which pins the unit-modulus
+    phase freedom.
 
     Raises NotFactorableError when f is negative beyond tol on the circle or
     has a unit-circle zero of odd multiplicity, and NumericalFailureError
-    when the reconstruction misses the tol target.
+    when the polished reconstruction still misses the tol target.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -110,8 +89,7 @@ def scalar_factor(f: LaurentPoly, tol: float = 1e-9) -> LaurentPoly:
     if not f.is_parahermitian(max(tol, 1e-12)):
         raise ValueError("symbol is not para-Hermitian within tolerance")
     N = f.hi
-    grid = _next_pow2(max(64, 2 * N + 1))
-    samples = f.eval_unit_grid(grid).real
+    samples = f.eval_unit_grid(_order_grid_count(N)).real
     if samples.min() < -tol * scale:
         raise NotFactorableError(
             "symbol is negative on the unit circle (min %.3e of scale %.3e)"
@@ -149,16 +127,20 @@ def scalar_factor(f: LaurentPoly, tol: float = 1e-9) -> LaurentPoly:
     s = f.coeff(0).real / g0
     if s <= 0:
         raise NotFactorableError("mean of the symbol is not positive")
-    q = LaurentPoly.from_coeffs(np.sqrt(s) * asc, 0)
+    A = (np.sqrt(s) * asc)[:, None, None]
+    C = f.coeff_array(0, N)[:, None, None]
+    residual = _relative_residual(C, A)
+    if residual > tol:
+        A, residual = polish_coefficients(C, A, 0.3 * tol)
+    if residual > tol:
+        raise NumericalFailureError(
+            "scalar factor residual %.3e exceeds tolerance" % residual,
+            residual=residual,
+        )
+    q = LaurentPoly.from_coeffs(A[:, 0, 0], 0)
     q0 = q.coeff(0)
     if abs(q0) > 0:
         q = q * (q0.conjugate() / abs(q0))
-    residual = (q * q.adjoint() - f).max_abs
-    if residual > tol * scale:
-        raise NumericalFailureError(
-            "scalar factor residual %.3e exceeds tolerance" % (residual / scale),
-            residual=residual / scale,
-        )
     return q
 
 
@@ -200,18 +182,21 @@ def _is_diagonal(S: LaurentMatrix) -> bool:
     return off <= _DIAG_TOL * scale
 
 
-def _screen_definite(S: LaurentMatrix, opts: FactorOptions) -> None:
-    """Reject non-para-Hermitian or indefinite input."""
+def _screen_definite(S: LaurentMatrix, tol: float) -> None:
+    """Reject a spectrum that is not square, para-Hermitian and nonnegative.
+
+    Raises ValueError for the first two and NotFactorableError when an
+    eigenvalue on the unit circle falls below -tol times the largest.
+    """
     if S.rows != S.cols:
         raise ValueError("spectrum must be square")
-    if not S.is_parahermitian(max(opts.tol, 1e-12)):
+    if not S.is_parahermitian(max(tol, 1e-12)):
         raise ValueError("spectrum is not para-Hermitian within tolerance")
-    grid = _unit_grid_count(S.hi, opts)
-    samples = S.eval_unit_grid(grid)
+    samples = S.eval_unit_grid(_order_grid_count(S.hi))
     samples = 0.5 * (samples + np.conj(np.transpose(samples, (0, 2, 1))))
     eigs = np.linalg.eigvalsh(samples)
     top = float(eigs.max()) if eigs.size else 0.0
-    if eigs.min() < -opts.tol * max(top, 1e-300):
+    if eigs.min() < -tol * max(top, 1e-300):
         raise NotFactorableError(
             "spectrum is indefinite on the unit circle (min eig %.3e)" % eigs.min()
         )
@@ -253,7 +238,6 @@ def _bauer_last_row(C: list, k: int, N: int, L: int) -> np.ndarray:
     else:
         raise NumericalFailureError("block Toeplitz section is not positive definite")
     A = np.zeros((N + 1, k, k), dtype=complex)
-    base = (L - 1) * k
     for d in range(N + 1):
         col0 = (L - 1 - d) * k
         for p in range(k):
@@ -263,91 +247,84 @@ def _bauer_last_row(C: list, k: int, N: int, L: int) -> np.ndarray:
 
 
 def _conv_coeffs(A: np.ndarray) -> np.ndarray:
-    """Coefficients D_n = sum_q A_{n+q} A_q^H for n = 0..N."""
-    Np1 = A.shape[0]
-    D = np.zeros_like(A)
-    for n in range(Np1):
-        for q in range(Np1 - n):
-            D[n] += A[n + q] @ A[q].conj().T
-    return D
+    """Coefficients D_n = sum_q A_{n+q} A_q^H, n = 0..N, of A A~ for (N+1, m, k) A."""
+    P = A.shape[0]
+    return np.stack(
+        [np.einsum("qik,qjk->ij", A[n:], A[: P - n].conj()) for n in range(P)]
+    )
 
 
-def _residual_rel(C: np.ndarray, A: np.ndarray, scale: float) -> float:
-    D = _conv_coeffs(A)
-    return float(np.max(np.abs(C - D))) / scale
+def _relative_residual(C: np.ndarray, A: np.ndarray) -> float:
+    scale = max(float(np.max(np.abs(C))), 1e-300)
+    return float(np.max(np.abs(C - _conv_coeffs(A)))) / scale
 
 
-def _gauss_newton(C: np.ndarray, A0: np.ndarray, scale: float, target: float):
-    """Damped Gauss-Newton on the coefficient equations sum A_{n+q} A_q^H = C_n.
+def _coeff_jacobian(A: np.ndarray) -> np.ndarray:
+    """Real Jacobian of D_0..D_N with respect to the real and imaginary parts of A.
 
-    The unknown is the real/imaginary stack of all A coefficients; each step
-    solves the linearized system in the least-squares sense, which handles
-    the right-unitary gauge freedom (a genuinely rank-deficient Jacobian).
-    Returns (A, relative_residual).
+    A_p enters D_n through A_p A_{p-n}^H and A_{n+p} A_p^H.  With row-major
+    vectorization the first is kron(I, conj(A_{p-n})) acting on vec(dA_p),
+    the second has entries A_{n+p}[i, c] delta_{jr} and acts on conj(vec(dA_p)).
     """
-    Np1, k, _ = A0.shape
-    P = Np1 * k * k
+    P, m, k = A.shape
+    n = np.arange(P)[:, None]
+    p = np.arange(P)[None, :]
+    padded = np.concatenate([A, np.zeros_like(A)])
+    lower = padded[np.where(p >= n, p - n, P)]
+    upper = padded[n + p]
+    eye = np.eye(m)
+    lin = np.einsum("ir,npjc->nijprc", eye, lower.conj()).reshape(P * m * m, P * m * k)
+    anti = np.einsum("npic,jr->nijprc", upper, eye).reshape(P * m * m, P * m * k)
+    return np.block(
+        [
+            [(lin + anti).real, -(lin - anti).imag],
+            [(lin + anti).imag, (lin - anti).real],
+        ]
+    )
 
-    def unpack(x):
-        cm = x[:P] + 1j * x[P:]
-        return cm.reshape(Np1, k, k)
 
-    def pack(A):
-        flat = A.reshape(-1)
-        return np.concatenate([flat.real, flat.imag])
+def polish_coefficients(C: np.ndarray, A: np.ndarray, target: float):
+    """Gauss-Newton refinement of factor coefficients A against C_0..C_N.
 
-    def resid_vec(A):
-        R = C - _conv_coeffs(A)
-        flat = R.reshape(-1)
-        return np.concatenate([flat.real, flat.imag])
-
-    x = pack(A0)
-    A = A0.copy()
-    r = resid_vec(A)
-    best_A, best_rel = A, _residual_rel(C, A, scale)
-    stall = 0
-    for _ in range(30):
-        if best_rel <= target:
+    A is (N+1, m, k) and C is (N+1, m, m); the unknowns are the real and
+    imaginary parts of A, the equations sum_q A_{n+q} A_q^H = C_n.  Each
+    step is the minimum-norm least-squares solution of the linearized
+    equations, so it has no component along the right-unitary gauge of A.
+    A full step may raise the max-abs residual (relative to max |C_n|) up
+    to _POLISH_GROWTH times the best one so far; beyond that it is halved.
+    Stops when the residual reaches target, when no halving is accepted, or
+    when progress stalls.  Returns (A, relative_residual) for the best
+    iterate, which is the start when nothing improves.
+    """
+    P, m, k = A.shape
+    U = P * m * k
+    best, best_rel = A, _relative_residual(C, A)
+    stalls = 0
+    for _ in range(_POLISH_MAX_ITERS):
+        if best_rel <= target or stalls >= _POLISH_STALLS:
             break
-        J = np.zeros((2 * P, 2 * P))
-        col = 0
-        for part in (1.0, 1.0j):
-            for p in range(Np1):
-                for i in range(k):
-                    for j in range(k):
-                        dR = np.zeros((Np1, k, k), dtype=complex)
-                        for n in range(Np1):
-                            if 0 <= p - n <= Np1 - 1:
-                                dR[n, i, :] -= part * np.conj(A[p - n][:, j])
-                            if 0 <= n + p <= Np1 - 1:
-                                dR[n, :, i] -= np.conj(part) * A[n + p][:, j]
-                        flat = dR.reshape(-1)
-                        J[:, col] = np.concatenate([flat.real, flat.imag])
-                        col += 1
-        step, *_ = np.linalg.lstsq(J, -r, rcond=None)
-        rn = float(np.linalg.norm(r))
-        t = 1.0
-        improved = False
-        for _ in range(10):
-            x_try = x + t * step
-            A_try = unpack(x_try)
-            r_try = resid_vec(A_try)
-            if float(np.linalg.norm(r_try)) < rn:
-                x, A, r = x_try, A_try, r_try
-                improved = True
+        # Near a factor with zeros close to the circle the Jacobian has
+        # singular values far below its largest, and the step divides the
+        # residual by them.  Forming the residual in extended precision keeps
+        # its rounding noise from being amplified into the coefficients.
+        R = (C - _conv_coeffs(A.astype(np.clongdouble))).astype(complex).reshape(-1)
+        x = np.linalg.lstsq(
+            _coeff_jacobian(A), np.concatenate([R.real, R.imag]), rcond=None
+        )[0]
+        step = (x[:U] + 1j * x[U:]).reshape(P, m, k)
+        for _ in range(_POLISH_HALVINGS):
+            trial = A + step
+            rel = _relative_residual(C, trial)
+            if rel < _POLISH_GROWTH * best_rel:
                 break
-            t *= 0.5
-        if not improved:
-            break
-        rel = _residual_rel(C, A, scale)
-        if rel < best_rel:
-            best_A, best_rel = A, rel
-            stall = 0
+            step = 0.5 * step
         else:
-            stall += 1
-            if stall >= 3:
-                break
-    return best_A, best_rel
+            break
+        A = trial
+        stalls = stalls + 1 if rel > 0.5 * best_rel else 0
+        if rel < best_rel:
+            best, best_rel = A, rel
+    return best, best_rel
 
 
 def _reflect_interior_zeros(F: LaurentMatrix, tol: float):
@@ -399,21 +376,20 @@ def canonicalize(F: LaurentMatrix) -> CanonicalForm:
     return CanonicalForm(factor=factor, applied_unitary=applied)
 
 
-def factor_positive_definite(
-    S: LaurentMatrix, opts: FactorOptions | None = None
-) -> AnalyticPolyMatrix:
+def factor_positive_definite(S: LaurentMatrix, tol: float = 1e-9) -> AnalyticPolyMatrix:
     """Canonical analytic spectral factor of a full-rank definite spectrum.
 
     Postconditions: S+ is analytic of the same order as S, S+ S+~ matches S
-    within opts.tol relative to the largest coefficient, det S+ has no zeros
+    within tol relative to the largest coefficient, det S+ has no zeros
     in the open unit disk (up to the reflection band), and S+ is the
     canonical representative of its right-unitary class.
     """
-    opts = opts or FactorOptions()
+    if not tol > 0:
+        raise ValueError("tol must be positive")
     S = S.trim(0.0)
     if S.is_zero:
         raise NotFactorableError("zero spectrum has no full-rank factor")
-    _screen_definite(S, opts)
+    _screen_definite(S, tol)
     k = S.rows
     N = S.hi
     scale = S.max_abs
@@ -422,48 +398,46 @@ def factor_positive_definite(
         C0 = S.coeff(0)
         C0 = 0.5 * (C0 + C0.conj().T)
         w, V = np.linalg.eigh(C0)
-        if w[0] <= opts.tol * w[-1]:
+        if w[0] <= tol * w[-1]:
             raise NotFactorableError("constant spectrum is numerically singular")
         F = LaurentMatrix.constant(V @ np.diag(np.sqrt(np.maximum(w, 0.0))))
         return canonicalize(F).factor
 
     if k == 1:
-        q = scalar_factor(S.entry(0, 0), tol=opts.tol)
+        q = scalar_factor(S.entry(0, 0), tol)
         F = LaurentMatrix.from_entries([[q]])
         return canonicalize(F).factor
 
     if _is_diagonal(S):
-        qs = [scalar_factor(S.entry(i, i), tol=opts.tol) for i in range(k)]
+        qs = [scalar_factor(S.entry(i, i), tol) for i in range(k)]
         F = LaurentMatrix.diagonal(qs)
         return canonicalize(F).factor
 
     C = np.stack([S.coeff(n) for n in range(N + 1)])
-    L = max(opts.bauer_block_count, 2 * N + 2)
+    L = max(_BAUER_BLOCKS, 2 * N + 2)
     best_A, best_rel = None, np.inf
-    for _ in range(opts.max_refine_iters + 1):
+    for _ in range(_BAUER_DOUBLINGS + 1):
         A = _bauer_last_row(list(C), k, N, L)
-        rel = _residual_rel(C, A, scale)
+        rel = _relative_residual(C, A)
         if rel < best_rel:
             best_A, best_rel = A, rel
-        if best_rel > opts.tol:
-            A2, rel2 = _gauss_newton(C, best_A, scale, target=0.3 * opts.tol)
-            if rel2 < best_rel:
-                best_A, best_rel = A2, rel2
-        if best_rel <= opts.tol:
+        if best_rel > tol:
+            best_A, best_rel = polish_coefficients(C, best_A, 0.3 * tol)
+        if best_rel <= tol:
             break
         L *= 2
-    if best_rel > opts.tol:
+    if best_rel > tol:
         raise NumericalFailureError(
-            "factorization residual %.3e exceeds tol %.3e" % (best_rel, opts.tol),
+            "factorization residual %.3e exceeds tol %.3e" % (best_rel, tol),
             residual=best_rel,
         )
 
     F = LaurentMatrix(k, k, {n: best_A[n] for n in range(N + 1)})
-    F = _reflect_interior_zeros(F, opts.tol)
+    F = _reflect_interior_zeros(F, tol)
     factor = canonicalize(F).factor
 
     final = (factor @ factor.adjoint() - S).max_abs / scale
-    if final > 10.0 * opts.tol:
+    if final > 10.0 * tol:
         raise NumericalFailureError(
             "post-reflection residual %.3e exceeds tolerance" % final,
             residual=final,

@@ -31,10 +31,6 @@ class Instance:
     seed: int
     params: tuple
 
-    @property
-    def shape_params(self):
-        return self.params
-
 
 @dataclass(frozen=True)
 class LosslessInstance:

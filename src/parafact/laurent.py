@@ -32,6 +32,14 @@ def _next_pow2(n: int) -> int:
     return m
 
 
+def _order_grid_count(order: int) -> int:
+    """Unit-circle grid size that resolves powers -order..order.
+
+    The next power of two from 2 * order + 1 points, and never below 64.
+    """
+    return _next_pow2(max(2 * order + 1, 64))
+
+
 class LaurentPoly:
     """Scalar Laurent polynomial ``sum_n c_n z^n``.
 
@@ -579,7 +587,7 @@ class LaurentMatrix:
                 terms[n] = C
         return AnalyticPolyMatrix(self._rows, self._cols, terms)
 
-    def det(self, grid_count: int | None = None) -> LaurentPoly:
+    def det(self) -> LaurentPoly:
         """Determinant as a Laurent polynomial, by FFT interpolation.
 
         Samples the matrix on a uniform unit-circle grid wide enough for the
@@ -594,7 +602,7 @@ class LaurentMatrix:
         if not self._terms:
             return LaurentPoly.zero()
         wlo, whi = k * self.lo, k * self.hi
-        count = grid_count or max(8, _next_pow2(whi - wlo + 1))
+        count = max(8, _next_pow2(whi - wlo + 1))
         samples = self.eval_unit_grid(count)
         values = np.linalg.det(samples)
         return laurent_from_unit_samples(values, wlo, whi)

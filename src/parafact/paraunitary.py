@@ -18,15 +18,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidComparisonError, NotParaunitaryError, NumericalFailureError
-from .laurent import AnalyticPolyMatrix, LaurentMatrix, LaurentPoly
+from .laurent import AnalyticPolyMatrix, LaurentMatrix, LaurentPoly, _order_grid_count
 from .rankdef import Check, RankDefOptions, compare_factors, spectral_factor
-
-
-def _next_pow2(n: int) -> int:
-    m = 1
-    while m < n:
-        m *= 2
-    return m
 
 
 @dataclass(frozen=True)
@@ -106,19 +99,13 @@ class ParaunitaryReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.verdicts.values())
 
-    def to_dict(self):
-        return {
-            "is_paraunitary": bool(self.is_paraunitary),
-            "deviation": float(self.deviation),
-            "degree": self.degree,
-            "det_phase": (
-                [self.det_phase.real, self.det_phase.imag]
-                if self.det_phase is not None
-                else None
-            ),
-            "length": self.length,
-            "verdicts": {name: c.to_dict() for name, c in self.verdicts.items()},
-        }
+    def failures(self) -> str:
+        """The failing verdicts with their measured values, for messages."""
+        return ", ".join(
+            "%s %.3e" % (name, c.measured)
+            for name, c in self.verdicts.items()
+            if not c.passed
+        )
 
 
 def check_unit_norm_row(row: LosslessRow, tol: float = 1e-9) -> bool:
@@ -171,10 +158,9 @@ def verify_paraunitary(U: LaurentMatrix, tol: float = 1e-9) -> ParaunitaryReport
     verdicts["coefficient_identity"] = Check(coeff_dev <= tol, coeff_dev, tol)
 
     span = (U.hi or 0) - (U.lo or 0)
-    count = _next_pow2(max(64, 2 * span + 1))
     grid_dev = 0.0
     eye = np.eye(m)
-    for M in U.eval_unit_grid(count):
+    for M in U.eval_unit_grid(_order_grid_count(span)):
         grid_dev = max(grid_dev, float(np.max(np.abs(M @ M.conj().T - eye))))
     verdicts["grid_unitarity"] = Check(grid_dev <= tol, grid_dev, tol)
 
@@ -217,8 +203,7 @@ def paraunitary_degree(U: LaurentMatrix, tol: float = 1e-9) -> int:
     report = verify_paraunitary(U, tol)
     if not report.is_paraunitary or report.degree is None:
         raise NotParaunitaryError(
-            "matrix is not paraunitary within %g (deviation %.3e)"
-            % (tol, report.deviation)
+            "matrix is not paraunitary within %g: %s" % (tol, report.failures())
         )
     if report.degree < report.length:
         raise NotParaunitaryError(
@@ -280,8 +265,7 @@ def complete_to_paraunitary(
         )
     if not report.is_paraunitary:
         raise NumericalFailureError(
-            "completion failed paraunitarity at %g (deviation %.3e)"
-            % (opts.tol, report.deviation),
+            "completion failed paraunitarity at %g: %s" % (opts.tol, report.failures()),
             report=report,
         )
     return U, report

@@ -16,11 +16,15 @@ in the open unit disk.  The pipeline:
    out what remains, leaving a polynomial factor;
 5. locate interior points where the polynomial factor drops column rank and
    reflect them across the circle one at a time;
-6. restore the original row order and rotate to the canonical
-   representative.
+6. restore the original row order and refine the coefficients with the
+   Gauss-Newton polish that the full-rank factorization also uses
+   (fullrank.polish_coefficients), which removes the error accumulated
+   by determinant windows, deflation divisions and Blaschke operations;
+7. rotate to the canonical representative.
 
 Every transformation multiplies columns by unit-modulus scalars or the whole
-factor by constant unitaries, so F F~ is preserved throughout.
+factor by constant unitaries, so F F~ is preserved throughout up to
+rounding, which step 6 takes back out.
 """
 
 from __future__ import annotations
@@ -34,14 +38,20 @@ import scipy.linalg
 from .errors import (
     DegenerateInputError,
     IndeterminateError,
-    NotFactorableError,
     NumericalFailureError,
 )
-from .fullrank import FactorOptions, canonicalize, factor_positive_definite
+from .fullrank import (
+    _screen_definite,
+    canonicalize,
+    factor_positive_definite,
+    polish_coefficients,
+)
 from .laurent import (
     AnalyticPolyMatrix,
     LaurentMatrix,
     LaurentPoly,
+    _next_pow2,
+    _order_grid_count,
     laurent_from_unit_samples,
 )
 from .roots import (
@@ -90,13 +100,6 @@ _IDENTITY_GATE = 1e-4
 _MULTI_ROOT_RADIUS = 1e-4
 
 
-def _next_pow2(n: int) -> int:
-    m = 1
-    while m < n:
-        m *= 2
-    return m
-
-
 def _rng(seed: int, tag: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, tag])))
 
@@ -107,7 +110,6 @@ class RankDefOptions:
 
     tol: relative residual target for the factorization.
     rank_tol: relative singular-value cutoff for rank decisions.
-    grid_count: floor on unit-circle grid sizes (raised to cover the order).
     deflation_radius: relative radius for root clustering and for the
         interior/boundary split of denominator zeros.
     max_zero_fix_iters: cap on interior zero reflections; None picks
@@ -117,7 +119,6 @@ class RankDefOptions:
 
     tol: float = 1e-9
     rank_tol: float = 1e-8
-    grid_count: int = 64
     deflation_radius: float = 1e-7
     max_zero_fix_iters: Optional[int] = None
     rng_seed: int = 0
@@ -127,15 +128,10 @@ class RankDefOptions:
             raise ValueError("tol must be positive")
         if not self.rank_tol > 0:
             raise ValueError("rank_tol must be positive")
-        if self.grid_count < 1:
-            raise ValueError("grid_count must be positive")
         if not 0 < self.deflation_radius < 1e-2:
             raise ValueError("deflation_radius must be in (0, 1e-2)")
         if self.max_zero_fix_iters is not None and self.max_zero_fix_iters < 0:
             raise ValueError("max_zero_fix_iters must be nonnegative")
-
-    def factor_options(self) -> FactorOptions:
-        return FactorOptions(tol=self.tol, grid_count=self.grid_count)
 
 
 @dataclass(frozen=True)
@@ -162,11 +158,16 @@ class Check:
     threshold: float
 
     def to_dict(self):
+        """The report-file entry; non-finite values are clamped to +-1e308."""
         return {
             "pass": bool(self.passed),
-            "measured": float(self.measured),
-            "threshold": float(self.threshold),
+            "measured": _clamped(self.measured),
+            "threshold": _clamped(self.threshold),
         }
+
+
+def _clamped(x: float) -> float:
+    return float(np.nan_to_num(float(x), nan=-1e308, posinf=1e308, neginf=-1e308))
 
 
 @dataclass
@@ -185,24 +186,6 @@ class FactorReport:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.verdicts.values())
-
-    def to_dict(self):
-        return {
-            "detected_rank": self.detected_rank,
-            "pivot": list(self.pivot) if self.pivot is not None else None,
-            "pole_ops": [
-                {"a": [op.a.real, op.a.imag], "column": op.column, "direction": op.direction}
-                for op in self.pole_ops
-            ],
-            "zero_ops": [
-                {"a": [op.a.real, op.a.imag], "column": op.column, "direction": op.direction}
-                for op in self.zero_ops
-            ],
-            "residual": float(self.residual),
-            "order": self.order,
-            "verdicts": {name: c.to_dict() for name, c in self.verdicts.items()},
-            "rng_seed": self.rng_seed,
-        }
 
 
 class RationalMatrix:
@@ -377,7 +360,7 @@ def check_rank_identity(
     m = S.rows
     if k == m:
         return Check(True, 0.0, opts.tol)
-    count = _next_pow2(max(opts.grid_count, 2 * (S.hi or 0) + 1, 64))
+    count = _order_grid_count(S.hi or 0)
     samples = S.permuted(perm).eval_unit_grid(count)
     worst = 0.0
     kept = 0
@@ -502,68 +485,6 @@ def _polish_root(p: LaurentPoly, a: complex, steps: int = 4) -> complex:
         if abs(step) <= 1e-16 * max(1.0, abs(a)):
             break
     return a
-
-
-def _polish_factor(
-    F: LaurentMatrix, S: LaurentMatrix, order: int, iters: int = 4
-) -> LaurentMatrix:
-    """Gauss-Newton refinement of the factor coefficients against S.
-
-    The pipeline accumulates error through determinant windows, deflation
-    divisions, and Blaschke operations; a few least-squares Newton steps on
-    the coefficientwise residual of F F~ - S push the result back to machine
-    precision.  The step is the minimum-norm solution, so it has no
-    component along the right-unitary gauge freedom of the factor, and it
-    only involves powers 0..order, so the analytic order is preserved.
-    """
-    m, k = F.rows, F.cols
-    P = order + 1
-    eye = np.eye(m)
-    scale = max(S.max_abs, 1e-300)
-    best = F
-    best_err = None
-    for _ in range(iters):
-        E = (F @ F.adjoint() - S)
-        err = E.max_abs
-        if best_err is None or err < best_err:
-            best, best_err = F, err
-        if err <= 1e-15 * scale or (best_err is not None and err > 10.0 * best_err):
-            break
-        R = P * m * m
-        U = P * m * k
-        A = np.zeros((R, U), dtype=complex)
-        B = np.zeros((R, U), dtype=complex)
-        rhs = np.zeros(R, dtype=complex)
-        for n in range(P):
-            rsl = slice(n * m * m, (n + 1) * m * m)
-            rhs[rsl] = -E.coeff(n).reshape(-1)
-            for p in range(P):
-                csl = slice(p * m * k, (p + 1) * m * k)
-                Fq = F.coeff(p - n)
-                if np.any(Fq):
-                    A[rsl, csl] = np.kron(eye, Fq.conj())
-                Fq = F.coeff(n + p)
-                if np.any(Fq):
-                    B[rsl, csl] = np.einsum("ic,jr->ijrc", Fq, eye).reshape(
-                        m * m, m * k
-                    )
-        J = np.block(
-            [
-                [(A + B).real, -(A - B).imag],
-                [(A + B).imag, (A - B).real],
-            ]
-        )
-        b = np.concatenate([rhs.real, rhs.imag])
-        sol = np.linalg.lstsq(J, b, rcond=None)[0]
-        delta = sol[: U] + 1j * sol[U:]
-        terms = {}
-        for p in range(P):
-            terms[p] = F.coeff(p) + delta[p * m * k : (p + 1) * m * k].reshape(m, k)
-        F = LaurentMatrix(m, k, terms)
-    E = (F @ F.adjoint() - S)
-    if E.max_abs < best_err:
-        best = F
-    return best
 
 
 def _deflate_column(entries, den, opts: RankDefOptions):
@@ -1039,24 +960,6 @@ def fix_rank_drop(F: LaurentMatrix, a: complex, opts: RankDefOptions | None = No
 # ---------------------------------------------------------------------------
 
 
-def _screen_spectrum(S: LaurentMatrix, opts: RankDefOptions) -> None:
-    if S.rows != S.cols:
-        raise ValueError("spectrum must be square")
-    if S.is_zero:
-        raise ValueError("spectrum is identically zero")
-    if not S.is_parahermitian(max(opts.tol, 1e-12)):
-        raise ValueError("spectrum is not para-Hermitian within tolerance")
-    count = _next_pow2(max(opts.grid_count, 2 * S.hi + 1, 64))
-    samples = S.eval_unit_grid(count)
-    samples = 0.5 * (samples + np.conj(np.transpose(samples, (0, 2, 1))))
-    eigs = np.linalg.eigvalsh(samples)
-    top = float(eigs.max()) if eigs.size else 0.0
-    if eigs.min() < -opts.tol * max(top, 1e-300):
-        raise NotFactorableError(
-            "spectrum is indefinite on the unit circle (min eig %.3e)" % eigs.min()
-        )
-
-
 def spectral_factor(
     S: LaurentMatrix,
     opts: RankDefOptions | None = None,
@@ -1077,7 +980,9 @@ def spectral_factor(
     """
     opts = opts or RankDefOptions()
     S = S.trim(0.0)
-    _screen_spectrum(S, opts)
+    if S.is_zero:
+        raise ValueError("spectrum is identically zero")
+    _screen_definite(S, opts.tol)
     m = S.rows
     N = S.hi
     scale = S.max_abs
@@ -1094,13 +999,10 @@ def spectral_factor(
     # derived determinant and adjugate before it reaches the deflation step,
     # so aim two orders below the requested tolerance and fall back to the
     # nominal target only when that proves unreachable.
-    fopts = opts.factor_options()
     try:
-        head_factor = factor_positive_definite(
-            head, FactorOptions(tol=fopts.tol * 1e-2, grid_count=fopts.grid_count)
-        )
+        head_factor = factor_positive_definite(head, opts.tol * 1e-2)
     except NumericalFailureError:
-        head_factor = factor_positive_definite(head, fopts)
+        head_factor = factor_positive_definite(head, opts.tol)
 
     if k < m:
         tail_block = Sp.submatrix(range(k, m), range(k))
@@ -1203,7 +1105,12 @@ def spectral_factor(
     for pos, orig in enumerate(perm):
         inverse[orig] = pos
     F = F.submatrix(inverse, range(k))
-    F = _polish_factor(F, S, N)
+    A, _ = polish_coefficients(
+        np.stack([S.coeff(n) for n in range(N + 1)]),
+        np.stack([F.coeff(n) for n in range(N + 1)]),
+        1e-15,
+    )
+    F = LaurentMatrix(m, k, dict(enumerate(A)))
     factor = canonicalize(F).factor
 
     residual = (factor @ factor.adjoint() - S).max_abs / scale
@@ -1309,7 +1216,7 @@ def verify_factorization(
     residual = diff.max_abs / scale
     verdicts["coefficient_residual"] = Check(residual <= opts.tol, residual, opts.tol)
 
-    count = _next_pow2(max(opts.grid_count, 2 * (S.hi or 0) + 1, 64))
+    count = _order_grid_count(S.hi or 0)
     grid_dev = 0.0
     Ss = S.eval_unit_grid(count)
     Fs = factor.eval_unit_grid(count)

@@ -1,0 +1,134 @@
+"""Matrix and report files: canonical round trips and rejection of bad input."""
+
+import json
+
+import numpy as np
+import pytest
+
+from parafact.fileio import (
+    matrix_from_text,
+    matrix_to_text,
+    read_matrix,
+    read_report,
+    report_from_text,
+    report_to_text,
+    write_matrix,
+    write_report,
+)
+from parafact.laurent import LaurentMatrix
+
+
+def sample_matrix():
+    rng = np.random.default_rng(7)
+    terms = {
+        n: rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+        for n in (-1, 0, 2)
+    }
+    terms[0][1, 2] = -0.0
+    return LaurentMatrix(2, 3, terms)
+
+
+def sample_report():
+    return {
+        "command": "factor",
+        "options": {"input": "s.json", "tol": 1e-9, "rank": "auto", "seed": 0,
+                    "out": None, "smoke": False},
+        "verdicts": {
+            "residual": {"pass": True, "measured": 3.5e-16, "threshold": 1e-9},
+            "order_matches": {"pass": True, "measured": 2.0, "threshold": 2.0},
+        },
+        "exit_code": 0,
+    }
+
+
+class TestMatrixFiles:
+    def test_round_trip_is_exact_and_byte_stable(self, tmp_path):
+        M = sample_matrix()
+        meta = {"name": "sample", "seed": 7, "generator": "test"}
+        path = tmp_path / "m.json"
+        write_matrix(path, M, metadata=meta)
+        text = path.read_text(encoding="utf-8")
+        back, got_meta = read_matrix(path)
+        assert back == M
+        assert got_meta == meta
+        assert matrix_to_text(back, got_meta) == text
+
+    def test_any_json_layout_parses(self):
+        M = sample_matrix()
+        compact = json.dumps(json.loads(matrix_to_text(M)))
+        back, meta = matrix_from_text(compact)
+        assert back == M
+        assert meta == {}
+
+    def test_zero_matrix_round_trips(self):
+        text = matrix_to_text(LaurentMatrix.zeros(2, 2))
+        back, _ = matrix_from_text(text)
+        assert back.is_zero and back.shape == (2, 2)
+        assert matrix_to_text(back) == text
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "not json",
+            "[]",
+            '{"rows": 1, "cols": 1}',
+            '{"rows": 1, "cols": 1, "terms": [], "extra": 0}',
+            '{"rows": 0, "cols": 1, "terms": []}',
+            '{"rows": 1.0, "cols": 1, "terms": []}',
+            '{"rows": 1, "cols": 1, "terms": [{"power": 0}]}',
+            '{"rows": 1, "cols": 1, "terms": [{"power": 0, "matrix": [[1, 0]]}]}',
+            '{"rows": 1, "cols": 2, "terms": [{"power": 0, "matrix": [[[1, 0]]]}]}',
+            '{"rows": 1, "cols": 1, "terms": [{"power": 0, "matrix": [[[NaN, 0]]]}]}',
+            '{"rows": 1, "cols": 1, "terms": [{"power": 0, "matrix": [[[1, true]]]}]}',
+            '{"rows": 1, "cols": 1, "terms": [{"power": 1, "matrix": [[[1, 0]]]},'
+            ' {"power": 0, "matrix": [[[1, 0]]]}]}',
+            '{"rows": 1, "cols": 1, "terms": [], "metadata": {"owner": "x"}}',
+            '{"rows": 1, "cols": 1, "terms": [], "metadata": {"seed": "7"}}',
+        ],
+    )
+    def test_malformed_text_is_rejected(self, text):
+        with pytest.raises(ValueError):
+            matrix_from_text(text)
+
+    def test_unknown_metadata_is_not_written(self):
+        with pytest.raises(ValueError):
+            matrix_to_text(LaurentMatrix.zeros(1, 1), metadata={"owner": "x"})
+
+
+class TestReportFiles:
+    def test_round_trip_is_byte_stable(self, tmp_path):
+        path = tmp_path / "r.json"
+        write_report(path, sample_report())
+        text = path.read_text(encoding="utf-8")
+        back = read_report(path)
+        assert back == sample_report()
+        assert report_to_text(back) == text
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda r: r.pop("exit_code"),
+            lambda r: r.update(extra=1),
+            lambda r: r.update(command=3),
+            lambda r: r.update(exit_code=1),
+            lambda r: r["options"].update(nested=[1]),
+            lambda r: r["verdicts"]["residual"].pop("threshold"),
+            lambda r: r["verdicts"]["residual"].update(measured=float("inf")),
+            lambda r: r["verdicts"]["residual"].update({"pass": 1}),
+        ],
+    )
+    def test_malformed_report_is_rejected(self, mutate):
+        report = sample_report()
+        mutate(report)
+        with pytest.raises(ValueError):
+            report_to_text(report)
+        with pytest.raises(ValueError):
+            report_from_text(json.dumps(report))
+
+    def test_failing_verdict_needs_nonzero_exit(self):
+        report = sample_report()
+        report["verdicts"]["residual"]["pass"] = False
+        with pytest.raises(ValueError):
+            report_to_text(report)
+        report["exit_code"] = 1
+        assert report_from_text(report_to_text(report))["exit_code"] == 1

@@ -10,12 +10,17 @@ import pytest
 
 from parafact.errors import NotFactorableError
 from parafact.fullrank import (
-    FactorOptions,
+    _coeff_jacobian,
+    _conv_coeffs,
+    _relative_residual,
     canonicalize,
     factor_positive_definite,
+    polish_coefficients,
     scalar_factor,
 )
+from parafact.instances import gen_spectrum
 from parafact.laurent import LaurentMatrix, LaurentPoly
+from parafact.rankdef import compare_factors
 
 
 def circle_residual(F, S, count=64):
@@ -75,6 +80,16 @@ class TestScalarFactor:
         with pytest.raises(NotFactorableError):
             scalar_factor(LaurentPoly({0: -1.0}))
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_order_40_matches_the_secret(self, seed):
+        # Rebuilding the factor from 40 paired roots lands above tol on most
+        # of these seeds; the coefficient polish has to recover it.
+        inst = gen_spectrum(1, 1, 40, seed, interior_zero_free=True)
+        f = inst.spectrum.entry(0, 0)
+        q = scalar_factor(f)
+        assert ((q * q.adjoint()) - f).max_abs <= 1e-9 * f.max_abs
+        assert compare_factors(inst.secret_factor, LaurentMatrix.from_entries([[q]])) is not None
+
 
 class TestFactorPositiveDefinite:
     def test_residual_and_order_small_instances(self):
@@ -106,8 +121,62 @@ class TestFactorPositiveDefinite:
             factor_positive_definite(S)
 
     def test_options_validation(self):
+        S = LaurentMatrix.constant(np.eye(2))
         with pytest.raises(ValueError):
-            FactorOptions(tol=0.0)
+            factor_positive_definite(S, tol=0.0)
+
+
+def coefficient_stack(M, N):
+    return np.stack([M.coeff(n) for n in range(N + 1)])
+
+
+def random_coefficients(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestPolishCoefficients:
+    @pytest.mark.parametrize("shape", [(3, 2, 2), (4, 3, 1), (1, 2, 2), (5, 1, 1)])
+    def test_convolution_matches_loop_reference(self, shape):
+        A = random_coefficients(np.random.default_rng(1), shape)
+        P, m, _ = shape
+        D = np.zeros((P, m, m), dtype=complex)
+        for n in range(P):
+            for q in range(P - n):
+                D[n] += A[n + q] @ A[q].conj().T
+        assert np.max(np.abs(_conv_coeffs(A) - D)) < 1e-13
+
+    @pytest.mark.parametrize("shape", [(3, 2, 2), (4, 3, 1), (2, 4, 3)])
+    def test_jacobian_matches_central_difference(self, shape):
+        # The coefficients of A A~ are quadratic in A, so the central
+        # difference equals the derivative up to rounding.
+        rng = np.random.default_rng(2)
+        A = random_coefficients(rng, shape)
+        X = random_coefficients(rng, shape)
+        h = 1e-3
+        diff = ((_conv_coeffs(A + h * X) - _conv_coeffs(A - h * X)) / (2 * h)).reshape(-1)
+        x = X.reshape(-1)
+        got = _coeff_jacobian(A) @ np.concatenate([x.real, x.imag])
+        assert np.max(np.abs(got - np.concatenate([diff.real, diff.imag]))) < 1e-11
+
+    def test_tall_factor_returns_to_the_secret(self):
+        inst = gen_spectrum(4, 2, 4, 3, interior_zero_free=True)
+        C = coefficient_stack(inst.spectrum, 4)
+        secret = coefficient_stack(inst.secret_factor, 4)
+        start = secret + 1e-7 * random_coefficients(np.random.default_rng(0), secret.shape)
+        assert _relative_residual(C, start) > 1e-8
+        A, rel = polish_coefficients(C, start, 1e-15)
+        assert rel <= 1e-14
+        assert rel == _relative_residual(C, A)
+        F = LaurentMatrix(4, 2, dict(enumerate(A)))
+        assert compare_factors(inst.secret_factor, F) is not None
+
+    def test_never_returns_worse_than_the_start(self):
+        inst = gen_spectrum(3, 3, 2, 1)
+        C = coefficient_stack(inst.spectrum, 2)
+        A0 = coefficient_stack(inst.secret_factor, 2)
+        A, rel = polish_coefficients(C, A0, 0.0)
+        assert rel <= _relative_residual(C, A0)
+        assert rel < 1e-15
 
 
 class TestCanonicalize:

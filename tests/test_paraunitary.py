@@ -115,6 +115,15 @@ class TestVerifyParaunitary:
         with pytest.raises(NotParaunitaryError):
             paraunitary_degree(LaurentMatrix.constant(2.0 * np.eye(2)))
 
+    def test_rejection_names_the_failing_verdict(self):
+        U = LaurentMatrix(2, 2, {0: [[1.0, 1e-6], [0.0, 0.0]], 1: [[0.0, 0.0], [0.0, 1.0]]})
+        with pytest.raises(NotParaunitaryError) as info:
+            paraunitary_degree(U)
+        message = str(info.value)
+        assert "coefficient_identity 1.000e-06" in message
+        assert "grid_unitarity" in message
+        assert "det_monomial" not in message
+
 
 class TestCompleteToParaunitary:
     def test_haar_row_completion(self):

@@ -329,6 +329,4 @@ class TestOptionsValidation:
         with pytest.raises(ValueError):
             RankDefOptions(deflation_radius=0.5)
         with pytest.raises(ValueError):
-            RankDefOptions(grid_count=0)
-        with pytest.raises(ValueError):
             RankDefOptions(max_zero_fix_iters=-1)

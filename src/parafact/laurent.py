@@ -8,11 +8,14 @@ the adjoint ``F~`` defined by ``F~(z) = F(1/conj(z))^H`` coincides with the
 pointwise conjugate transpose there.
 
 Objects are immutable after construction: arithmetic returns new instances
-and coefficient arrays are exposed read-only.
+and coefficient arrays are exposed read-only.  Matrix operations work on
+whole coefficient arrays; ``LaurentMatrix.derivative`` gives F' without
+going through the scalar entries.
 """
 
 from __future__ import annotations
 
+import math
 from types import MappingProxyType
 
 import numpy as np
@@ -57,7 +60,7 @@ class LaurentPoly:
         if terms:
             for n, c in terms.items():
                 c = complex(c)
-                if not (np.isfinite(c.real) and np.isfinite(c.imag)):
+                if not (math.isfinite(c.real) and math.isfinite(c.imag)):
                     raise ValueError("non-finite coefficient at power %d" % n)
                 if c != 0:
                     data[int(n)] = c
@@ -501,6 +504,14 @@ class LaurentMatrix:
         """Adjoint F~ with coefficients (F~)_n = (F_{-n})^H."""
         return LaurentMatrix(
             self._cols, self._rows, {-n: C.conj().T for n, C in self._terms.items()}
+        )
+
+    def derivative(self) -> "LaurentMatrix":
+        """Formal derivative d/dz, coefficientwise as LaurentPoly.derivative."""
+        return LaurentMatrix(
+            self._rows,
+            self._cols,
+            {n - 1: n * C for n, C in self._terms.items() if n != 0},
         )
 
     def transpose(self) -> "LaurentMatrix":

@@ -471,9 +471,10 @@ def _monic_normalized(num_entries, den):
     return [e * inv for e in num_entries], den * inv
 
 
-def _polish_root(p: LaurentPoly, a: complex, steps: int = 4) -> complex:
-    """A few Newton steps on a root estimate of p."""
-    dp = p.derivative()
+def _polish_root(
+    p: LaurentPoly, dp: LaurentPoly, a: complex, steps: int = 4
+) -> complex:
+    """A few Newton steps on a root estimate of p, whose derivative is dp."""
     for _ in range(steps):
         d = dp.eval(a)
         if not np.isfinite(d) or abs(d) < 1e-300:
@@ -504,18 +505,20 @@ def _deflate_column(entries, den, opts: RankDefOptions):
         return entries, LaurentPoly.one(), worst
     while den.hi and den.hi > 0:
         removed = False
+        dden = den.derivative()
+        dentries = [e.derivative() for e in entries]
         for a in sorted(laurent_roots(den), key=lambda w: (abs(w), w.real, w.imag)):
             cut = radius * max(1.0, abs(a))
-            ad = _polish_root(den, a)
-            wd = abs(den.derivative().eval(ad)) / max(den.max_abs, 1e-300)
+            ad = _polish_root(den, dden, a)
+            wd = abs(dden.eval(ad)) / max(den.max_abs, 1e-300)
             acc = wd * ad
             weight = wd
             shared = True
-            for e in entries:
+            for e, de in zip(entries, dentries):
                 if e.is_zero:
                     continue
                 ea = e.eval(a)
-                eda = e.derivative().eval(a)
+                eda = de.eval(a)
                 span_scale = e.max_abs * max(1.0, abs(a)) ** max(e.hi, 0)
                 if abs(eda) < 1e-300:
                     if abs(ea) > 1e-12 * span_scale:
@@ -526,9 +529,9 @@ def _deflate_column(entries, den, opts: RankDefOptions):
                 if abs(step) > cut:
                     shared = False
                     break
-                r = _polish_root(e, a - step)
+                r = _polish_root(e, de, a - step)
                 if abs(r - a) <= 2.0 * cut:
-                    w = abs(e.derivative().eval(r)) / max(e.max_abs, 1e-300)
+                    w = abs(de.eval(r)) / max(e.max_abs, 1e-300)
                     acc += w * r
                     weight += w
             if not shared:
@@ -673,7 +676,7 @@ def remove_inner_poles(R: RationalMatrix, opts: RankDefOptions | None = None):
                 if abs(a) < radius:
                     a = 0.0 + 0.0j
                 else:
-                    a = _polish_root(den, a)
+                    a = _polish_root(den, den.derivative(), a)
                 q, rem = divide_linear(den, a)
                 if rem > 1e-6 * max(den.max_abs, 1.0):
                     raise NumericalFailureError(
@@ -794,6 +797,30 @@ def _operator_scale(F: LaurentMatrix) -> float:
     return max(float(np.linalg.svd(M, compute_uv=False)[0]) for M in samples)
 
 
+def _entrywise_evaluator(F: LaurentMatrix):
+    """z -> F(z) for analytic F, rounded as LaurentPoly.eval rounds each entry.
+
+    A scalar Horner over per-entry coefficient lists is as fast as the array
+    Horner at these sizes, and its rounding does not depend on whether numpy
+    fuses its complex products (see roots._cmul).
+    """
+    rows, cols = F.shape
+    hi = F.hi or 0
+    stack = np.stack([F.coeff(n) for n in range(hi, -1, -1)])
+    entries = stack.reshape(hi + 1, rows * cols).T.tolist()
+
+    def value(z):
+        out = []
+        for cs in entries:
+            acc = 0j
+            for c in cs:
+                acc = acc * z + c
+            out.append(acc)
+        return np.array(out).reshape(rows, cols)
+
+    return value
+
+
 def _refine_drop_point(F: LaurentMatrix, a: complex, iters: int = 8) -> complex:
     """Polish a rank-drop estimate against the matrix itself.
 
@@ -805,19 +832,12 @@ def _refine_drop_point(F: LaurentMatrix, a: complex, iters: int = 8) -> complex:
     """
     a = complex(a)
     M = F.eval(a)
-    sv = np.linalg.svd(M, compute_uv=False)
-    _, _, vh = np.linalg.svd(M)
+    _, sv, vh = np.linalg.svd(M)
     v = vh[-1].conj()
-    dF = [
-        [F.entry(i, j).derivative() for j in range(F.cols)]
-        for i in range(F.rows)
-    ]
+    dF = _entrywise_evaluator(F.derivative())
     best_a, best_sv = a, float(sv[-1])
     for _ in range(iters):
-        Md = np.array(
-            [[dF[i][j].eval(a) for j in range(F.cols)] for i in range(F.rows)]
-        )
-        J = np.concatenate([(Md @ v)[:, None], M], axis=1)
+        J = np.concatenate([(dF(a) @ v)[:, None], M], axis=1)
         # forbid motion along v itself so the unit-norm gauge stays fixed
         J = np.vstack([J, np.concatenate([[0.0], np.conj(v)])[None, :]])
         r = np.concatenate([M @ v, [0.0]])
@@ -938,13 +958,12 @@ def fix_rank_drop(F: LaurentMatrix, a: complex, opts: RankDefOptions | None = No
     opts = opts or RankDefOptions()
     a = complex(a)
     scale = _operator_scale(F)
-    sv = np.linalg.svd(F.eval(a), compute_uv=False)
+    _, sv, vh = np.linalg.svd(F.eval(a))
     if sv[-1] > opts.rank_tol * max(scale, 1e-300):
         raise ValueError(
             "factor does not drop rank at %s (smallest singular value %.3e)"
             % (a, sv[-1])
         )
-    _, _, vh = np.linalg.svd(F.eval(a))
     G, U, rem = reflect_column_zero(F, a, vh[-1].conj())
     if rem > 10.0 * max(opts.tol, opts.rank_tol) * max(F.max_abs, 1e-300):
         raise NumericalFailureError(

@@ -195,6 +195,20 @@ def unitary_with_first_column(v: np.ndarray) -> np.ndarray:
     return U
 
 
+def _cmul(x: np.ndarray, w: complex) -> np.ndarray:
+    """x * w rounded as scalar complex arithmetic rounds it.
+
+    numpy's vectorized complex product may fuse a multiply and an add (it
+    does on x86 with FMA), which rounds differently from the same product
+    taken entry by entry.  Forming the real and imaginary parts apart keeps
+    array recurrences bit-for-bit equal to their per-entry LaurentPoly form.
+    """
+    out = np.empty(x.shape, dtype=complex)
+    out.real = x.real * w.real - x.imag * w.imag
+    out.imag = x.real * w.imag + x.imag * w.real
+    return out
+
+
 def reflect_column_zero(F: LaurentMatrix, a: complex, null_vector: np.ndarray):
     """Move a zero of an analytic matrix at an interior point a across the circle.
 
@@ -203,23 +217,34 @@ def reflect_column_zero(F: LaurentMatrix, a: complex, null_vector: np.ndarray):
     (1 - conj(a) z).  On the unit circle the rotation and the ratio
     (1 - conj(a) z)/(z - a) both have unit modulus, so F F~ is unchanged.
 
-    Returns (reflected matrix, applied unitary, worst division remainder).
+    Only interior points are accepted: the division runs the top-down
+    recurrence of divide_linear on the whole column at once, which is stable
+    for |a| < 1, and ValueError is raised for |a| >= 1.
+
+    Returns (reflected matrix, applied unitary, worst division remainder),
+    the remainder being the max-abs coefficient of (z - a) q - c over the
+    column's entries c and quotients q.
     """
     a = complex(a)
+    if not abs(a) < 1.0:
+        raise ValueError("reflect_column_zero needs |a| < 1, got %s" % a)
     U = unitary_with_first_column(null_vector)
     G = F @ LaurentMatrix.constant(U)
-    blaschke_top = LaurentPoly({0: 1.0, 1: -a.conjugate()})
-    entries = []
-    worst = 0.0
-    for i in range(G.rows):
-        row = []
-        for j in range(G.cols):
-            e = G.entry(i, j)
-            if j == 0:
-                q, rem = divide_linear(e, a)
-                worst = max(worst, rem)
-                row.append(q * blaschke_top)
-            else:
-                row.append(e)
-        entries.append(row)
-    return LaurentMatrix.from_entries(entries), U, worst
+    if (G.lo or 0) < 0:
+        raise ValueError("reflect_column_zero expects an analytic matrix")
+    d = G.hi or 0
+    C = np.zeros((d + 1, G.rows, G.cols), dtype=complex)
+    for n, M in G.terms.items():
+        C[n] = M
+    c = C[:, :, 0].copy()
+    # q has powers 0..d-1, padded with a zero row at power d so that
+    # (z - a) q and (1 - conj(a) z) q are plain shifted differences.
+    q = np.zeros_like(c)
+    for i in range(d, 0, -1):
+        q[i - 1] = c[i] + _cmul(q[i], a)
+    resid = -a * q - c
+    resid[1:] += q[:-1]
+    worst = float(np.max(np.abs(resid)))
+    C[:, :, 0] = q
+    C[1:, :, 0] -= _cmul(q[:-1], a.conjugate())
+    return LaurentMatrix(G.rows, G.cols, dict(enumerate(C))), U, worst

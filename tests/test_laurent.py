@@ -246,6 +246,22 @@ class TestLaurentMatrix:
         assert Z.is_zero
         assert Z.lo is None and Z.hi is None
 
+    def test_derivative_matches_entrywise(self):
+        rng = np.random.default_rng(28)
+        F = random_matrix(rng, 3, 2, lo=-3, hi=4)
+        dF = F.derivative()
+        assert dF.shape == (3, 2)
+        assert sorted(dF.terms) == [-4, -3, -2, 0, 1, 2, 3]
+        for i in range(3):
+            for j in range(2):
+                assert dF.entry(i, j) == F.entry(i, j).derivative()
+
+    def test_derivative_of_constant_is_zero(self):
+        C = LaurentMatrix.constant(np.arange(6.0).reshape(2, 3) + 1.0)
+        dC = C.derivative()
+        assert dC.is_zero
+        assert dC.shape == (2, 3)
+
 
 def test_laurent_from_unit_samples_round_trip():
     rng = np.random.default_rng(30)

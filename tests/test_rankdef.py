@@ -23,6 +23,8 @@ from parafact.rankdef import (
     estimate_rank,
     find_rank_drop_points,
     fix_rank_drop,
+    _entrywise_evaluator,
+    _refine_drop_point,
     remove_inner_poles,
     select_pivot,
     spectral_factor,
@@ -160,6 +162,64 @@ class TestRankDropPoints:
         rng = np.random.default_rng(66)
         inst = gen_spectrum(3, 2, 2, 660, interior_zero_free=True)
         assert find_rank_drop_points(inst.secret_factor) == []
+
+    def test_entrywise_evaluator_matches_scalar_eval(self):
+        rng = np.random.default_rng(69)
+        F = LaurentMatrix(
+            5,
+            3,
+            {
+                n: rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+                for n in (0, 1, 3, 7)
+            },
+        )
+        value = _entrywise_evaluator(F)
+        for z in (0.3 - 0.6j, -0.9 + 0.1j, 0.0):
+            want = [[F.entry(i, j).eval(z) for j in range(3)] for i in range(5)]
+            assert np.array_equal(value(z), np.array(want))
+        zero = _entrywise_evaluator(LaurentMatrix.zeros(5, 3))(0.5)
+        assert np.array_equal(zero, np.zeros((5, 3)))
+
+    def test_refine_lands_on_planted_simple_zero(self):
+        rng = np.random.default_rng(68)
+        a = -0.45 + 0.3j
+        base = LaurentMatrix(
+            3,
+            2,
+            {
+                n: rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+                for n in range(3)
+            },
+        )
+        F = base @ LaurentMatrix.diagonal(
+            [LaurentPoly({0: -a, 1: 1.0}), LaurentPoly.one()]
+        )
+        start = a + 1e-4 * np.exp(0.3j)
+        assert abs(_refine_drop_point(F, start) - a) <= 1e-12
+
+    # Blaschke operation counts of the whole pipeline on zero-free instances,
+    # recorded with the per-entry refine and reflection code.  Drop clearing
+    # on whole coefficient arrays must take the same steps.
+    @pytest.mark.parametrize(
+        "m,k,N,seed,zero_ops,pole_ops",
+        [
+            (4, 2, 4, 0, 5, 10),
+            (4, 2, 4, 1, 4, 8),
+            (4, 2, 4, 2, 4, 8),
+            (4, 2, 4, 3, 2, 4),
+            (4, 2, 4, 4, 5, 10),
+            (4, 2, 4, 5, 4, 8),
+            (6, 3, 3, 0, 6, 9),
+            (6, 3, 3, 1, 12, 18),
+            (6, 3, 3, 2, 8, 12),
+        ],
+    )
+    def test_operation_counts_are_pinned(self, m, k, N, seed, zero_ops, pole_ops):
+        inst = gen_spectrum(m, k, N, seed, interior_zero_free=True)
+        factor, report = spectral_factor(inst.spectrum)
+        assert len(report.zero_ops) == zero_ops
+        assert len(report.pole_ops) == pole_ops
+        assert compare_factors(inst.secret_factor, factor) is not None
 
     def test_fix_rejects_point_without_drop(self):
         rng = np.random.default_rng(67)

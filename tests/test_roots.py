@@ -133,3 +133,51 @@ def test_reflect_column_zero_moves_zero_to_reflection():
     G, _, _ = reflect_column_zero(F, a, null)
     mirror = 1.0 / np.conj(a)
     assert np.linalg.svd(G.eval(mirror), compute_uv=False)[-1] < 1e-9
+
+
+def _reflect_reference(F, a, null):
+    """Per-entry reflection: divide_linear on each first-column entry, then a
+    LaurentPoly product with (1 - conj(a) z)."""
+    U = unitary_with_first_column(null)
+    G = F @ LaurentMatrix.constant(U)
+    top = LaurentPoly({0: 1.0, 1: -np.conj(a)})
+    rows, worst = [], 0.0
+    for i in range(G.rows):
+        q, rem = divide_linear(G.entry(i, 0), a)
+        worst = max(worst, rem)
+        rows.append([q * top] + [G.entry(i, j) for j in range(1, G.cols)])
+    return LaurentMatrix.from_entries(rows), U, worst
+
+
+def test_reflect_column_zero_matches_per_entry_reference():
+    rng = np.random.default_rng(46)
+    a = -0.3 + 0.55j
+    base = LaurentMatrix(
+        4,
+        3,
+        {
+            n: rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+            for n in range(5)
+        },
+    )
+    plant = LaurentMatrix.diagonal(
+        [LaurentPoly({0: -a, 1: 1.0}), LaurentPoly.one(), LaurentPoly.one()]
+    )
+    F = base @ plant
+    assert F.hi == 5
+    null = np.linalg.svd(F.eval(a))[2][-1].conj()
+    G, U, rem = reflect_column_zero(F, a, null)
+    ref, ref_U, ref_rem = _reflect_reference(F, a, null)
+    assert np.array_equal(U, ref_U)
+    # The array recurrence rounds every product as the scalar code does, so
+    # the coefficients agree exactly; only the remainder is summed another way.
+    assert G == ref
+    assert ref_rem <= 1e-13 * F.max_abs
+    assert abs(rem - ref_rem) <= 1e-14 * F.max_abs
+
+
+@pytest.mark.parametrize("a", [1.0, -1j, 0.6 + 0.8j, 2.0 - 0.5j])
+def test_reflect_column_zero_rejects_points_off_the_open_disk(a):
+    F = LaurentMatrix(2, 1, {0: np.array([[-a], [1.0]]), 1: np.array([[1.0], [0.5]])})
+    with pytest.raises(ValueError):
+        reflect_column_zero(F, a, np.array([1.0 + 0j]))

@@ -55,6 +55,8 @@ _POLISH_GROWTH = 10.0
 _POLISH_STALLS = 3
 _POLISH_MAX_ITERS = 30
 _POLISH_HALVINGS = 10
+# Residual target of the polish that ends scalar_factor and spectral_factor.
+_FINAL_POLISH = 1e-15
 
 
 @dataclass(frozen=True)
@@ -71,8 +73,8 @@ def scalar_factor(f: LaurentPoly, tol: float = 1e-9) -> LaurentPoly:
     f must be para-Hermitian and nonnegative on the unit circle.  The roots
     of z^N f(z) come in pairs reflected across the circle; q takes the outer
     representative of each pair and half of every (necessarily even) cluster
-    of unit-circle roots.  Rebuilding q from many roots loses digits, so
-    when q q~ misses tol its coefficients are refined by polish_coefficients.
+    of unit-circle roots.  Rebuilding q from many roots loses digits, so its
+    coefficients are always refined by polish_coefficients.
     q is normalized so q(0) is real positive, which pins the unit-modulus
     phase freedom.
 
@@ -129,9 +131,8 @@ def scalar_factor(f: LaurentPoly, tol: float = 1e-9) -> LaurentPoly:
         raise NotFactorableError("mean of the symbol is not positive")
     A = (np.sqrt(s) * asc)[:, None, None]
     C = f.coeff_array(0, N)[:, None, None]
-    residual = _relative_residual(C, A)
-    if residual > tol:
-        A, residual = polish_coefficients(C, A, 0.3 * tol)
+    # q q~ can meet tol while q is still far off, so always polish.
+    A, residual = polish_coefficients(C, A, _FINAL_POLISH)
     if residual > tol:
         raise NumericalFailureError(
             "scalar factor residual %.3e exceeds tolerance" % residual,

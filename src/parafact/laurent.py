@@ -271,18 +271,29 @@ class LaurentMatrix:
             raise ValueError("matrix dimensions must be nonnegative")
         data = {}
         if terms:
-            for n, C in terms.items():
-                C = np.array(C, dtype=complex, copy=True)
-                if C.shape != (rows, cols):
-                    raise ValueError(
-                        "coefficient at power %d has shape %r, expected %r"
-                        % (n, C.shape, (rows, cols))
-                    )
-                if not np.all(np.isfinite(C)):
-                    raise ValueError("non-finite coefficient at power %d" % n)
-                if np.any(C != 0):
-                    C.setflags(write=False)
-                    data[int(n)] = C
+            # One stacked copy checks every power at once; the per-power loop
+            # only runs on bad input, to name the first offending power.
+            try:
+                stack = np.array(list(terms.values()), dtype=complex)
+            except ValueError:
+                stack = None
+            if (
+                stack is None
+                or stack.shape != (len(terms), rows, cols)
+                or not np.isfinite(stack).all()
+            ):
+                for n, C in terms.items():
+                    C = np.asarray(C, dtype=complex)
+                    if C.shape != (rows, cols):
+                        raise ValueError(
+                            "coefficient at power %d has shape %r, expected %r"
+                            % (n, C.shape, (rows, cols))
+                        )
+                    if not np.all(np.isfinite(C)):
+                        raise ValueError("non-finite coefficient at power %d" % n)
+            stack.setflags(write=False)
+            nonzero = stack.any(axis=(1, 2))
+            data = {int(n): C for n, C, keep in zip(terms, stack, nonzero) if keep}
         self._rows = rows
         self._cols = cols
         self._terms = data

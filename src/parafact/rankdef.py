@@ -22,6 +22,11 @@ in the open unit disk.  The pipeline:
    by determinant windows, deflation divisions and Blaschke operations;
 7. rotate to the canonical representative.
 
+The division of step 3 and steps 4-5 run only when k < m.  For k = m the
+head factor has no tail to divide, hence no poles, and the full-rank
+factorization has reflected its interior determinant zeros, so it has no
+interior rank drops either; it goes straight to step 6.
+
 Every transformation multiplies columns by unit-modulus scalars or the whole
 factor by constant unitaries, so F F~ is preserved throughout up to
 rounding, which step 6 takes back out.
@@ -41,6 +46,7 @@ from .errors import (
     NumericalFailureError,
 )
 from .fullrank import (
+    _FINAL_POLISH,
     _screen_definite,
     canonicalize,
     factor_positive_definite,
@@ -231,20 +237,10 @@ class RationalMatrix:
     def cols(self) -> int:
         return self._num.cols
 
-    @property
-    def is_polynomial(self) -> bool:
-        return all(d.hi == 0 for d in self._dens)
-
     def eval(self, z) -> np.ndarray:
         V = self._num.eval(z)
         for j, d in enumerate(self._dens):
             V[:, j] = V[:, j] / d.eval(z)
-        return V
-
-    def eval_unit_grid(self, count: int) -> np.ndarray:
-        V = self._num.eval_unit_grid(count)
-        for j, d in enumerate(self._dens):
-            V[:, :, j] = V[:, :, j] / d.eval_unit_grid(count)[:, None]
         return V
 
     def column_entries(self, j: int):
@@ -260,10 +256,17 @@ class RationalMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _sample_angles(S: LaurentMatrix, opts: RankDefOptions, tag: int) -> np.ndarray:
+def _circle_samples(S: LaurentMatrix, opts: RankDefOptions, tag: int) -> np.ndarray:
+    """S at 2*order + 17 pseudo-random circle points, as a (count, m, m) array.
+
+    The angles come from the tag's stream of rng_seed, and all points are
+    evaluated at once as exp(i n theta) times the stacked coefficients.
+    """
     count = 2 * (S.hi or 0) + 17
-    gen = _rng(opts.rng_seed, tag)
-    return gen.uniform(0.0, 2.0 * np.pi, count)
+    theta = _rng(opts.rng_seed, tag).uniform(0.0, 2.0 * np.pi, count)
+    powers = sorted(S.terms) or [0]
+    stack = np.stack([S.coeff(n) for n in powers]).reshape(len(powers), -1)
+    return (np.exp(1j * np.outer(theta, powers)) @ stack).reshape(count, S.rows, S.cols)
 
 
 def estimate_rank(S: LaurentMatrix, opts: RankDefOptions | None = None) -> int:
@@ -279,12 +282,9 @@ def estimate_rank(S: LaurentMatrix, opts: RankDefOptions | None = None) -> int:
     S = S.trim(0.0)
     if S.is_zero:
         return 0
-    best = 0
-    for theta in _sample_angles(S, opts, _TAG_RANK):
-        sv = np.linalg.svd(S.eval(np.exp(1j * theta)), compute_uv=False)
-        if sv[0] > 0:
-            best = max(best, int(np.sum(sv > opts.rank_tol * sv[0])))
-    return best
+    sv = np.linalg.svd(_circle_samples(S, opts, _TAG_RANK), compute_uv=False)
+    counts = np.sum(sv > opts.rank_tol * sv[:, :1], axis=1)
+    return int(np.max(np.where(sv[:, 0] > 0, counts, 0)))
 
 
 def select_pivot(S: LaurentMatrix, k: int, opts: RankDefOptions | None = None) -> tuple:
@@ -293,8 +293,9 @@ def select_pivot(S: LaurentMatrix, k: int, opts: RankDefOptions | None = None) -
     Candidates come from greedy QR column pivoting of the stacked circle
     samples and of each individual sample; the winner maximizes the worst
     relative smallest singular value of the head block over the samples.
-    Raises DegenerateInputError when no candidate keeps the head block
-    nonsingular at a majority of samples.
+    With k equal to the size every candidate is the identity, so the
+    pivoting is skipped.  Raises DegenerateInputError when no candidate
+    keeps the head block nonsingular at a majority of samples.
     """
     opts = opts or RankDefOptions()
     m = S.rows
@@ -302,41 +303,28 @@ def select_pivot(S: LaurentMatrix, k: int, opts: RankDefOptions | None = None) -
         raise ValueError("pivot selection needs a square matrix")
     if not 1 <= k <= m:
         raise ValueError("rank k must be between 1 and the matrix size")
-    angles = _sample_angles(S, opts, _TAG_PIVOT)
-    samples = [S.eval(np.exp(1j * theta)) for theta in angles]
-    scales = [np.linalg.svd(M, compute_uv=False)[0] for M in samples]
+    samples = _circle_samples(S, opts, _TAG_PIVOT)
+    scales = np.linalg.svd(samples, compute_uv=False)[:, 0]
 
     candidates = [tuple(range(k))]
-    stacked = np.vstack(samples)
-    _, _, piv = scipy.linalg.qr(stacked, mode="economic", pivoting=True)
-    candidates.append(tuple(sorted(int(i) for i in piv[:k])))
-    for M in samples:
-        _, _, piv = scipy.linalg.qr(M, mode="economic", pivoting=True)
+    if k < m:
+        _, _, piv = scipy.linalg.qr(samples.reshape(-1, m), mode="economic", pivoting=True)
         candidates.append(tuple(sorted(int(i) for i in piv[:k])))
-    seen, unique = set(), []
-    for c in candidates:
-        if c not in seen:
-            seen.add(c)
-            unique.append(c)
+        for M in samples:
+            _, _, piv = scipy.linalg.qr(M, mode="economic", pivoting=True)
+            candidates.append(tuple(sorted(int(i) for i in piv[:k])))
 
-    def head_minsv(idx, M):
-        block = M[np.ix_(idx, idx)]
-        return float(np.linalg.svd(block, compute_uv=False)[-1])
-
-    best_idx, best_score = None, -1.0
-    for idx in unique:
-        score = min(
-            head_minsv(idx, M) / s if s > 0 else 0.0
-            for M, s in zip(samples, scales)
-        )
+    live = scales > 0
+    safe = np.where(live, scales, 1.0)
+    best_idx, best_minsv, best_score = None, None, -1.0
+    for idx in dict.fromkeys(candidates):
+        block = samples[:, list(idx)][:, :, list(idx)]
+        minsv = np.linalg.svd(block, compute_uv=False)[:, -1]
+        score = float(np.min(np.where(live, minsv / safe, 0.0)))
         if score > best_score:
-            best_idx, best_score = idx, score
+            best_idx, best_minsv, best_score = idx, minsv, score
 
-    hits = sum(
-        1
-        for M, s in zip(samples, scales)
-        if s > 0 and head_minsv(best_idx, M) > opts.rank_tol * s
-    )
+    hits = int(np.sum(live & (best_minsv > opts.rank_tol * scales)))
     if hits <= len(samples) // 2:
         raise DegenerateInputError(
             "no permutation keeps the leading %d x %d block full rank "
@@ -601,19 +589,14 @@ def tail_quotient(
 
 
 def stack_rational_factor(
-    head_factor: AnalyticPolyMatrix, tail: RationalMatrix | None
+    head_factor: AnalyticPolyMatrix, tail: RationalMatrix
 ) -> RationalMatrix:
     """Stack the head factor above the tail quotient over shared denominators.
 
     Head entries are multiplied by the column denominators so the stacked
-    matrix is a single numerator / denominator pair per column.  With no
-    tail (full-rank case) the result is the head factor over unit
-    denominators.
+    matrix is a single numerator / denominator pair per column.
     """
     k = head_factor.cols
-    if tail is None:
-        num = LaurentMatrix(head_factor.rows, k, dict(head_factor.terms))
-        return RationalMatrix(num, [LaurentPoly.one()] * k)
     if tail.cols != k:
         raise ValueError("tail width must match the head factor")
     rows = []
@@ -979,63 +962,15 @@ def fix_rank_drop(F: LaurentMatrix, a: complex, opts: RankDefOptions | None = No
 # ---------------------------------------------------------------------------
 
 
-def spectral_factor(
-    S: LaurentMatrix,
-    opts: RankDefOptions | None = None,
-    rank: Optional[int] = None,
-):
-    """Canonical analytic spectral factor of a nonnegative definite spectrum.
-
-    Returns (factor, report): factor is m x k analytic of the same order as
-    S with S = factor factor~ within tol (relative, coefficientwise), full
-    column rank in the open unit disk, and canonically normalized; report
-    records the detected rank, pivot, every Blaschke operation, the final
-    residual, and named verdicts.
-
-    rank overrides the sampled rank estimate when given.  Raises
-    ValueError / NotFactorableError on bad input, DegenerateInputError when
-    no pivot works, and NumericalFailureError (carrying the partial report)
-    when the tolerance cannot be met.
-    """
-    opts = opts or RankDefOptions()
-    S = S.trim(0.0)
-    if S.is_zero:
-        raise ValueError("spectrum is identically zero")
-    _screen_definite(S, opts.tol)
-    m = S.rows
-    N = S.hi
-    scale = S.max_abs
-
-    k = rank if rank is not None else estimate_rank(S, opts)
-    if not 1 <= k <= m:
-        raise ValueError("rank %r out of range for size %d" % (k, m))
-
-    perm = select_pivot(S, k, opts)
-    identity_check = check_rank_identity(S, perm, k, opts)
-    Sp = S.permuted(perm)
-    head = Sp.submatrix(range(k), range(k))
-    # The head factor's error is amplified by the root conditioning of the
-    # derived determinant and adjugate before it reaches the deflation step,
-    # so aim two orders below the requested tolerance and fall back to the
-    # nominal target only when that proves unreachable.
-    try:
-        head_factor = factor_positive_definite(head, opts.tol * 1e-2)
-    except NumericalFailureError:
-        head_factor = factor_positive_definite(head, opts.tol)
-
-    if k < m:
-        tail_block = Sp.submatrix(range(k, m), range(k))
-        tail = tail_quotient(tail_block, head_factor, opts)
-    else:
-        tail = None
+def _outer_tall_factor(Sp, head_factor, N, perm, opts):
+    """Steps 3-5 for k < m: (outer m x k factor of Sp, pole_ops, zero_ops)."""
+    m, k = Sp.rows, head_factor.cols
+    tail = tail_quotient(Sp.submatrix(range(k, m), range(k)), head_factor, opts)
     R = stack_rational_factor(head_factor, tail)
     R, pole_ops = remove_inner_poles(R, opts)
 
     cap = opts.max_zero_fix_iters
-    if cap is None:
-        cap = 2 * N * m + 16
-    else:
-        cap = max(cap, 2 * N * m)
+    cap = 2 * N * m + 16 if cap is None else max(cap, 2 * N * m)
     zero_ops = []
 
     def over_cap():
@@ -1118,16 +1053,69 @@ def spectral_factor(
     num = clear_drops(num, anchors)
     R = RationalMatrix(num, [shared_den] * R.cols)
     F = finalize_polynomial(R, N, opts)
-    F = clear_drops(F)
+    return clear_drops(F), pole_ops, tuple(zero_ops)
 
-    inverse = [0] * m
-    for pos, orig in enumerate(perm):
-        inverse[orig] = pos
-    F = F.submatrix(inverse, range(k))
+
+def spectral_factor(
+    S: LaurentMatrix,
+    opts: RankDefOptions | None = None,
+    rank: Optional[int] = None,
+):
+    """Canonical analytic spectral factor of a nonnegative definite spectrum.
+
+    Returns (factor, report): factor is m x k analytic of the same order as
+    S with S = factor factor~ within tol (relative, coefficientwise), full
+    column rank in the open unit disk, and canonically normalized; report
+    records the detected rank, pivot, every Blaschke operation, the final
+    residual, and named verdicts.
+
+    The tail quotient, pole removal and drop clearing run only for k < m;
+    for k = m the head factor is already outer and goes to the final polish.
+
+    rank overrides the sampled rank estimate when given.  Raises
+    ValueError / NotFactorableError on bad input, DegenerateInputError when
+    no pivot works, and NumericalFailureError (carrying the partial report)
+    when the tolerance cannot be met.
+    """
+    opts = opts or RankDefOptions()
+    S = S.trim(0.0)
+    if S.is_zero:
+        raise ValueError("spectrum is identically zero")
+    _screen_definite(S, opts.tol)
+    m = S.rows
+    N = S.hi
+    scale = S.max_abs
+
+    k = rank if rank is not None else estimate_rank(S, opts)
+    if not 1 <= k <= m:
+        raise ValueError("rank %r out of range for size %d" % (k, m))
+
+    perm = select_pivot(S, k, opts)
+    identity_check = check_rank_identity(S, perm, k, opts)
+    Sp = S.permuted(perm)
+    head = Sp.submatrix(range(k), range(k))
+    # The head factor's error is amplified by the root conditioning of the
+    # derived determinant and adjugate before it reaches the deflation step,
+    # so aim two orders below the requested tolerance and fall back to the
+    # nominal target only when that proves unreachable.
+    try:
+        head_factor = factor_positive_definite(head, opts.tol * 1e-2)
+    except NumericalFailureError:
+        head_factor = factor_positive_definite(head, opts.tol)
+
+    if k < m:
+        F, pole_ops, zero_ops = _outer_tall_factor(Sp, head_factor, N, perm, opts)
+    else:
+        # Drop clearing looks for interior roots of det(L F) over random
+        # compressions L; for square F that is det L * det F, whose interior
+        # roots factor_positive_definite has reflected already.
+        F, pole_ops, zero_ops = head_factor, (), ()
+
+    F = F.submatrix(np.argsort(perm), range(k))
     A, _ = polish_coefficients(
         np.stack([S.coeff(n) for n in range(N + 1)]),
         np.stack([F.coeff(n) for n in range(N + 1)]),
-        1e-15,
+        _FINAL_POLISH,
     )
     F = LaurentMatrix(m, k, dict(enumerate(A)))
     factor = canonicalize(F).factor
@@ -1143,7 +1131,7 @@ def spectral_factor(
         detected_rank=k,
         pivot=perm,
         pole_ops=pole_ops,
-        zero_ops=tuple(zero_ops),
+        zero_ops=zero_ops,
         residual=residual,
         order=order,
         verdicts=verdicts,

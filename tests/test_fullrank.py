@@ -80,10 +80,12 @@ class TestScalarFactor:
         with pytest.raises(NotFactorableError):
             scalar_factor(LaurentPoly({0: -1.0}))
 
-    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("seed", range(40))
     def test_order_40_matches_the_secret(self, seed):
         # Rebuilding the factor from 40 paired roots lands above tol on most
-        # of these seeds; the coefficient polish has to recover it.
+        # of these seeds, and on seeds such as 10, 14 and 16 it meets tol in
+        # q q~ while q is still too far from the secret; the coefficient
+        # polish has to recover it.
         inst = gen_spectrum(1, 1, 40, seed, interior_zero_free=True)
         f = inst.spectrum.entry(0, 0)
         q = scalar_factor(f)

@@ -150,6 +150,27 @@ class TestLaurentMatrix:
         with pytest.raises(ValueError):
             LaurentMatrix(2, 2, {0: np.zeros((2, 3))})
 
+    def test_shape_error_names_the_first_bad_power(self):
+        terms = {-1: np.eye(2), 4: np.zeros((2, 3)), 7: np.zeros(2)}
+        with pytest.raises(ValueError, match=r"power 4 has shape \(2, 3\)"):
+            LaurentMatrix(2, 2, terms)
+
+    def test_non_finite_error_names_the_power(self):
+        bad = np.eye(2, dtype=complex)
+        bad[1, 0] = np.nan
+        terms = {-2: np.eye(2), 5: bad, 9: np.ones((2, 2))}
+        with pytest.raises(ValueError, match="non-finite coefficient at power 5$"):
+            LaurentMatrix(2, 2, terms)
+
+    def test_coefficients_are_read_only_copies(self):
+        C = np.ones((2, 2), dtype=complex)
+        M = LaurentMatrix(2, 2, {1: C, 2: np.zeros((2, 2))})
+        C[0, 0] = 5.0
+        assert M.coeff(1)[0, 0] == 1.0
+        assert list(M.terms) == [1]
+        with pytest.raises(ValueError):
+            M.coeff(1)[0, 0] = 2.0
+
     def test_eval_and_grid_agree(self):
         rng = np.random.default_rng(21)
         M = random_matrix(rng, 3, 2)

@@ -7,16 +7,23 @@ on seeded instances with known rank and order.
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from parafact.errors import (
+    DegenerateInputError,
     IndeterminateError,
     NotFactorableError,
     NumericalFailureError,
 )
 from parafact.fullrank import factor_positive_definite
-from parafact.instances import gen_spectrum
+from parafact.instances import gen_lossless, gen_spectrum
 from parafact.laurent import LaurentMatrix, LaurentPoly
+from parafact.paraunitary import deficiency_matrix
 from parafact.rankdef import (
+    _TAG_PIVOT,
+    _TAG_RANK,
+    _circle_samples,
+    _rng,
     RankDefOptions,
     check_rank_identity,
     compare_factors,
@@ -85,6 +92,95 @@ class TestRankAndPivot:
         perm = select_pivot(S, 1)
         check = check_rank_identity(S, perm, 1)
         assert not check.passed
+
+
+def pointwise_samples(S, opts, tag):
+    """The sampled spectrum, one S.eval call per point of the tag's stream."""
+    count = 2 * (S.hi or 0) + 17
+    angles = _rng(opts.rng_seed, tag).uniform(0.0, 2.0 * np.pi, count)
+    return [S.eval(np.exp(1j * theta)) for theta in angles]
+
+
+def pointwise_rank(S, opts):
+    best = 0
+    for M in pointwise_samples(S, opts, _TAG_RANK):
+        sv = np.linalg.svd(M, compute_uv=False)
+        if sv[0] > 0:
+            best = max(best, int(np.sum(sv > opts.rank_tol * sv[0])))
+    return best
+
+
+def pointwise_pivot(S, k, opts):
+    """Pivot selection over per-point samples and per-sample pivoted QR."""
+    m = S.rows
+    samples = pointwise_samples(S, opts, _TAG_PIVOT)
+    scales = [np.linalg.svd(M, compute_uv=False)[0] for M in samples]
+    candidates = [tuple(range(k))]
+    for M in [np.vstack(samples)] + samples:
+        _, _, piv = scipy.linalg.qr(M, mode="economic", pivoting=True)
+        candidates.append(tuple(sorted(int(i) for i in piv[:k])))
+
+    def head_minsv(idx, M):
+        return np.linalg.svd(M[np.ix_(idx, idx)], compute_uv=False)[-1]
+
+    best_idx, best_score = None, -1.0
+    for idx in dict.fromkeys(candidates):
+        score = min(
+            head_minsv(idx, M) / s if s > 0 else 0.0 for M, s in zip(samples, scales)
+        )
+        if score > best_score:
+            best_idx, best_score = idx, score
+    return best_idx + tuple(i for i in range(m) if i not in best_idx)
+
+
+SAMPLED_SPECTRA = [
+    pytest.param(
+        lambda s, shape=shape: gen_spectrum(*shape, s).spectrum, id="%dx%dx%d" % shape
+    )
+    for shape in [(1, 1, 24), (4, 4, 4), (3, 3, 8), (6, 6, 3), (4, 2, 4), (6, 3, 3)]
+] + [
+    pytest.param(
+        lambda s, shape=shape: deficiency_matrix(gen_lossless(*shape, s).row),
+        id="lossless-%dx%d" % shape,
+    )
+    for shape in [(3, 4), (4, 8)]
+]
+
+
+class TestBatchedSampling:
+    @pytest.mark.parametrize("make", SAMPLED_SPECTRA)
+    def test_samples_match_pointwise_eval(self, make):
+        opts = RankDefOptions()
+        for seed in range(4):
+            S = make(seed)
+            got = _circle_samples(S, opts, _TAG_PIVOT)
+            want = np.array(pointwise_samples(S, opts, _TAG_PIVOT))
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("make", SAMPLED_SPECTRA)
+    def test_rank_and_pivot_match_pointwise_reference(self, make):
+        opts = RankDefOptions()
+        for seed in range(4):
+            S = make(seed)
+            k = estimate_rank(S, opts)
+            assert k == pointwise_rank(S, opts)
+            assert select_pivot(S, k, opts) == pointwise_pivot(S, k, opts)
+
+    def test_rank_two_spectrum_has_no_full_rank_pivot(self):
+        rng = np.random.default_rng(80)
+        S, _ = rank_k_spectrum(rng, 4, 2, 2)
+        with pytest.raises(DegenerateInputError):
+            select_pivot(S, 4)
+
+    @pytest.mark.parametrize("shape", [(1, 1, 24), (4, 4, 4), (3, 3, 8), (6, 6, 3)])
+    def test_full_rank_factor_needs_no_drop_clearing(self, shape):
+        for seed in range(2):
+            S = gen_spectrum(*shape, seed).spectrum
+            assert find_rank_drop_points(factor_positive_definite(S)) == []
+            _, report = spectral_factor(S)
+            assert report.detected_rank == shape[0]
+            assert report.pole_ops == () and report.zero_ops == ()
 
 
 class TestPipelineStages:

@@ -284,7 +284,9 @@ def _coeff_jacobian(A: np.ndarray) -> np.ndarray:
     )
 
 
-def polish_coefficients(C: np.ndarray, A: np.ndarray, target: float):
+def polish_coefficients(
+    C: np.ndarray, A: np.ndarray, target: float, min_steps: int = 0
+):
     """Gauss-Newton refinement of factor coefficients A against C_0..C_N.
 
     A is (N+1, m, k) and C is (N+1, m, m); the unknowns are the real and
@@ -293,16 +295,18 @@ def polish_coefficients(C: np.ndarray, A: np.ndarray, target: float):
     equations, so it has no component along the right-unitary gauge of A.
     A full step may raise the max-abs residual (relative to max |C_n|) up
     to _POLISH_GROWTH times the best one so far; beyond that it is halved.
-    Stops when the residual reaches target, when no halving is accepted, or
-    when progress stalls.  Returns (A, relative_residual) for the best
-    iterate, which is the start when nothing improves.
+    Stops when the residual reaches target after at least min_steps steps,
+    when no halving is accepted, or when progress stalls.  Returns
+    (A, relative_residual) for the best iterate, which is the start when
+    nothing improves.
     """
     P, m, k = A.shape
     U = P * m * k
     best, best_rel = A, _relative_residual(C, A)
     stalls = 0
-    for _ in range(_POLISH_MAX_ITERS):
-        if best_rel <= target or stalls >= _POLISH_STALLS:
+    for step_count in range(_POLISH_MAX_ITERS):
+        reached = best_rel <= target and step_count >= min_steps
+        if reached or stalls >= _POLISH_STALLS:
             break
         # Near a factor with zeros close to the circle the Jacobian has
         # singular values far below its largest, and the step divides the

@@ -172,6 +172,19 @@ class TestPolishCoefficients:
         F = LaurentMatrix(4, 2, dict(enumerate(A)))
         assert compare_factors(inst.secret_factor, F) is not None
 
+    def test_min_steps_steps_past_a_met_target(self):
+        inst = gen_spectrum(4, 2, 4, 3, interior_zero_free=True)
+        C = coefficient_stack(inst.spectrum, 4)
+        secret = coefficient_stack(inst.secret_factor, 4)
+        noise = random_coefficients(np.random.default_rng(1), secret.shape)
+        start = secret + 1e-9 * noise
+        rel0 = _relative_residual(C, start)
+        assert 1e-11 < rel0 < 1e-6
+        A, rel = polish_coefficients(C, start, 1e-6)
+        assert rel == rel0 and np.array_equal(A, start)
+        A, rel = polish_coefficients(C, start, 1e-6, min_steps=1)
+        assert rel < 1e-3 * rel0
+
     def test_never_returns_worse_than_the_start(self):
         inst = gen_spectrum(3, 3, 2, 1)
         C = coefficient_stack(inst.spectrum, 2)

@@ -165,6 +165,28 @@ class TestCompleteToParaunitary:
         assert np.max(np.abs(V.conj().T @ V - np.eye(k))) < 1e-6
 
 
+    @pytest.mark.parametrize("trial", range(6))
+    def test_ill_conditioned_completion_survives_last_bit_changes(self, trial):
+        # The deficiency spectrum of (6,6) seed 47 is ill-conditioned: after
+        # drop clearing its factor can sit 2e-9 off the secret with a
+        # residual of 7e-16, already below the final polish target.  The
+        # one step that the final polish of a tall factor always takes
+        # brings it within 1e-9 whatever the last bits of the row.
+        inst = gen_lossless(6, 6, 47)
+        rng = np.random.default_rng(trial)
+        entries = [
+            LaurentPoly(
+                {
+                    n: c * (1.0 + 1e-16 * trial * rng.standard_normal())
+                    for n, c in e.terms.items()
+                }
+            )
+            for e in inst.row.entries
+        ]
+        U, _ = complete_to_paraunitary(LosslessRow(entries, inst.row.length))
+        assert compare_completions(inst.secret_paraunitary, U, 1e-9) is not None
+
+
 class TestCompareCompletions:
     def test_same_completion_gives_identity(self):
         row = haar_row()

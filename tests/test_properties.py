@@ -1,16 +1,23 @@
-"""Property tests for rank estimation and pivot selection.
+"""Property tests for rank estimation, pivot selection and drop finding.
 
 Spectra are built as A A~ from a random m x k analytic A, so their rank on
-the circle is k by construction.  The examples are derandomized and few, so
-the run is reproducible and short.
+the circle is k by construction, and planted rank drops are known exactly.
+The examples are derandomized and few, so the run is reproducible and short.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from parafact.laurent import LaurentMatrix
-from parafact.rankdef import estimate_rank, select_pivot
+from parafact.instances import gen_spectrum
+from parafact.laurent import LaurentMatrix, LaurentPoly
+from parafact.rankdef import (
+    compare_factors,
+    estimate_rank,
+    find_rank_drop_points,
+    select_pivot,
+    spectral_factor,
+)
 
 SETTINGS = settings(max_examples=40, derandomize=True, database=None, deadline=None)
 
@@ -54,3 +61,55 @@ def test_pivot_head_block_is_nonsingular_on_the_circle(case):
         head = np.linalg.svd(M[:k, :k], compute_uv=False)
         whole = np.linalg.svd(M, compute_uv=False)
         assert head[-1] > 1e-8 * whole[0]
+
+
+@st.composite
+def planted_zeros(draw):
+    """(planted, reflected, zeros): a factor with interior zeros, the outer
+    factor of its spectrum, and the zeros.
+
+    An outer factor from a zero-free instance is rotated by a random
+    constant unitary.  Column 0 is then multiplied by (z - a) for planted,
+    and by (1 - conj(a) z) for reflected, for one or two points a inside the
+    disk, kept apart from each other.  Points with
+    |a| < 0.1 are left out: there the polish can stop up to 5e-8 short of
+    the zero (test_rankdef.py::test_small_planted_zeros_are_located_to_1e8).
+    """
+    m = draw(st.integers(1, 4))
+    k = draw(st.integers(1, m))
+    N = draw(st.integers(1, 3))
+    outer = gen_spectrum(m, k, N, draw(st.integers(0, 10**6)), interior_zero_free=True)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    Z = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+    Q, R = np.linalg.qr(Z)
+    U = Q * (np.diag(R) / np.abs(np.diag(R)))
+    F = outer.secret_factor @ LaurentMatrix.constant(U)
+    zeros = []
+    for _ in range(draw(st.integers(1, 2))):
+        r = draw(st.floats(0.1, 0.9))
+        theta = draw(st.floats(0.0, 2.0 * np.pi))
+        a = complex(r * np.exp(1j * theta))
+        assume(all(abs(a - b) > 0.1 for b in zeros))
+        zeros.append(a)
+    zero_col = LaurentPoly.one()
+    reflected_col = LaurentPoly.one()
+    for a in zeros:
+        zero_col = zero_col * LaurentPoly({0: -a, 1: 1.0})
+        reflected_col = reflected_col * LaurentPoly({0: 1.0, 1: -a.conjugate()})
+    rest = [LaurentPoly.one()] * (k - 1)
+    planted = F @ LaurentMatrix.diagonal([zero_col] + rest)
+    reflected = F @ LaurentMatrix.diagonal([reflected_col] + rest)
+    return planted, reflected, zeros
+
+
+@SETTINGS
+@given(planted_zeros())
+def test_planted_zeros_are_found_and_reflected(case):
+    planted, reflected, zeros = case
+    found = find_rank_drop_points(planted)
+    assert len(found) == len(zeros)
+    for a in zeros:
+        assert min(abs(b - a) for b in found) <= 1e-8
+    S = (planted @ planted.adjoint()).trim(0.0)
+    factor, _ = spectral_factor(S)
+    assert compare_factors(reflected, factor) is not None

@@ -7,7 +7,8 @@ N and with monomial determinant c z^N: the remaining rows are the
 transposed spectral factor of the rank-(m-1) deficiency spectrum
 I - row^T (row^T)~, and that factor's uniqueness up to a constant right
 unitary is exactly the completion's uniqueness up to a constant unitary
-mixing of the added rows.
+mixing of the added rows.  The completion gets that factor by peeling the row
+into N factors I - v v^H + z v v^H (Doganata, Vaidyanathan and Nguyen, 1988).
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidComparisonError, NotParaunitaryError, NumericalFailureError
-from .laurent import AnalyticPolyMatrix, LaurentMatrix, LaurentPoly, _order_grid_count
-from .rankdef import Check, RankDefOptions, compare_factors, spectral_factor
+from .fullrank import _FINAL_POLISH, _conv_coeffs, canonicalize, polish_coefficients
+from .laurent import LaurentMatrix, LaurentPoly, _order_grid_count
+from .rankdef import Check, RankDefOptions, compare_factors
 
 
 @dataclass(frozen=True)
@@ -213,19 +215,27 @@ def paraunitary_degree(U: LaurentMatrix, tol: float = 1e-9) -> int:
     return int(report.degree)
 
 
-def _monomial_completion(row: LosslessRow, tol: float) -> AnalyticPolyMatrix:
-    """The 1 x 1 case: a unit-norm scalar is the monomial c z^N itself."""
-    u = row.entries[0]
-    c = u.coeff(row.length)
-    side = max(
-        (abs(u.coeff(n)) for n in range(u.lo, u.hi + 1) if n != row.length),
-        default=0.0,
-    )
-    if side > tol * abs(c):
-        raise NumericalFailureError(
-            "unit-norm scalar row is not a monomial (side mass %.3e)" % side
-        )
-    return LaurentMatrix.from_entries([[u]]).as_analytic(0.0)
+def _peel_completion(H: np.ndarray) -> np.ndarray:
+    """Transposed lower rows (N+1, m, m-1) completing the unit-norm row H (N+1, m).
+
+    Step d = N..1 writes h = h' V with V = I - P + z P, P = h_d^H h_d / ||h_d||^2.
+    Unit norm makes h_0 h_d^H vanish, so h' = h V~ has order d - 1 and top norm^2
+    ||h_{d-1} (I - P)||^2 + ||h_d||^2.  Returns h^(0)'s complement times V_1 ... V_N.
+    """
+    peeled = []
+    for d in range(len(H) - 1, 0, -1):
+        norm = np.linalg.norm(H[d])
+        if not 0 < norm < np.inf:
+            raise NumericalFailureError("peel step d = %d: ||h_d|| = %.3e" % (d, norm))
+        P = np.outer(H[d].conj() / norm, H[d] / norm)
+        H = H[:d] - H[:d] @ P + H[1 : d + 1] @ P
+        peeled.append(P)
+    A = np.linalg.svd(H[0][None])[2][None, 1:]
+    for P in reversed(peeled):
+        AP = A @ P
+        A = np.concatenate([A - AP, AP[-1:]])
+        A[1:-1] += AP[:-1]
+    return np.swapaxes(A, 1, 2)
 
 
 def complete_to_paraunitary(
@@ -235,27 +245,27 @@ def complete_to_paraunitary(
 
     Returns (U, report): U is m x m analytic of length N with its first
     row equal to the input row coefficient for coefficient, U U~ = I
-    within tol, and det U = c z^N with |c| = 1.  The added rows are the
-    canonical spectral factor of the deficiency spectrum, transposed, so
-    the completion is deterministic; any other valid completion differs
-    from it by a constant unitary mixing of rows 2..m.
+    within tol, and det U = c z^N with |c| = 1.  The added rows are the peeled
+    ones polished against I - row^T (row^T)~ and canonicalized: its canonical
+    factor, transposed, unique up to a constant unitary mixing of rows 2..m.
+    For m = 1 the row is its own completion.  Only opts.tol is read.
 
-    Raises ValueError when the row is not unit-norm, propagates
-    factorization failures, and raises NumericalFailureError if the
-    verified determinant degree differs from N.
+    Raises ValueError when the row is not unit-norm and NumericalFailureError
+    when the peel breaks down or U is not paraunitary of degree N.
     """
     opts = opts or RankDefOptions()
     if not check_unit_norm_row(row, max(opts.tol, 1e-10)):
         raise ValueError("row is not unit-norm on the circle")
     m = row.width
-    if m == 1:
-        U = _monomial_completion(row, opts.tol)
-    else:
-        S = deficiency_matrix(row, max(opts.tol, 1e-10))
-        factor, _ = spectral_factor(S, opts, rank=m - 1)
-        U = LaurentMatrix.vstack([row.as_matrix(), factor.transpose()]).as_analytic(
-            0.0
-        )
+    blocks = [row.as_matrix()]
+    if m > 1:
+        H = np.stack([blocks[0].coeff(n)[0] for n in range(row.length + 1)])
+        C = -_conv_coeffs(H[:, :, None])
+        C[0] += np.eye(m)
+        A, _ = polish_coefficients(C, _peel_completion(H), _FINAL_POLISH, min_steps=1)
+        lower = canonicalize(LaurentMatrix(m, m - 1, dict(enumerate(A)))).factor
+        blocks.append(lower.transpose())
+    U = LaurentMatrix.vstack(blocks).as_analytic(0.0)
     report = verify_paraunitary(U, opts.tol)
     if report.degree != row.length:
         raise NumericalFailureError(

@@ -1,7 +1,9 @@
-"""Property tests for rank estimation, pivot selection and drop finding.
+"""Property tests for rank estimation, pivot selection, drop finding and
+completion.
 
 Spectra are built as A A~ from a random m x k analytic A, so their rank on
 the circle is k by construction, and planted rank drops are known exactly.
+Lossless rows are cut from random products of degree-one paraunitary factors.
 The examples are derandomized and few, so the run is reproducible and short.
 """
 
@@ -9,8 +11,9 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from parafact.instances import gen_spectrum
+from parafact.instances import gen_lossless, gen_spectrum
 from parafact.laurent import LaurentMatrix, LaurentPoly
+from parafact.paraunitary import complete_to_paraunitary, verify_paraunitary
 from parafact.rankdef import (
     compare_factors,
     estimate_rank,
@@ -113,3 +116,14 @@ def test_planted_zeros_are_found_and_reflected(case):
     S = (planted @ planted.adjoint()).trim(0.0)
     factor, _ = spectral_factor(S)
     assert compare_factors(reflected, factor) is not None
+
+
+@SETTINGS
+@given(st.integers(1, 5), st.integers(0, 6), st.integers(0, 10**6))
+def test_completion_is_paraunitary_of_degree_n_and_keeps_the_row(m, N, seed):
+    row = gen_lossless(m, N, seed).row
+    U, _ = complete_to_paraunitary(row)
+    report = verify_paraunitary(U)
+    assert report.is_paraunitary, report.failures()
+    assert report.degree == N
+    assert all(U.entry(0, j) == e for j, e in enumerate(row.entries))

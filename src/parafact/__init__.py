@@ -90,7 +90,6 @@ from .roots import (
     divide_linear,
     divide_out,
     laurent_roots,
-    match_point_sets,
     poly_roots,
     reflect_column_zero,
     unitary_with_first_column,
@@ -139,7 +138,6 @@ __all__ = [
     "gen_spectrum",
     "laurent_from_unit_samples",
     "laurent_roots",
-    "match_point_sets",
     "matrix_from_text",
     "matrix_to_text",
     "paraunitary_degree",

@@ -18,6 +18,7 @@ det_phase_modulus, and det_phase_angle verdicts.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -263,7 +264,9 @@ def cmd_info(args) -> int:
     return EXIT_PASS
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="parafact",
         description="Spectral factorization and paraunitary completion of "

@@ -14,8 +14,10 @@ in the open unit disk.  The pipeline:
 4. remove denominator zeros inside the disk by unit-modulus rational
    (Blaschke) column multipliers, cancel residual common factors, and divide
    out what remains, leaving a polynomial factor;
-5. locate interior points where the polynomial factor drops column rank and
-   reflect them across the circle one at a time;
+5. locate interior points where the polynomial factor drops column rank
+   (finite eigenvalues of one block-companion pencil of a random k x m
+   compression, polished against the factor itself, plus the origin as an
+   unpolished candidate) and reflect them across the circle one at a time;
 6. restore the original row order and refine the coefficients with the
    Gauss-Newton polish that the full-rank factorization also uses
    (fullrank.polish_coefficients), which removes the error accumulated
@@ -63,11 +65,9 @@ from .laurent import (
 )
 from .roots import (
     _cmul,
-    cluster_points,
     divide_linear,
     divide_out,
     laurent_roots,
-    match_point_sets,
     reflect_column_zero,
 )
 
@@ -102,9 +102,10 @@ _TAG_COMPRESS = 103
 # value are skipped, bounding the error amplification of the inverse.
 _IDENTITY_GATE = 1e-4
 
-# Coarse clustering radius for gathering the eigenvalue cloud of one multiple
-# root before refinement (estimates of a multiplicity-mu root scatter by
-# roughly eps^(1/mu)).
+# Radius within which find_rank_drop_points keeps only the best-confirmed
+# candidate: eigenvalue estimates of a multiplicity-mu zero scatter by
+# roughly eps^(1/mu), and a landing that stopped short of a zero still
+# passes the confirmation cut within it.
 _MULTI_ROOT_RADIUS = 1e-4
 
 
@@ -120,7 +121,8 @@ class RankDefOptions:
     rank_tol: relative singular-value cutoff for rank decisions.
     deflation_radius: relative radius for root clustering and for the
         interior/boundary split of denominator zeros.
-    rng_seed: seed for rank sampling, pivoting, and compressions.
+    rng_seed: seed for rank sampling, pivoting, and the drop-finding
+        compression.
     """
 
     tol: float = 1e-9
@@ -765,9 +767,14 @@ def _common_denominator(R: RationalMatrix):
 # ---------------------------------------------------------------------------
 
 
+def _circle_svs(F: LaurentMatrix) -> np.ndarray:
+    """Singular values of F at 16 unit-circle samples, one row per sample."""
+    return np.linalg.svd(F.eval_unit_grid(16), compute_uv=False)
+
+
 def _operator_scale(F: LaurentMatrix) -> float:
-    """Largest singular value of F over 16 unit-circle samples."""
-    return float(np.max(np.linalg.svd(F.eval_unit_grid(16), compute_uv=False)[:, 0]))
+    """Largest singular value of F over the samples of _circle_svs."""
+    return float(np.max(_circle_svs(F)[:, 0]))
 
 
 def _batched_values(F: LaurentMatrix, z: np.ndarray) -> np.ndarray:
@@ -786,8 +793,8 @@ def _batched_values(F: LaurentMatrix, z: np.ndarray) -> np.ndarray:
 def _batched_slopes(F: LaurentMatrix, z: np.ndarray) -> np.ndarray:
     """F' of an analytic F at every point of z, as a (len(z), rows, cols) array.
 
-    Rounded as _entrywise_evaluator(F.derivative()) rounds each point, with
-    unfused complex products (see roots._cmul).
+    Rounded as LaurentPoly.eval of each entry of F.derivative() rounds each
+    point, with unfused complex products (see roots._cmul).
     """
     z = z.reshape(-1, 1, 1)
     acc = np.zeros((z.shape[0],) + F.shape, dtype=complex)
@@ -802,78 +809,20 @@ def _smallest_svs(F: LaurentMatrix, points) -> np.ndarray:
     return np.linalg.svd(_batched_values(F, z), compute_uv=False)[:, -1]
 
 
-def _entrywise_evaluator(F: LaurentMatrix):
-    """z -> F(z) for analytic F, rounded as LaurentPoly.eval rounds each entry.
-
-    A scalar Horner over per-entry coefficient lists is as fast as the array
-    Horner at these sizes, and its rounding does not depend on whether numpy
-    fuses its complex products (see roots._cmul).
-    """
-    rows, cols = F.shape
-    hi = F.hi or 0
-    stack = np.stack([F.coeff(n) for n in range(hi, -1, -1)])
-    entries = stack.reshape(hi + 1, rows * cols).T.tolist()
-
-    def value(z):
-        out = []
-        for cs in entries:
-            acc = 0j
-            for c in cs:
-                acc = acc * z + c
-            out.append(acc)
-        return np.array(out).reshape(rows, cols)
-
-    return value
-
-
-def _refine_drop_point(F: LaurentMatrix, a: complex, iters: int = 8) -> complex:
-    """Polish a rank-drop estimate against the matrix itself.
-
-    Root estimates coming from a compressed determinant are only accurate to
-    about eps^(1/mu) at a multiplicity-mu root.  Solving F(z) v = 0 jointly
-    for the point and the null direction by Gauss-Newton restores full
-    accuracy: the combined Jacobian [F'(z)v, F(z)] keeps the step
-    well-conditioned even when only some rows of F vanish at the point.
-    """
-    a = complex(a)
-    M = F.eval(a)
-    _, sv, vh = np.linalg.svd(M)
-    v = vh[-1].conj()
-    dF = _entrywise_evaluator(F.derivative())
-    best_a, best_sv = a, float(sv[-1])
-    for _ in range(iters):
-        J = np.concatenate([(dF(a) @ v)[:, None], M], axis=1)
-        # forbid motion along v itself so the unit-norm gauge stays fixed
-        J = np.vstack([J, np.concatenate([[0.0], np.conj(v)])[None, :]])
-        r = np.concatenate([M @ v, [0.0]])
-        upd, *_ = np.linalg.lstsq(J, -r, rcond=None)
-        if not np.all(np.isfinite(upd)):
-            break
-        a = a + complex(upd[0])
-        nv = np.linalg.norm(v + upd[1:])
-        if nv < 1e-300:
-            break
-        v = (v + upd[1:]) / nv
-        M = F.eval(a)
-        smin = float(np.linalg.svd(M, compute_uv=False)[-1])
-        if smin < best_sv:
-            best_a, best_sv = complex(a), smin
-        if abs(upd[0]) <= 1e-15 * max(1.0, abs(a)):
-            break
-    return best_a
-
-
 def _refine_drop_points(F: LaurentMatrix, starts, iters: int = 8) -> np.ndarray:
     """Polish many rank-drop estimates of an analytic F in one batched pass.
 
-    find_rank_drop_points hands its whole start set over at once.  Each
-    start runs the Gauss-Newton iteration of _refine_drop_point with the
-    same stopping rules (a non-finite step, a collapsed null vector, a step
-    of at most 1e-15 max(1, |a|)) and the same landing, the iterate with the
-    smallest sigma_min so far.  F and F' come from array Horner recurrences
-    over all live starts, sigma_min from one batched SVD, and the
-    minimum-norm step from a batched pseudo-inverse with the cutoff that
-    lstsq(rcond=None) uses.  Returns the landings in the order of starts.
+    Eigenvalue estimates are only accurate to about eps^(1/mu) at a
+    multiplicity-mu drop.  Solving F(z) v = 0 jointly for the point and the
+    null direction by Gauss-Newton restores full accuracy: the combined
+    Jacobian [F'(z) v, F(z)] keeps the step well-conditioned even when only
+    some rows of F vanish at the point.  A start stops at a non-finite step,
+    a collapsed null vector, or a step of at most 1e-15 max(1, |a|), and
+    lands on its iterate with the smallest sigma_min so far.  F and F' come
+    from array Horner recurrences over all live starts, sigma_min from one
+    batched SVD, and the minimum-norm step from a batched pseudo-inverse
+    with the cutoff that lstsq(rcond=None) uses.  Returns the landings in
+    the order of starts.
     """
     m, k = F.shape
     a = np.array(starts, dtype=complex).reshape(-1)
@@ -915,16 +864,20 @@ def find_rank_drop_points(
 ) -> list:
     """Interior points where a tall analytic factor drops column rank.
 
-    Heuristic but verified: the determinants of two independent random k x m
-    compressions of F vanish wherever F drops rank; interior roots present
-    in both root sets are intersected, clustered, Newton-refined, and
-    confirmed by the smallest singular value of F at the candidate.  A
-    candidate that both compressions miss would surface later through the
-    residual checks.  The whole start set of both compressions (every
-    cluster center and every raw estimate near it) is polished in one
-    batched Gauss-Newton, _refine_drop_points, and the landings and cluster
-    centers are scored by one batched SVD.  Raises ValueError when F is
-    wide or has negative powers.
+    Heuristic but verified.  P(z) = L F(z), for one random k x m
+    compression L, is singular wherever F drops rank.  The starts are the
+    finite eigenvalues inside the disk of the kN x kN block-companion
+    pencil z X + Y of P (X = diag(P_N, I, ..., I); Y has the top block row
+    [P_{N-1} ... P_0] and -I on the block sub-diagonal), from the QZ of
+    the pencil.  All of them are polished against F itself in one batched
+    Gauss-Newton, _refine_drop_points.  The landings inside the disk and
+    the origin, which joins unpolished, are scored by their smallest
+    singular value; going from the best, each one below the cut is
+    reported unless a reported point lies within _MULTI_ROOT_RADIUS.  An
+    eigenvalue where only the compression is singular lands on no drop and
+    fails the cut.  Raises ValueError when F is wide or has negative
+    powers, and NumericalFailureError when F drops rank at every circle
+    sample (its normal rank is deficient, so every point would be a drop).
     """
     opts = opts or RankDefOptions()
     m, k = F.rows, F.cols
@@ -933,67 +886,42 @@ def find_rank_drop_points(
     if (F.lo or 0) < 0:
         raise ValueError("factor must be analytic")
     radius = opts.deflation_radius
-    gen = _rng(opts.rng_seed, _TAG_COMPRESS)
-    root_sets = []
-    for attempt in range(4):
-        L = (gen.standard_normal((k, m)) + 1j * gen.standard_normal((k, m))) / np.sqrt(2)
-        h = (LaurentMatrix.constant(L) @ F).det().trim(1e-12)
-        if h.is_zero:
-            continue
-        root_sets.append(laurent_roots(h))
-        if len(root_sets) == 2:
-            break
-    if len(root_sets) < 2:
+    sv = _circle_svs(F)
+    cut = opts.rank_tol * max(float(np.max(sv[:, 0])), 1e-300)
+    if np.all(sv[:, -1] <= cut):
         raise NumericalFailureError(
-            "compressed determinants vanish identically; factor has no full-rank point"
+            "factor drops rank at every circle sample: largest sampled "
+            "smallest singular value %.3e, cut %.3e" % (np.max(sv[:, -1]), cut)
         )
-
-    # A root of multiplicity mu is only located to ~eps^(1/mu) by the
-    # companion eigensolver, so estimates of one multiple root scatter far
-    # beyond the deflation radius, sometimes past the gather radius as well.
-    # Each cloud is gathered at a coarse radius and polished against the
-    # matrix itself; a polished point is kept whenever the matrix confirms
-    # the drop there, however far the polish travelled, so the pieces of an
-    # over-dispersed cloud still land on the same point.  The polish is
-    # started from the cluster mean and from every raw estimate in the
-    # cluster: near a needle-sharp zero the Gauss-Newton iteration has
-    # spurious stationary points, and different starts can stall or
-    # converge, so the best-confirmed landing wins.  The polished points
-    # from the two compressions agree to near machine precision and can be
-    # intersected at the tight radius.
-    cut = opts.rank_tol * max(_operator_scale(F), 1e-300)
-    clusters, starts = [], []  # (compression, center, first start, end)
-    for which, roots in enumerate(root_sets):
-        interior = [a for a in roots if abs(a) < 1.0 - radius]
-        for center, _count in cluster_points(interior, _MULTI_ROOT_RADIUS):
-            group = [center]
-            for w in interior:
-                if abs(w - center) <= 2.0 * _MULTI_ROOT_RADIUS and all(
-                    abs(w - s) > 1e-12 for s in group
-                ):
-                    group.append(w)
-            clusters.append((which, center, len(starts), len(starts) + len(group)))
-            starts.extend(group)
-    landed = _refine_drop_points(F, starts)
-    svs = _smallest_svs(F, np.concatenate([landed, [c[1] for c in clusters]]))
-    refined_sets = [[], []]
-    for (which, center, lo, hi), center_sv in zip(clusters, svs[len(starts):]):
-        best, best_sv = center, center_sv
-        for cand, sv in zip(landed[lo:hi], svs[lo:hi]):
-            if sv < best_sv:
-                best, best_sv = cand, sv
-        a = complex(best) if best_sv <= cut else center
-        if abs(a) < 1.0 - radius:
-            refined_sets[which].append(a)
-    common = match_point_sets(refined_sets[0], refined_sets[1], 10.0 * radius)
-    # The origin is probed directly: pole removal and numerator lifts pile
-    # zero structure onto z = 0, and a multiplicity-mu zero there smears the
-    # determinant roots over a ring of radius ~noise^(1/mu) that can escape
-    # the matching radius entirely.
-    if not any(abs(a) <= _MULTI_ROOT_RADIUS for a in common):
-        common = list(common) + [0j]
-    points = [complex(a) for a, _count in cluster_points(common, radius)]
-    out = [a for a, sv in zip(points, _smallest_svs(F, points)) if sv < cut]
+    gen = _rng(opts.rng_seed, _TAG_COMPRESS)
+    L = (gen.standard_normal((k, m)) + 1j * gen.standard_normal((k, m))) / np.sqrt(2)
+    N = F.hi or 0
+    P = [L @ F.coeff(n) for n in range(N, -1, -1)]
+    z = np.zeros(0, dtype=complex)
+    if N:
+        X = np.eye(k * N, dtype=complex)
+        X[:k, :k] = P[0]
+        Y = -np.eye(k * N, k=-k, dtype=complex)
+        Y[:k] = np.hstack(P[1:])
+        z = scipy.linalg.eigvals(-Y, X)
+    landed = _refine_drop_points(F, z[np.isfinite(z) & (np.abs(z) < 1.0 - radius)])
+    # Pole removal and numerator lifts pile zero structure onto z = 0, and
+    # the eigenvalues of a multiplicity-mu zero there smear over a ring of
+    # radius ~eps^(1/mu), so the origin is always a candidate.  It is not
+    # polished: that would cost a Gauss-Newton run on every factor, square
+    # outer factors included, to find what an exact zero there shows as is.
+    candidates = np.append(landed[np.abs(landed) < 1.0 - radius], 0j)
+    svs = _smallest_svs(F, candidates)
+    # A start far from its zero can stop short of it after the last step
+    # and still pass the cut, so the best-confirmed candidate near each
+    # drop is reported instead of an average over the landings there.
+    out = []
+    for i in np.argsort(svs, kind="stable"):
+        if not svs[i] < cut:
+            break
+        a = complex(candidates[i])
+        if all(abs(a - b) > _MULTI_ROOT_RADIUS for b in out):
+            out.append(a)
     out.sort(key=lambda w: (w.real, w.imag))
     return out
 
@@ -1062,35 +990,37 @@ def _outer_tall_factor(Sp, head_factor, N, perm, opts):
         # singular value is re-checked anyway and healed points skipped.
         #
         # Anchors are structurally required drop locations (reflections of
-        # outer denominator roots) that the determinant compression can miss
-        # when the zero is needle sharp.  Each round they are polished
-        # against the current matrix and join the candidate list whenever
-        # the matrix confirms a drop there.
+        # outer denominator roots) that the detector can miss when the zero
+        # is needle sharp.  Each round they are polished against the current
+        # matrix and join the candidate list whenever the matrix confirms a
+        # drop there.
+        #
+        # Reflections are unimodular on the circle, so the gate's scale
+        # holds for every pass.
+        radius = opts.deflation_radius
+        gate = opts.rank_tol * max(_operator_scale(G), 1e-300)
         while True:
             points = find_rank_drop_points(G, opts)
-            gate = opts.rank_tol * max(_operator_scale(G), 1e-300)
-            for w in anchors:
-                b = _refine_drop_point(G, w)
-                if abs(b) >= 1.0 - opts.deflation_radius:
-                    continue
-                if any(abs(b - a) <= 10.0 * opts.deflation_radius for a in points):
-                    continue
-                sv = np.linalg.svd(G.eval(b), compute_uv=False)
-                if sv[-1] <= gate:
-                    points = list(points) + [b]
+            if anchors:
+                landed = _refine_drop_points(G, anchors)
+                for b, sv in zip(landed, _smallest_svs(G, landed)):
+                    if sv > gate or abs(b) >= 1.0 - radius:
+                        continue
+                    if all(abs(b - a) > 10.0 * radius for a in points):
+                        points.append(complex(b))
             if not points:
                 return G
             progressed = False
             for a in points:
-                # Re-polish against the current matrix right before dividing:
-                # earlier fixes in the same pass move the surviving zeros
-                # slightly, and the detector can hand over duplicated
-                # estimates of one multiple zero.  A division applied at a
-                # stale estimate runs off the true zero and commits the gap
-                # into the coefficients, so every fix gets a fresh point.
-                b = _refine_drop_point(G, a)
-                if abs(b) < 1.0 - opts.deflation_radius:
-                    a = b
+                # A fix moves the surviving zeros slightly, and a division at
+                # a stale estimate runs off the true zero and commits the gap
+                # into the coefficients, so every point after the pass's
+                # first fix is polished again against the current matrix.
+                # The points before it were polished against this very G.
+                if progressed:
+                    b = complex(_refine_drop_points(G, [a])[0])
+                    if abs(b) < 1.0 - radius:
+                        a = b
                 sv = np.linalg.svd(G.eval(a), compute_uv=False)
                 if sv[-1] > gate:
                     continue
@@ -1174,9 +1104,9 @@ def spectral_factor(
     if k < m:
         F, pole_ops, zero_ops = _outer_tall_factor(Sp, head_factor, N, perm, opts)
     else:
-        # Drop clearing looks for interior roots of det(L F) over random
-        # compressions L; for square F that is det L * det F, whose interior
-        # roots factor_positive_definite has reflected already.
+        # Drop clearing looks for interior eigenvalues of a compression L F;
+        # for square F they are the interior roots of det F, which
+        # factor_positive_definite has reflected already.
         F, pole_ops, zero_ops = head_factor, (), ()
 
     F = F.submatrix(np.argsort(perm), range(k))

@@ -17,7 +17,6 @@ __all__ = [
     "poly_roots",
     "laurent_roots",
     "cluster_points",
-    "match_point_sets",
     "divide_linear",
     "divide_out",
     "unitary_with_first_column",
@@ -77,32 +76,6 @@ def cluster_points(points, radius: float):
         if not placed:
             clusters.append((w, [w]))
     return [(center, len(members)) for center, members in clusters]
-
-
-def match_point_sets(first, second, radius: float) -> list:
-    """Points present in both sets within a relative radius.
-
-    Greedy one-to-one matching by increasing distance; matched pairs are
-    averaged.  Used to intersect two independently computed root clouds.
-    """
-    a = [complex(p) for p in first]
-    b = [complex(p) for p in second]
-    pairs = []
-    for i, p in enumerate(a):
-        for j, q in enumerate(b):
-            d = abs(p - q)
-            if d <= radius * max(1.0, abs(p), abs(q)):
-                pairs.append((d, i, j))
-    pairs.sort(key=lambda t: (t[0], t[1], t[2]))
-    used_a, used_b, out = set(), set(), []
-    for d, i, j in pairs:
-        if i in used_a or j in used_b:
-            continue
-        used_a.add(i)
-        used_b.add(j)
-        out.append((a[i] + b[j]) / 2)
-    out.sort(key=lambda w: (w.real, w.imag))
-    return out
 
 
 def divide_linear(p: LaurentPoly, a: complex):

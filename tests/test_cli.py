@@ -7,10 +7,14 @@ same bytes.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import parafact
 from parafact.cli import main
 from parafact.fileio import read_matrix, read_report, report_to_text, write_matrix
 from parafact.laurent import LaurentMatrix
@@ -160,6 +164,42 @@ class TestVerify:
 def test_bad_arguments_exit_2():
     assert run("factor") == 2
     assert run("verify") == 2
+
+
+def test_parser_reuse_matches_fresh_interpreters(tmp_path, monkeypatch, capsys):
+    # One process builds the parser once; a failed parse must leave nothing
+    # behind that a later call could see.
+    calls = [
+        ["factor"],
+        ["random", "--m", "3", "--k", "2", "--order", "2", "--seed", "4",
+         "--out", "s.json"],
+        ["factor", "s.json", "--out", "f.json", "--report", "fr.json"],
+        ["verify", "--factor", "s.json", "f.json", "--report", "vr.json"],
+    ]
+    files = ("s.json", "f.json", "fr.json", "vr.json")
+    (tmp_path / "warm").mkdir()
+    monkeypatch.chdir(tmp_path / "warm")
+    capsys.readouterr()
+    warm = []
+    for argv in calls:
+        code = main(argv)
+        out, err = capsys.readouterr()
+        warm.append((code, out, err))
+
+    (tmp_path / "cold").mkdir()
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(parafact.__file__)))
+    cold = []
+    for argv in calls:
+        proc = subprocess.run(
+            [sys.executable, "-m", "parafact.cli", *argv],
+            cwd=tmp_path / "cold", env=env, capture_output=True, text=True,
+        )
+        cold.append((proc.returncode, proc.stdout, proc.stderr))
+
+    assert [c[0] for c in warm] == [2, 0, 0, 0]
+    assert warm == cold
+    for name in files:
+        assert (tmp_path / "warm" / name).read_bytes() == (tmp_path / "cold" / name).read_bytes()
 
 
 class TestReportBytes:

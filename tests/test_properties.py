@@ -8,6 +8,7 @@ The examples are derandomized and few, so the run is reproducible and short.
 """
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -66,6 +67,20 @@ def test_pivot_head_block_is_nonsingular_on_the_circle(case):
         assert head[-1] > 1e-8 * whole[0]
 
 
+def plant(F, zeros):
+    """(planted, reflected): column 0 of F times (z - a), and times
+    (1 - conj(a) z), for every a in zeros."""
+    zero_col = LaurentPoly.one()
+    reflected_col = LaurentPoly.one()
+    for a in zeros:
+        zero_col = zero_col * LaurentPoly({0: -a, 1: 1.0})
+        reflected_col = reflected_col * LaurentPoly({0: 1.0, 1: -a.conjugate()})
+    rest = [LaurentPoly.one()] * (F.cols - 1)
+    planted = F @ LaurentMatrix.diagonal([zero_col] + rest)
+    reflected = F @ LaurentMatrix.diagonal([reflected_col] + rest)
+    return planted, reflected
+
+
 @st.composite
 def planted_zeros(draw):
     """(planted, reflected, zeros): a factor with interior zeros, the outer
@@ -73,10 +88,10 @@ def planted_zeros(draw):
 
     An outer factor from a zero-free instance is rotated by a random
     constant unitary.  Column 0 is then multiplied by (z - a) for planted,
-    and by (1 - conj(a) z) for reflected, for one or two points a inside the
-    disk, kept apart from each other.  Points with
-    |a| < 0.1 are left out: there the polish can stop up to 5e-8 short of
-    the zero (test_rankdef.py::test_small_planted_zeros_are_located_to_1e8).
+    and by (1 - conj(a) z) for reflected, for one or two points a with
+    |a| in [0, 0.9], more than 0.05 apart.  The origin and its neighbourhood
+    are included: there the drop finder's unpolished origin probe and the
+    polished pencil eigenvalues meet.
     """
     m = draw(st.integers(1, 4))
     k = draw(st.integers(1, m))
@@ -89,33 +104,40 @@ def planted_zeros(draw):
     F = outer.secret_factor @ LaurentMatrix.constant(U)
     zeros = []
     for _ in range(draw(st.integers(1, 2))):
-        r = draw(st.floats(0.1, 0.9))
+        r = draw(st.floats(0.0, 0.9))
         theta = draw(st.floats(0.0, 2.0 * np.pi))
         a = complex(r * np.exp(1j * theta))
-        assume(all(abs(a - b) > 0.1 for b in zeros))
+        assume(all(abs(a - b) > 0.05 for b in zeros))
         zeros.append(a)
-    zero_col = LaurentPoly.one()
-    reflected_col = LaurentPoly.one()
-    for a in zeros:
-        zero_col = zero_col * LaurentPoly({0: -a, 1: 1.0})
-        reflected_col = reflected_col * LaurentPoly({0: 1.0, 1: -a.conjugate()})
-    rest = [LaurentPoly.one()] * (k - 1)
-    planted = F @ LaurentMatrix.diagonal([zero_col] + rest)
-    reflected = F @ LaurentMatrix.diagonal([reflected_col] + rest)
-    return planted, reflected, zeros
+    return plant(F, zeros) + (zeros,)
 
 
-@SETTINGS
-@given(planted_zeros())
-def test_planted_zeros_are_found_and_reflected(case):
-    planted, reflected, zeros = case
+def assert_found_and_reflected(planted, reflected, zeros):
     found = find_rank_drop_points(planted)
-    assert len(found) == len(zeros)
+    assert len(found) == len(set(zeros))
     for a in zeros:
         assert min(abs(b - a) for b in found) <= 1e-8
     S = (planted @ planted.adjoint()).trim(0.0)
     factor, _ = spectral_factor(S)
     assert compare_factors(reflected, factor) is not None
+
+
+@SETTINGS
+@given(planted_zeros())
+def test_planted_zeros_are_found_and_reflected(case):
+    assert_found_and_reflected(*case)
+
+
+@pytest.mark.parametrize("zeros", [[0j], [0j, 0j]], ids=["simple", "double"])
+def test_zeros_at_the_origin_are_found_and_reflected(zeros):
+    F = gen_spectrum(3, 2, 2, 5, interior_zero_free=True).secret_factor
+    assert_found_and_reflected(*plant(F, zeros), zeros)
+
+
+def test_constant_factor_has_no_drops():
+    rng = np.random.default_rng(6)
+    F = LaurentMatrix.constant(rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2)))
+    assert find_rank_drop_points(F) == []
 
 
 @SETTINGS

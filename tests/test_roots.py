@@ -9,7 +9,6 @@ from parafact.roots import (
     divide_linear,
     divide_out,
     laurent_roots,
-    match_point_sets,
     poly_roots,
     reflect_column_zero,
     unitary_with_first_column,
@@ -76,14 +75,6 @@ def test_cluster_points_merges_nearby():
     assert sorted(count for _, count in clusters) == [1, 3]
     big = max(clusters, key=lambda t: t[1])[0]
     assert abs(big - 0.5) < 1e-7
-
-
-def test_match_point_sets_intersects():
-    left = [0.1 + 0.1j, 0.7]
-    right = [0.7 + 1e-9, -0.3]
-    common = match_point_sets(left, right, 1e-6)
-    assert len(common) == 1
-    assert abs(common[0] - 0.7) < 1e-8
 
 
 def test_unitary_with_first_column():

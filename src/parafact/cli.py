@@ -67,8 +67,8 @@ def _finish(args, verdicts: dict) -> int:
     return code
 
 
-def _error_report(args, code: int) -> None:
-    """Best-effort failure report: one failing verdict, consistent code."""
+def _error_report(args, code: int, exc: Exception) -> None:
+    """Best-effort failure report: one failing verdict, the error, consistent code."""
     path = getattr(args, "report", None)
     if not path:
         return
@@ -79,6 +79,7 @@ def _error_report(args, code: int) -> None:
                 "command": getattr(args, "command", ""),
                 "options": args.echo(args) if hasattr(args, "echo") else {},
                 "verdicts": {"error_free": Check(False, 1.0, 0.5).to_dict()},
+                "error": {"type": type(exc).__name__, "message": str(exc)},
                 "exit_code": code,
             },
         )
@@ -344,7 +345,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (NumericalFailureError, IndeterminateError) as exc:
         print("error: %s" % exc, file=sys.stderr)
-        _error_report(args, EXIT_NUMERICAL)
+        _error_report(args, EXIT_NUMERICAL, exc)
         return EXIT_NUMERICAL
     except (
         ValueError,
@@ -356,7 +357,7 @@ def main(argv=None) -> int:
         NotParaunitaryError,
     ) as exc:
         print("error: %s" % exc, file=sys.stderr)
-        _error_report(args, EXIT_INVALID)
+        _error_report(args, EXIT_INVALID, exc)
         return EXIT_INVALID
 
 

@@ -201,9 +201,9 @@ def read_matrix(path) -> tuple[LaurentMatrix, dict]:
 
 def _validate_report(doc: dict) -> dict:
     _require(isinstance(doc, dict), "report must be an object")
-    unknown = set(doc) - {"command", "options", "verdicts", "exit_code"}
+    unknown = set(doc) - {"command", "options", "verdicts", "error", "exit_code"}
     _require(not unknown, "unknown report fields: %s" % sorted(unknown))
-    _require(set(doc) == {"command", "options", "verdicts", "exit_code"},
+    _require(set(doc) - {"error"} == {"command", "options", "verdicts", "exit_code"},
              "report needs command, options, verdicts, and exit_code")
     _require(isinstance(doc["command"], str), "command must be a string")
     _require(isinstance(doc["options"], dict), "options must be an object")
@@ -226,19 +226,28 @@ def _validate_report(doc: dict) -> dict:
     all_pass = all(v["pass"] for v in verdicts.values())
     _require((code == 0) == all_pass,
              "exit_code %d inconsistent with verdicts" % code)
-    return {
+    out = {
         "command": doc["command"],
         "options": dict(doc["options"]),
         "verdicts": verdicts,
         "exit_code": code,
     }
+    if "error" in doc:
+        error = doc["error"]
+        _require(isinstance(error, dict) and set(error) == {"type", "message"},
+                 "error needs exactly type and message")
+        _require(all(isinstance(v, str) for v in error.values()),
+                 "error type and message must be strings")
+        out["error"] = dict(error)
+    return out
 
 
 def report_to_text(report: dict) -> str:
     """Serialize a report to canonical text.
 
-    The report maps command and options echoes, named verdicts, and the
-    exit code; the exit code must be 0 exactly when every verdict passes.
+    The report maps command and options echoes, named verdicts, an
+    optional error block (the failure's type and message), and the exit
+    code; the exit code must be 0 exactly when every verdict passes.
     """
     report = _validate_report(report)
     lines = ["{"]
@@ -279,6 +288,10 @@ def report_to_text(report: dict) -> str:
         lines.append("  },")
     else:
         lines.append('  "verdicts": {},')
+    if "error" in report:
+        error = report["error"]
+        lines.append('  "error": {"type": %s, "message": %s},'
+                     % (json.dumps(error["type"]), json.dumps(error["message"])))
     lines.append('  "exit_code": %d' % report["exit_code"])
     lines.append("}")
     return "\n".join(lines) + "\n"

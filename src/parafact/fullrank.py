@@ -103,28 +103,23 @@ def scalar_factor(f: LaurentPoly, tol: float = 1e-9) -> LaurentPoly:
             raise NotFactorableError("constant symbol is not positive")
         return LaurentPoly.constant(np.sqrt(c))
 
-    roots = poly_roots(f.coeff_array(-N, N))
-    chosen = None
-    parity_error = None
-    for widen in (1.0, 10.0, 100.0):
-        band = _CIRCLE_TOL * widen
-        try:
-            candidate = _pair_roots(roots, band)
-        except NotFactorableError as exc:
-            parity_error = exc
-            continue
-        if len(candidate) == N:
-            chosen = candidate
-            break
-    if chosen is None:
-        if parity_error is not None:
-            raise parity_error
-        raise NumericalFailureError(
-            "could not pair %d roots into %d factor zeros" % (len(roots), N)
-        )
+    c = f.coeff_array(-N, N)
+    roots = poly_roots(c)
+    try:
+        chosen = _outer_zeros(roots, N)
+    except (NotFactorableError, NumericalFailureError):
+        # poly_roots stripped d top coefficients of z^N f below _LEAD_TRIM,
+        # as for a factor zero within ~1e-13 of the origin: its mirror went
+        # with them, but the d mirrored bottom coefficients are as small and
+        # still put d roots near the origin.  Strip those too and pair the
+        # rest; the polish restores the tiny top coefficients.
+        d = 2 * N - len(roots)
+        if not d:
+            raise
+        chosen = _outer_zeros(poly_roots(c[d : 2 * N + 1 - d]), N - d)
 
     monic = np.poly(chosen) if len(chosen) else np.array([1.0 + 0j])
-    asc = monic[::-1]
+    asc = np.concatenate([np.zeros(N + 1 - len(monic)), monic])[::-1]
     g0 = float(np.sum(np.abs(asc) ** 2))
     s = f.coeff(0).real / g0
     if s <= 0:
@@ -143,6 +138,29 @@ def scalar_factor(f: LaurentPoly, tol: float = 1e-9) -> LaurentPoly:
     if abs(q0) > 0:
         q = q * (q0.conjugate() / abs(q0))
     return q
+
+
+def _outer_zeros(roots: np.ndarray, n: int):
+    """The n zeros of the outer factor among the roots of its symbol.
+
+    The circle band widens from _CIRCLE_TOL up to 100 times that until the
+    pairing yields n zeros.  Raises NotFactorableError for an odd circle
+    cluster at every width and NumericalFailureError when no width fits.
+    """
+    parity_error = None
+    for widen in (1.0, 10.0, 100.0):
+        try:
+            candidate = _pair_roots(roots, _CIRCLE_TOL * widen)
+        except NotFactorableError as exc:
+            parity_error = exc
+            continue
+        if len(candidate) == n:
+            return candidate
+    if parity_error is not None:
+        raise parity_error
+    raise NumericalFailureError(
+        "could not pair %d roots into %d factor zeros" % (len(roots), n)
+    )
 
 
 def _pair_roots(roots: np.ndarray, band: float):

@@ -102,8 +102,8 @@ def gen_spectrum(
             if not drops:
                 break
             for a in drops:
-                A, _ = fix_rank_drop(A, a, opts)
-                budget -= 1
+                A, ops = fix_rank_drop(A, a, opts)
+                budget -= len(ops)
                 if budget <= 0:
                     break
     A = (A * (1.0 / A.max_abs)).as_analytic(0.0)

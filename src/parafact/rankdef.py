@@ -17,7 +17,8 @@ in the open unit disk.  The pipeline:
 5. locate interior points where the polynomial factor drops column rank
    (finite eigenvalues of one block-companion pencil of a random k x m
    compression, polished against the factor itself, plus the origin as an
-   unpolished candidate) and reflect them across the circle one at a time;
+   unpolished candidate) and reflect each across the circle with its whole
+   null space in one step;
 6. restore the original row order and refine the coefficients with the
    Gauss-Newton polish that the full-rank factorization also uses
    (fullrank.polish_coefficients), which removes the error accumulated
@@ -146,6 +147,8 @@ class BlaschkeOp:
     direction is 'pole-removal' (denominator zero moved out of the disk)
     or 'zero-removal' (factor zero reflected out of the disk); unitary is
     the constant column rotation used for zero removal, None otherwise.
+    A zero of nullity nu is reflected in one step and recorded as nu
+    operations on columns 0..nu-1 that share a and unitary.
     """
 
     a: complex
@@ -929,29 +932,37 @@ def find_rank_drop_points(
 def fix_rank_drop(F: LaurentMatrix, a: complex, opts: RankDefOptions | None = None):
     """Reflect one interior rank-drop point across the unit circle.
 
-    Rotates columns so the null direction of F(a) comes first, divides the
-    first column by (z - a), and multiplies it by (1 - conj(a) z).  The
-    product F F~ is preserved; the zero moves to 1/conj(a).
+    Every right singular direction of F(a) whose singular value is at most
+    rank_tol times the operator scale, the gate that decides F drops rank
+    at a, is reflected in one step: columns are rotated so those nu
+    directions come first, and each of the first nu columns is divided by
+    (z - a) and multiplied by (1 - conj(a) z).  The product F F~ is
+    preserved; the zero moves to 1/conj(a) with its whole null space.
 
-    Returns (fixed factor, BlaschkeOp with the applied unitary).
+    Returns (fixed factor, ops): one BlaschkeOp per reflected column
+    0..nu-1, all sharing a and the applied unitary.
     """
     opts = opts or RankDefOptions()
     a = complex(a)
     scale = _operator_scale(F)
     _, sv, vh = np.linalg.svd(F.eval(a))
-    if sv[-1] > opts.rank_tol * max(scale, 1e-300):
+    nu = int(np.sum(sv <= opts.rank_tol * max(scale, 1e-300)))
+    if not nu:
         raise ValueError(
             "factor does not drop rank at %s (smallest singular value %.3e)"
             % (a, sv[-1])
         )
-    G, U, rem = reflect_column_zero(F, a, vh[-1].conj())
+    G, U, rem = reflect_column_zero(F, a, vh[-nu:].conj().T)
     if rem > 10.0 * max(opts.tol, opts.rank_tol) * max(F.max_abs, 1e-300):
         raise NumericalFailureError(
             "zero reflection at %s left remainder %.3e" % (a, rem),
             residual=rem,
         )
-    op = BlaschkeOp(a=a, column=0, direction="zero-removal", unitary=U)
-    return G.as_analytic(0.0), op
+    ops = tuple(
+        BlaschkeOp(a=a, column=j, direction="zero-removal", unitary=U)
+        for j in range(nu)
+    )
+    return G.as_analytic(0.0), ops
 
 
 # ---------------------------------------------------------------------------
@@ -983,11 +994,12 @@ def _outer_tall_factor(Sp, head_factor, N, perm, opts):
         )
 
     def clear_drops(G, anchors=()):
-        # One find pass can report a point whose nullity exceeds one (all
-        # columns sharing a zero there); each fix strips a single column, so
-        # the points are re-detected until none survive.  Fixes within one
-        # pass leave the other reported points' rank drops intact, but the
-        # singular value is re-checked anyway and healed points skipped.
+        # One find pass can report a point whose nullity exceeds one (the
+        # drops of the rational stage typically have nullity k - 1); each
+        # fix reflects the point's whole null space, so one reporting pass
+        # and one confirming pass normally suffice.  Fixes within one pass leave the other
+        # reported points' rank drops intact, but the singular value is
+        # re-checked anyway and healed points skipped.
         #
         # Anchors are structurally required drop locations (reflections of
         # outer denominator roots) that the detector can miss when the zero
@@ -1026,8 +1038,8 @@ def _outer_tall_factor(Sp, head_factor, N, perm, opts):
                     continue
                 if len(zero_ops) >= cap:
                     raise over_cap()
-                G, op = fix_rank_drop(G, a, opts)
-                zero_ops.append(op)
+                G, ops = fix_rank_drop(G, a, opts)
+                zero_ops.extend(ops)
                 progressed = True
             if not progressed:
                 raise over_cap()

@@ -182,26 +182,36 @@ def _cmul(x: np.ndarray, w: complex) -> np.ndarray:
     return out
 
 
-def reflect_column_zero(F: LaurentMatrix, a: complex, null_vector: np.ndarray):
+def reflect_column_zero(F: LaurentMatrix, a: complex, null_basis: np.ndarray):
     """Move a zero of an analytic matrix at an interior point a across the circle.
 
-    Rotates columns by a constant unitary placing the null direction first,
-    divides the first column by (z - a), and multiplies it by
-    (1 - conj(a) z).  On the unit circle the rotation and the ratio
-    (1 - conj(a) z)/(z - a) both have unit modulus, so F F~ is unchanged.
+    null_basis is one null vector of F(a), or a k x nu matrix whose
+    orthonormal columns span nu null directions.  Rotates columns by a
+    constant unitary placing those directions first, divides the first nu
+    columns by (z - a), and multiplies them by (1 - conj(a) z), so a zero of
+    nullity nu is reflected in one step.  On the unit circle the rotation
+    and the ratio (1 - conj(a) z)/(z - a) both have unit modulus, so F F~ is
+    unchanged.  For one direction the unitary is the Householder one of
+    unitary_with_first_column; for nu > 1 the basis is completed by the
+    trailing right singular vectors of its adjoint.
 
     Only interior points are accepted: the division runs the top-down
-    recurrence of divide_linear on the whole column at once, which is stable
-    for |a| < 1, and ValueError is raised for |a| >= 1.
+    recurrence of divide_linear on the whole column block at once, which is
+    stable for |a| < 1, and ValueError is raised for |a| >= 1.
 
     Returns (reflected matrix, applied unitary, worst division remainder),
     the remainder being the max-abs coefficient of (z - a) q - c over the
-    column's entries c and quotients q.
+    reflected columns' entries c and quotients q.
     """
     a = complex(a)
     if not abs(a) < 1.0:
         raise ValueError("reflect_column_zero needs |a| < 1, got %s" % a)
-    U = unitary_with_first_column(null_vector)
+    B = np.asarray(null_basis, dtype=complex).reshape(F.cols, -1)
+    nu = B.shape[1]
+    if nu == 1:
+        U = unitary_with_first_column(B[:, 0])
+    else:
+        U = np.hstack([B, np.linalg.svd(B.conj().T)[2][nu:].conj().T])
     G = F @ LaurentMatrix.constant(U)
     if (G.lo or 0) < 0:
         raise ValueError("reflect_column_zero expects an analytic matrix")
@@ -209,7 +219,7 @@ def reflect_column_zero(F: LaurentMatrix, a: complex, null_vector: np.ndarray):
     C = np.zeros((d + 1, G.rows, G.cols), dtype=complex)
     for n, M in G.terms.items():
         C[n] = M
-    c = C[:, :, 0].copy()
+    c = C[:, :, :nu].copy()
     # q has powers 0..d-1, padded with a zero row at power d so that
     # (z - a) q and (1 - conj(a) z) q are plain shifted differences.
     q = np.zeros_like(c)
@@ -218,6 +228,6 @@ def reflect_column_zero(F: LaurentMatrix, a: complex, null_vector: np.ndarray):
     resid = -a * q - c
     resid[1:] += q[:-1]
     worst = float(np.max(np.abs(resid)))
-    C[:, :, 0] = q
-    C[1:, :, 0] -= _cmul(q[:-1], a.conjugate())
+    C[:, :, :nu] = q
+    C[1:, :, :nu] -= _cmul(q[:-1], a.conjugate())
     return LaurentMatrix(G.rows, G.cols, dict(enumerate(C))), U, worst

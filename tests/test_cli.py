@@ -249,6 +249,8 @@ class TestReportBytes:
             '  "verdicts": {\n'
             '    "error_free": {"pass": false, "measured": 1, "threshold": 0.5}\n'
             "  },\n"
+            '  "error": {"type": "ValueError", '
+            '"message": "--rank must be \'auto\' or an integer, got \'x\'"},\n'
             '  "exit_code": 2\n'
             "}\n"
         )

@@ -125,6 +125,34 @@ class TestReportFiles:
         with pytest.raises(ValueError):
             report_from_text(json.dumps(report))
 
+    def test_error_block_round_trips_byte_stable(self):
+        report = sample_report()
+        report["verdicts"] = {"error_free": {"pass": False, "measured": 1.0, "threshold": 0.5}}
+        report["error"] = {"type": "NumericalFailureError", "message": 'residual "1e-3"\n'}
+        report["exit_code"] = 3
+        text = report_to_text(report)
+        back = report_from_text(text)
+        assert back == report
+        assert report_to_text(back) == text
+
+    @pytest.mark.parametrize(
+        "error",
+        [
+            {"type": "ValueError", "message": "bad", "trace": "x"},
+            {"type": "ValueError"},
+            {"type": 3, "message": "bad"},
+            {"type": "ValueError", "message": None},
+            ["ValueError", "bad"],
+        ],
+    )
+    def test_malformed_error_block_is_rejected(self, error):
+        report = sample_report()
+        report["error"] = error
+        with pytest.raises(ValueError):
+            report_to_text(report)
+        with pytest.raises(ValueError):
+            report_from_text(json.dumps(report))
+
     def test_failing_verdict_needs_nonzero_exit(self):
         report = sample_report()
         report["verdicts"]["residual"]["pass"] = False

@@ -21,6 +21,7 @@ from parafact.rankdef import (
     find_rank_drop_points,
     select_pivot,
     spectral_factor,
+    verify_factorization,
 )
 
 SETTINGS = settings(max_examples=40, derandomize=True, database=None, deadline=None)
@@ -132,6 +133,19 @@ def test_planted_zeros_are_found_and_reflected(case):
 def test_zeros_at_the_origin_are_found_and_reflected(zeros):
     F = gen_spectrum(3, 2, 2, 5, interior_zero_free=True).secret_factor
     assert_found_and_reflected(*plant(F, zeros), zeros)
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("shape", [(1, 1, 1), (1, 1, 2), (2, 1, 2)])
+def test_scalar_zero_next_to_the_origin_is_reflected(shape, seed):
+    # The outer factor's top coefficient, and its mirror in the symbol, are
+    # about 1e-13 of the largest: at the edge of the companion-matrix trim.
+    F = gen_spectrum(*shape, seed, interior_zero_free=True).secret_factor
+    planted, reflected = plant(F, [1e-13 * np.exp(0.7j)])
+    S = (planted @ planted.adjoint()).trim(0.0)
+    factor, _ = spectral_factor(S)
+    assert verify_factorization(S, factor).passed
+    assert compare_factors(reflected, factor) is not None
 
 
 def test_constant_factor_has_no_drops():

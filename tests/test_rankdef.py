@@ -281,7 +281,7 @@ class TestRankDropPoints:
         drops = find_rank_drop_points(F)
         assert any(abs(p - a) < 1e-7 for p in drops)
 
-        G, op = fix_rank_drop(F, a)
+        G, (op,) = fix_rank_drop(F, a)
         assert op.direction == "zero-removal"
         assert not find_rank_drop_points(G)
         for z in circle_points(17):
@@ -335,6 +335,12 @@ class TestRankDropPoints:
             (6, 3, 3, 0, 6, 9),
             (6, 3, 3, 1, 12, 18),
             (6, 3, 3, 2, 8, 12),
+            (8, 4, 4, 0, 24, 32),
+            (8, 4, 4, 1, 24, 32),
+            (8, 4, 4, 2, 21, 28),
+            (6, 4, 6, 0, 36, 48),
+            (6, 4, 6, 1, 39, 52),
+            (6, 4, 6, 2, 39, 52),
         ],
     )
     def test_operation_counts_are_pinned(self, m, k, N, seed, zero_ops, pole_ops):
@@ -343,6 +349,51 @@ class TestRankDropPoints:
         assert len(report.zero_ops) == zero_ops
         assert len(report.pole_ops) == pole_ops
         assert compare_factors(inst.secret_factor, factor) is not None
+
+    # On these instances every drop of the rational stage has nullity
+    # k - 1 and is reflected whole, so drop clearing takes one reporting and
+    # one confirming pass there, and one pass on the polynomial factor.
+    @pytest.mark.parametrize("m,k,N", [(6, 3, 3), (8, 4, 4), (6, 4, 6)])
+    def test_drop_clearing_takes_three_finder_passes(self, m, k, N, monkeypatch):
+        calls = []
+
+        def counted(F, opts=None):
+            calls.append(F.shape)
+            return find_rank_drop_points(F, opts)
+
+        monkeypatch.setattr("parafact.rankdef.find_rank_drop_points", counted)
+        inst = gen_spectrum(m, k, N, 0, interior_zero_free=True)
+        spectral_factor(inst.spectrum)
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("nu", [2, 3])
+    def test_block_drop_is_reflected_in_one_fix(self, nu):
+        m, k, N = 5, 4, 2
+        a = 0.3 - 0.45j
+        outer = gen_spectrum(m, k, N, 40 + nu, interior_zero_free=True).secret_factor
+        shared = LaurentPoly({0: -a, 1: 1.0})
+        plant = LaurentMatrix.diagonal([shared] * nu + [LaurentPoly.one()] * (k - nu))
+        rng = np.random.default_rng(nu)
+        Q, R = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+        F = outer @ plant @ LaurentMatrix.constant(Q * (np.diag(R) / np.abs(np.diag(R))))
+
+        G, ops = fix_rank_drop(F, a)
+        assert len(ops) == nu
+        assert [op.column for op in ops] == list(range(nu))
+        for op in ops:
+            assert op.direction == "zero-removal"
+            assert op.a == a and op.unitary is ops[0].unitary
+        U = ops[0].unitary
+        assert np.max(np.abs(U.conj().T @ U - np.eye(k))) < 1e-12
+
+        assert find_rank_drop_points(G) == []
+        for z in circle_points(17):
+            lhs = G.eval(z) @ G.eval(z).conj().T
+            rhs = F.eval(z) @ F.eval(z).conj().T
+            assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(rhs))
+        sv = np.linalg.svd(G.eval(1.0 / np.conj(a)), compute_uv=False)
+        gate = 1e-8 * _operator_scale(G)
+        assert np.sum(sv <= gate) == nu
 
     def test_fix_rejects_point_without_drop(self):
         rng = np.random.default_rng(67)

@@ -190,15 +190,8 @@ def _pair_roots(roots: np.ndarray, band: float):
 
 
 def _is_diagonal(S: LaurentMatrix) -> bool:
-    scale = S.max_abs
-    if scale == 0:
-        return True
-    off = 0.0
-    for _, C in S.terms.items():
-        D = C.copy()
-        np.fill_diagonal(D, 0)
-        off = max(off, float(np.max(np.abs(D))))
-    return off <= _DIAG_TOL * scale
+    off = np.abs(np.stack(list(S.terms.values())) * (1 - np.eye(S.rows))).max()
+    return off <= _DIAG_TOL * S.max_abs
 
 
 def _screen_definite(S: LaurentMatrix, tol: float) -> None:
@@ -302,6 +295,21 @@ def _coeff_jacobian(A: np.ndarray) -> np.ndarray:
     )
 
 
+def _gauss_newton_step(C: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """Minimum-norm least-squares step of the equations linearized at A."""
+    P, m, k = A.shape
+    U = P * m * k
+    # Near a factor with zeros close to the circle the Jacobian has
+    # singular values far below its largest, and the step divides the
+    # residual by them.  Forming the residual in extended precision keeps
+    # its rounding noise from being amplified into the coefficients.
+    R = (C - _conv_coeffs(A.astype(np.clongdouble))).astype(complex).reshape(-1)
+    J = _coeff_jacobian(A)
+    cut = np.finfo(float).eps * max(J.shape)
+    x = scipy.linalg.lstsq(J, np.concatenate([R.real, R.imag]), cut, lapack_driver="gelsy")[0]
+    return (x[:U] + 1j * x[U:]).reshape(P, m, k)
+
+
 def polish_coefficients(
     C: np.ndarray, A: np.ndarray, target: float, min_steps: int = 0
 ):
@@ -310,7 +318,9 @@ def polish_coefficients(
     A is (N+1, m, k) and C is (N+1, m, m); the unknowns are the real and
     imaginary parts of A, the equations sum_q A_{n+q} A_q^H = C_n.  Each
     step is the minimum-norm least-squares solution of the linearized
-    equations, so it has no component along the right-unitary gauge of A.
+    equations, by complete orthogonal factorization (LAPACK xGELSY) with
+    numpy lstsq's rank cutoff eps * max(J.shape), so it has no component
+    along the right-unitary gauge of A, the Jacobian's only null space.
     A full step may raise the max-abs residual (relative to max |C_n|) up
     to _POLISH_GROWTH times the best one so far; beyond that it is halved.
     Stops when the residual reaches target after at least min_steps steps,
@@ -318,23 +328,13 @@ def polish_coefficients(
     (A, relative_residual) for the best iterate, which is the start when
     nothing improves.
     """
-    P, m, k = A.shape
-    U = P * m * k
     best, best_rel = A, _relative_residual(C, A)
     stalls = 0
     for step_count in range(_POLISH_MAX_ITERS):
         reached = best_rel <= target and step_count >= min_steps
         if reached or stalls >= _POLISH_STALLS:
             break
-        # Near a factor with zeros close to the circle the Jacobian has
-        # singular values far below its largest, and the step divides the
-        # residual by them.  Forming the residual in extended precision keeps
-        # its rounding noise from being amplified into the coefficients.
-        R = (C - _conv_coeffs(A.astype(np.clongdouble))).astype(complex).reshape(-1)
-        x = np.linalg.lstsq(
-            _coeff_jacobian(A), np.concatenate([R.real, R.imag]), rcond=None
-        )[0]
-        step = (x[:U] + 1j * x[U:]).reshape(P, m, k)
+        step = _gauss_newton_step(C, A)
         for _ in range(_POLISH_HALVINGS):
             trial = A + step
             rel = _relative_residual(C, trial)

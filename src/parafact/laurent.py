@@ -430,7 +430,7 @@ class LaurentMatrix:
 
     @property
     def max_abs(self) -> float:
-        return max((float(np.max(np.abs(C))) for C in self._terms.values()), default=0.0)
+        return float(np.abs(np.stack(list(self._terms.values()))).max()) if self._terms else 0.0
 
     def entry(self, i: int, j: int) -> LaurentPoly:
         return LaurentPoly({n: C[i, j] for n, C in self._terms.items()})
@@ -573,23 +573,22 @@ class LaurentMatrix:
         """Drop coefficient matrices with max-abs <= tol times the global max-abs."""
         if not self._terms:
             return self
-        cut = tol * self.max_abs
+        peaks = np.abs(np.stack(list(self._terms.values()))).max(axis=(1, 2))
+        cut = tol * peaks.max()
         return LaurentMatrix(
             self._rows,
             self._cols,
-            {n: C for n, C in self._terms.items() if np.max(np.abs(C)) > cut},
+            {n: C for (n, C), p in zip(self._terms.items(), peaks) if p > cut},
         )
 
     def is_parahermitian(self, tol: float = 0.0) -> bool:
         """True when F~ = F within tol relative to the largest coefficient entry."""
         if self._rows != self._cols:
             return False
-        scale = self.max_abs
-        dev = 0.0
-        for n in set(self._terms) | {-n for n in self._terms}:
-            d = np.max(np.abs(self.coeff(-n).conj().T - self.coeff(n)))
-            dev = max(dev, float(d))
-        return dev <= tol * scale
+        powers = {0} | set(self._terms) | {-n for n in self._terms}  # never empty
+        mirrored = np.stack([self.coeff(-n) for n in powers])
+        D = mirrored.conj().transpose(0, 2, 1) - np.stack([self.coeff(n) for n in powers])
+        return float(np.abs(D).max()) <= tol * self.max_abs
 
     def as_analytic(self, tol: float = 0.0) -> "AnalyticPolyMatrix":
         """Reinterpret as an analytic polynomial matrix.

@@ -479,13 +479,11 @@ def _deflate_column(entries, den, opts: RankDefOptions):
     radius.  The shared factor is divided out at a conditioning-weighted
     average of the Newton-polished per-polynomial estimates; raw eigenvalue
     estimates would leave remainders at the root-finding error level, which
-    dominates the factorization residual.
-    Returns (entries, den, worst_remainder).
+    dominates the factorization residual.  Returns (entries, den).
     """
     radius = opts.deflation_radius
-    worst = 0.0
     if all(e.is_zero for e in entries):
-        return entries, LaurentPoly.one(), worst
+        return entries, LaurentPoly.one()
     while den.hi and den.hi > 0:
         removed = False
         dden = den.derivative()
@@ -525,17 +523,14 @@ def _deflate_column(entries, den, opts: RankDefOptions):
                 if e.is_zero:
                     new_entries.append(e)
                     continue
-                q, rem = divide_linear(e, root)
-                worst = max(worst, rem)
-                new_entries.append(q)
-            qden, rem = divide_linear(den, root)
-            worst = max(worst, rem)
+                new_entries.append(divide_linear(e, root)[0])
+            qden, _ = divide_linear(den, root)
             entries, den = _monic_normalized(new_entries, qden)
             removed = True
             break
         if not removed:
             break
-    return entries, den, worst
+    return entries, den
 
 
 def tail_quotient(
@@ -574,7 +569,7 @@ def tail_quotient(
     # independently estimated roots and let the denominators drift apart.
     flat = [num.entry(i, j) for i in range(num.rows) for j in range(num.cols)]
     flat, det_a = _monic_normalized(flat, det_a)
-    flat, det_a, _ = _deflate_column(flat, det_a, opts)
+    flat, det_a = _deflate_column(flat, det_a, opts)
 
     rows = [
         [flat[i * num.cols + j] for j in range(num.cols)] for i in range(num.rows)
@@ -624,7 +619,7 @@ def remove_inner_poles(R: RationalMatrix, opts: RankDefOptions | None = None):
     for j in range(R.cols):
         entries = R.column_entries(j)
         den = R.denominators[j]
-        entries, den, _ = _deflate_column(entries, den, opts)
+        entries, den = _deflate_column(entries, den, opts)
         if den.hi and den.hi > 0:
             # A pole of multiplicity mu at the origin shows up as mu noise
             # roots scattered on a ring of radius ~eps^(1/mu), which the
@@ -663,7 +658,7 @@ def remove_inner_poles(R: RationalMatrix, opts: RankDefOptions | None = None):
                 den = q * LaurentPoly({0: 1.0, 1: -a.conjugate()})
                 entries, den = _monic_normalized(entries, den)
                 ops.append(BlaschkeOp(a=complex(a), column=j, direction="pole-removal"))
-            entries, den, _ = _deflate_column(entries, den, opts)
+            entries, den = _deflate_column(entries, den, opts)
         if den.hi and den.hi > 0:
             bad = [
                 a
@@ -1135,11 +1130,12 @@ def spectral_factor(
     F = LaurentMatrix(m, k, dict(enumerate(A)))
     factor = canonicalize(F).factor
 
-    residual = (factor @ factor.adjoint() - S).max_abs / scale
-    order = factor.trim(1e-12).hi
+    product = factor @ factor.adjoint()
+    residual = (product - S).max_abs / scale
+    order, order_check = _order_check(S, product)
     verdicts = {
         "residual": Check(residual <= opts.tol, residual, opts.tol),
-        "order_matches": Check(order == N, float(order), float(N)),
+        "order_matches": order_check,
         "rank_identity": identity_check,
     }
     report = FactorReport(
@@ -1159,6 +1155,17 @@ def spectral_factor(
             report=report,
         )
     return factor, report
+
+
+def _order_check(S: LaurentMatrix, product: LaurentMatrix):
+    """(order, Check) of a factor F of S, read off product = F F~.
+
+    Both spectra are trimmed at 1e-12 of their largest coefficient.  The top
+    power of F F~ is F_hi F_0^H, nonzero unless F drops rank at 0.
+    """
+    order_s = S.trim(1e-12).hi or 0
+    order_f = product.trim(1e-12).hi or 0
+    return order_f, Check(order_f == order_s, float(order_f), float(order_s))
 
 
 def compare_factors(
@@ -1225,17 +1232,12 @@ def verify_factorization(
             rng_seed=opts.rng_seed,
         )
     scale = max(S.max_abs, 1e-300)
-    analytic_ok = factor.is_zero or factor.lo >= 0
-    neg_mass = 0.0
-    if not analytic_ok:
-        neg_mass = max(
-            float(np.max(np.abs(factor.coeff(n)))) for n in factor.terms if n < 0
-        ) / max(factor.max_abs, 1e-300)
-        analytic_ok = neg_mass <= opts.tol
-    verdicts["analytic"] = Check(analytic_ok, neg_mass, opts.tol)
+    negative = LaurentMatrix(*factor.shape, {n: C for n, C in factor.terms.items() if n < 0})
+    neg_mass = negative.max_abs / max(factor.max_abs, 1e-300)
+    verdicts["analytic"] = Check(neg_mass <= opts.tol, neg_mass, opts.tol)
 
-    diff = S - factor @ factor.adjoint()
-    residual = diff.max_abs / scale
+    product = factor @ factor.adjoint()
+    residual = (S - product).max_abs / scale
     verdicts["coefficient_residual"] = Check(residual <= opts.tol, residual, opts.tol)
 
     count = _order_grid_count(S.hi or 0)
@@ -1247,9 +1249,7 @@ def verify_factorization(
     grid_dev /= scale
     verdicts["grid_residual"] = Check(grid_dev <= opts.tol, grid_dev, opts.tol)
 
-    order_s = S.trim(1e-12).hi or 0
-    order_f = factor.trim(1e-12).hi or 0
-    verdicts["order_matches"] = Check(order_f == order_s, float(order_f), float(order_s))
+    order_f, verdicts["order_matches"] = _order_check(S, product)
 
     try:
         drops = find_rank_drop_points(factor, opts)

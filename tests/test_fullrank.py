@@ -10,16 +10,19 @@ import pytest
 
 from parafact.errors import NotFactorableError
 from parafact.fullrank import (
+    _bauer_last_row,
     _coeff_jacobian,
     _conv_coeffs,
+    _gauss_newton_step,
     _relative_residual,
     canonicalize,
     factor_positive_definite,
     polish_coefficients,
     scalar_factor,
 )
-from parafact.instances import gen_spectrum
+from parafact.instances import gen_lossless, gen_spectrum
 from parafact.laurent import LaurentMatrix, LaurentPoly
+from parafact.paraunitary import _peel_completion
 from parafact.rankdef import compare_factors
 
 
@@ -136,7 +139,79 @@ def random_coefficients(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def real_vector(Z):
+    z = Z.reshape(-1)
+    return np.concatenate([z.real, z.imag])
+
+
+def hermitian_basis(k):
+    basis = []
+    for i in range(k):
+        for j in range(i, k):
+            E = np.zeros((k, k), dtype=complex)
+            E[i, j] = E[j, i] = 1.0
+            basis.append(E)
+            if i != j:
+                E = np.zeros((k, k), dtype=complex)
+                E[i, j], E[j, i] = 1j, -1j
+                basis.append(E)
+    return basis
+
+
+def polish_start(kind):
+    """(C, A) for the three kinds of start polish_coefficients sees: a
+    (3,3,8) Bauer head estimate, a perturbed tall (6,4,6) factor and the
+    peeled (6,6) completion block."""
+    if kind == "head":
+        C = coefficient_stack(gen_spectrum(3, 3, 8, 0).spectrum, 8)
+        return C, _bauer_last_row(list(C), 3, 8, 32)
+    if kind == "tall":
+        inst = gen_spectrum(6, 4, 6, 0, interior_zero_free=True)
+        secret = coefficient_stack(inst.secret_factor, 6)
+        noise = random_coefficients(np.random.default_rng(3), secret.shape)
+        return coefficient_stack(inst.spectrum, 6), secret + 1e-3 * noise
+    row = gen_lossless(6, 6, 0).row.as_matrix()
+    H = np.stack([row.coeff(n)[0] for n in range(7)])
+    C = -_conv_coeffs(H[:, :, None])
+    C[0] += np.eye(6)
+    return C, _peel_completion(H)
+
+
 class TestPolishCoefficients:
+    @pytest.mark.parametrize("shape", [(3, 2, 2), (4, 3, 1), (2, 4, 3), (9, 3, 3), (7, 6, 4)])
+    def test_jacobian_is_rank_deficient_by_the_gauge_alone(self, shape):
+        # The step's rank cutoff must split off exactly the k^2 directions
+        # A -> A iX of the right-unitary gauge, with a wide gap above them.
+        A = random_coefficients(np.random.default_rng(4), shape)
+        J = _coeff_jacobian(A)
+        sv = np.linalg.svd(J, compute_uv=False)
+        k2 = shape[2] ** 2
+        cut = np.finfo(float).eps * max(J.shape) * sv[0]
+        assert np.count_nonzero(sv < cut) == k2
+        assert sv[-k2 - 1] > 1e-8 * sv[0]
+
+    @pytest.mark.parametrize("kind", ["head", "tall", "completion"])
+    def test_step_is_the_minimum_norm_least_squares_step(self, kind):
+        C, A = polish_start(kind)
+        x = real_vector(_gauss_newton_step(C, A))
+        J = _coeff_jacobian(A)
+        b = real_vector((C - _conv_coeffs(A.astype(np.clongdouble))).astype(complex))
+        best = np.linalg.pinv(J) @ b
+        assert abs(np.linalg.norm(J @ x - b) - np.linalg.norm(J @ best - b)) <= (
+            1e-12 * np.linalg.norm(b)
+        )
+        # Rounding tilts the computed null space off the gauge by about
+        # eps / gap, where gap is the smallest kept singular value relative
+        # to the largest: 3e-3 for the factor starts, 5e-7 for this
+        # completion block.  The pinv step carries the same tilt.
+        sv = np.linalg.svd(J, compute_uv=False)
+        k = A.shape[2]
+        tilt = np.finfo(float).eps * sv[0] / sv[-k * k - 1]
+        for X in hermitian_basis(k):
+            g = real_vector(A @ (1j * X))
+            g /= np.linalg.norm(g)
+            assert abs(x @ g) <= max(1e-12, 10 * tilt) * np.linalg.norm(x)
+
     @pytest.mark.parametrize("shape", [(3, 2, 2), (4, 3, 1), (1, 2, 2), (5, 1, 1)])
     def test_convolution_matches_loop_reference(self, shape):
         A = random_coefficients(np.random.default_rng(1), shape)

@@ -291,3 +291,53 @@ def test_laurent_from_unit_samples_round_trip():
     values = p.eval_unit_grid(count)
     q = laurent_from_unit_samples(values, -2, 3)
     assert (p - q).max_abs < 1e-12
+
+
+def loop_max_abs(M):
+    return max((float(np.max(np.abs(C))) for C in M.terms.values()), default=0.0)
+
+
+def loop_trim(M, tol):
+    cut = tol * loop_max_abs(M)
+    terms = {n: C for n, C in M.terms.items() if np.max(np.abs(C)) > cut}
+    return LaurentMatrix(M.rows, M.cols, terms)
+
+
+def loop_is_parahermitian(M, tol):
+    """(answer, deviation) of the per-power loop, for square M."""
+    dev = 0.0
+    for n in set(M.terms) | {-n for n in M.terms}:
+        d = np.max(np.abs(M.coeff(-n).conj().T - M.coeff(n)))
+        dev = max(dev, float(d))
+    return dev <= tol * loop_max_abs(M), dev
+
+
+def sparse_noisy_matrix(rng, m):
+    """A near-para-Hermitian m x m matrix with negative powers, some powers
+    zeroed (and so dropped) and coefficient sizes over eleven decades."""
+    N = int(rng.integers(0, 6))
+    terms = {}
+    for n in range(-N, N + 1):
+        size = 10.0 ** rng.uniform(-8, 3)
+        terms[n] = size * (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+    for n in rng.choice(2 * N + 1, size=N, replace=False):
+        terms[int(n) - N] = np.zeros((m, m))
+    M = LaurentMatrix(m, m, terms)
+    noise = LaurentMatrix(m, m, {n: 1e-9 * rng.standard_normal((m, m)) for n in terms})
+    return 0.5 * (M + M.adjoint()) + noise
+
+
+def test_stacked_reductions_equal_the_per_power_loop():
+    rng = np.random.default_rng(31)
+    for _ in range(60):
+        M = sparse_noisy_matrix(rng, int(rng.integers(1, 5)))
+        assert M.max_abs == loop_max_abs(M)
+        for tol in (0.0, 1e-12, 1e-6, 1e-2, 0.5):
+            assert M.trim(tol) == loop_trim(M, tol)
+        _, dev = loop_is_parahermitian(M, 0.0)
+        edge = dev / loop_max_abs(M)
+        for tol in (0.0, np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0), 1e-6):
+            assert M.is_parahermitian(tol) == loop_is_parahermitian(M, tol)[0]
+    Z = LaurentMatrix.zeros(2, 2)
+    assert Z.max_abs == 0.0 and Z.trim(0.5).is_zero and Z.is_parahermitian(0.0)
+    assert not random_matrix(rng, 2, 3).is_parahermitian(1e9)

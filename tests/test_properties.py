@@ -143,9 +143,23 @@ def test_scalar_zero_next_to_the_origin_is_reflected(shape, seed):
     F = gen_spectrum(*shape, seed, interior_zero_free=True).secret_factor
     planted, reflected = plant(F, [1e-13 * np.exp(0.7j)])
     S = (planted @ planted.adjoint()).trim(0.0)
-    factor, _ = spectral_factor(S)
+    factor, report = spectral_factor(S)
+    assert report.passed
     assert verify_factorization(S, factor).passed
     assert compare_factors(reflected, factor) is not None
+
+
+def test_spectral_factor_and_verify_agree_on_the_order():
+    # The planted zero leaves S's top power at 4e-13 of its largest and the
+    # factor's at 1e-12 of its own: trimming each at 1e-12 of itself once
+    # read the factor as one order above the spectrum.
+    F = gen_spectrum(2, 1, 2, 9, interior_zero_free=True).secret_factor
+    planted, _ = plant(F, [1e-12 * np.exp(0.7j)])
+    S = (planted @ planted.adjoint()).trim(0.0)
+    factor, report = spectral_factor(S)
+    verified = verify_factorization(S, factor)
+    assert report.passed and verified.passed
+    assert report.order == verified.order
 
 
 def test_constant_factor_has_no_drops():

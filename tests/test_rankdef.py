@@ -694,6 +694,16 @@ class TestCompareAndVerify:
         report = verify_factorization(S, bad)
         assert not report.verdicts["coefficient_residual"].passed
 
+    def test_verify_flags_a_padded_top_power(self):
+        rng = np.random.default_rng(81)
+        S, _ = rank_k_spectrum(rng, 3, 2, 2)
+        F, _ = spectral_factor(S)
+        pad = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+        padded = F + LaurentMatrix(3, 2, {3: 1e-6 * F.max_abs * pad})
+        verdict = verify_factorization(S, padded).verdicts["order_matches"]
+        assert not verdict.passed
+        assert (verdict.measured, verdict.threshold) == (3.0, 2.0)
+
     def test_verify_flags_dimension_mismatch(self):
         S = LaurentMatrix.constant(np.eye(2))
         F = LaurentMatrix.constant(np.eye(3))

@@ -8,10 +8,13 @@ right-unitary equivalence class.
 The scalar case pairs the roots of z^N f(z) across the unit circle and keeps
 the outer representative of each pair.  The matrix case runs Bauer's method
 (Cholesky of a block Toeplitz section, whose deep rows converge to the factor
-coefficients) and finally reflects any stray interior determinant zeros back
-across the circle.  Whenever a start misses the tolerance it is refined by
-polish_coefficients: damped Gauss-Newton least squares on the quadratic
-coefficient equations sum_q A_{n+q} A_q^H = C_n.  The rank-deficient
+coefficients), doubling the section until its estimate meets the tolerance
+or stops converging geometrically, and finally reflects any stray interior
+determinant zeros back across the circle.  A start that still misses the
+tolerance is refined by polish_coefficients: damped Gauss-Newton least
+squares on the quadratic coefficient equations sum_q A_{n+q} A_q^H = C_n.
+Should that polish stall, as at a multiple circle zero of det S, the
+doubling restarts with a polish after every section.  The rank-deficient
 pipeline ends with the same polish on its tall factor.
 """
 
@@ -42,10 +45,12 @@ _CIRCLE_TOL = 1e-7
 # Interior determinant zeros beyond this band from the circle get reflected.
 _REFLECT_BAND = 1e-7
 # Bauer's Toeplitz section has at least this many block rows (and at least
-# 2 * order + 2); it is doubled up to _BAUER_DOUBLINGS times while the
-# polished estimate misses the tolerance.
+# 2 * order + 2); it is doubled up to _BAUER_DOUBLINGS times while its
+# estimate misses the polish target.  Off circle zeros of det S each
+# doubling's gain is about the square of the last; a circle zero pins it
+# near 4, so the doubling stops once a gain fails to grow.
 _BAUER_BLOCKS = 32
-_BAUER_DOUBLINGS = 6
+_BAUER_DOUBLINGS = 5
 # A Gauss-Newton step that is large along ill-conditioned directions
 # overshoots by its quadratic term, which the next step removes; so a step
 # may raise the residual up to _POLISH_GROWTH times the best one before it
@@ -224,29 +229,24 @@ def _bauer_last_row(C: list, k: int, N: int, L: int) -> np.ndarray:
     """
     n = k * L
     bw = k * (N + 1) - 1
-    ab = np.zeros((bw + 1, n), dtype=complex)
-    for d in range(N + 1):
-        Cd = C[d]
-        reps = L - d
-        for p in range(k):
-            for q in range(k):
-                if d == 0 and p < q:
-                    continue
-                r = d * k + p - q
-                ab[r, q : q + k * reps : k] = Cd[p, q]
     scale = max(float(np.max(np.abs(Cd))) for Cd in C)
-    lift = 0.0
     for bump in range(4):
+        # The band is factored in place, so each try fills a fresh one.
+        ab = np.zeros((bw + 1, n), dtype=complex, order="F")
+        for d in range(N + 1):
+            for p in range(k):
+                for q in range(k):
+                    if d > 0 or p >= q:
+                        ab[d * k + p - q, q : q + k * (L - d) : k] = C[d][p, q]
+        if bump:
+            ab[0, :] += scale * (1e-13 * 100.0 ** (bump - 1))
         try:
-            if lift:
-                ab_try = ab.copy()
-                ab_try[0, :] += lift
-            else:
-                ab_try = ab
-            chol = scipy.linalg.cholesky_banded(ab_try, lower=True, check_finite=False)
+            chol = scipy.linalg.cholesky_banded(
+                ab, overwrite_ab=True, lower=True, check_finite=False
+            )
             break
         except scipy.linalg.LinAlgError:
-            lift = scale * (1e-13 * 100.0**bump)
+            pass
     else:
         raise NumericalFailureError("block Toeplitz section is not positive definite")
     A = np.zeros((N + 1, k, k), dtype=complex)
@@ -406,6 +406,13 @@ def factor_positive_definite(S: LaurentMatrix, tol: float = 1e-9) -> AnalyticPol
     within tol relative to the largest coefficient, det S+ has no zeros
     in the open unit disk (up to the reflection band), and S+ is the
     canonical representative of its right-unitary class.
+
+    For k > 1 Bauer's section is doubled from max(_BAUER_BLOCKS, 2N + 2)
+    block rows until the best estimate meets 0.3 * tol, the cap is reached,
+    or a doubling gains no more than the one before it.  Only a best
+    estimate still above tol is polished toward 0.3 * tol.  If that polish
+    stalls above tol, the doubling restarts from the first section, now
+    polishing after every section and going one doubling further.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -438,17 +445,37 @@ def factor_positive_definite(S: LaurentMatrix, tol: float = 1e-9) -> AnalyticPol
 
     C = np.stack([S.coeff(n) for n in range(N + 1)])
     L = max(_BAUER_BLOCKS, 2 * N + 2)
-    best_A, best_rel = None, np.inf
-    for _ in range(_BAUER_DOUBLINGS + 1):
-        A = _bauer_last_row(list(C), k, N, L)
-        rel = _relative_residual(C, A)
-        if rel < best_rel:
-            best_A, best_rel = A, rel
-        if best_rel > tol:
-            best_A, best_rel = polish_coefficients(C, best_A, 0.3 * tol)
-        if best_rel <= tol:
+    best_A = _bauer_last_row(list(C), k, N, L)
+    best_rel, last_gain = _relative_residual(C, best_A), 0.0
+    for _ in range(_BAUER_DOUBLINGS):
+        if best_rel <= 0.3 * tol:
             break
         L *= 2
+        A = _bauer_last_row(list(C), k, N, L)
+        rel = _relative_residual(C, A)
+        gain = best_rel / max(rel, 1e-300)
+        if rel < best_rel:
+            best_A, best_rel = A, rel
+        if gain <= last_gain:
+            break
+        last_gain = gain
+    if best_rel > tol:
+        best_A, best_rel = polish_coefficients(C, best_A, 0.3 * tol)
+    if best_rel > tol:
+        # At a multiple circle zero of det S Gauss-Newton converges only
+        # linearly and a polish stalls; polishing after every doubling from
+        # the first section, each polish with a fresh stall count, recovers.
+        L, best_rel = max(_BAUER_BLOCKS, 2 * N + 2), np.inf
+        for _ in range(_BAUER_DOUBLINGS + 2):
+            A = _bauer_last_row(list(C), k, N, L)
+            rel = _relative_residual(C, A)
+            if rel < best_rel:
+                best_A, best_rel = A, rel
+            if best_rel > tol:
+                best_A, best_rel = polish_coefficients(C, best_A, 0.3 * tol)
+            if best_rel <= tol:
+                break
+            L *= 2
     if best_rel > tol:
         raise NumericalFailureError(
             "factorization residual %.3e exceeds tol %.3e" % (best_rel, tol),

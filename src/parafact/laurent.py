@@ -438,7 +438,8 @@ class LaurentMatrix:
     def submatrix(self, row_idx, col_idx) -> "LaurentMatrix":
         row_idx = np.asarray(row_idx, dtype=int)
         col_idx = np.asarray(col_idx, dtype=int)
-        terms = {n: C[np.ix_(row_idx, col_idx)] for n, C in self._terms.items()}
+        index = np.ix_(row_idx, col_idx)
+        terms = {n: C[index] for n, C in self._terms.items()}
         return LaurentMatrix(len(row_idx), len(col_idx), terms)
 
     def permuted(self, perm) -> "LaurentMatrix":

@@ -95,7 +95,8 @@ def divide_linear(p: LaurentPoly, a: complex):
     c = p.coeff_array(0, d)
     if d == 0:
         return LaurentPoly.zero(), float(abs(c[0]))
-    q = np.zeros(d, dtype=complex)
+    # q is padded with a zero at power d: (z - a) q - c is a shifted difference.
+    q = np.zeros(d + 1, dtype=complex)
     if abs(a) <= 1.0:
         q[d - 1] = c[d]
         for i in range(d - 1, 0, -1):
@@ -104,9 +105,9 @@ def divide_linear(p: LaurentPoly, a: complex):
         q[0] = -c[0] / a
         for i in range(1, d):
             q[i] = (q[i - 1] - c[i]) / a
-    quotient = LaurentPoly.from_coeffs(q, 0)
-    resid = quotient * LaurentPoly({0: -a, 1: 1.0}) - p
-    return quotient, resid.max_abs
+    resid = -a * q - c
+    resid[1:] += q[:-1]
+    return LaurentPoly.from_coeffs(q[:d], 0), float(np.max(np.abs(resid)))
 
 
 def divide_out(num: LaurentPoly, den: LaurentPoly):

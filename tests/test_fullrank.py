@@ -7,6 +7,7 @@ cases are checked through the defining identity and the canonical form.
 
 import numpy as np
 import pytest
+from scipy.linalg import cholesky_banded
 
 from parafact.errors import NotFactorableError
 from parafact.fullrank import (
@@ -23,7 +24,7 @@ from parafact.fullrank import (
 from parafact.instances import gen_lossless, gen_spectrum
 from parafact.laurent import LaurentMatrix, LaurentPoly
 from parafact.paraunitary import _peel_completion
-from parafact.rankdef import compare_factors
+from parafact.rankdef import compare_factors, spectral_factor
 
 
 def circle_residual(F, S, count=64):
@@ -129,6 +130,113 @@ class TestFactorPositiveDefinite:
         S = LaurentMatrix.constant(np.eye(2))
         with pytest.raises(ValueError):
             factor_positive_definite(S, tol=0.0)
+
+    # Bauer's estimate converges geometrically in the section size, so the
+    # doubling reaches the tolerance without a Gauss-Newton step; only (4,4,4)
+    # seed 3 stops at 4.1e-11 at the L = 1024 cap and takes one.
+    @pytest.mark.parametrize("shape", [(4, 4, 4), (6, 6, 3)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bauer_doubling_leaves_the_polish_no_steps(self, shape, seed, monkeypatch):
+        steps = []
+
+        def counted(C, A):
+            steps.append(A.shape)
+            return _gauss_newton_step(C, A)
+
+        monkeypatch.setattr("parafact.fullrank._gauss_newton_step", counted)
+        S = gen_spectrum(*shape, seed).spectrum
+        F = factor_positive_definite(S, 1e-11)
+        assert len(steps) == int((shape, seed) == ((4, 4, 4), 3))
+        assert (F @ F.adjoint() - S).max_abs <= 1e-11 * S.max_abs
+
+    # A det zero on the circle makes Bauer converge algebraically, gaining
+    # about 4 per doubling, so the gain stop ends the ladder before the cap
+    # of 1 + _BAUER_DOUBLINGS = 6 sections.
+    @pytest.mark.parametrize(
+        "shape,seed,sections",
+        [
+            ((2, 2, 2), 0, 3), ((2, 2, 2), 1, 4), ((2, 2, 2), 2, 3),
+            ((3, 3, 3), 0, 4), ((3, 3, 3), 1, 3), ((3, 3, 3), 2, 4),
+            ((4, 4, 2), 0, 3), ((4, 4, 2), 1, 3), ((4, 4, 2), 2, 3),
+        ],
+    )
+    def test_circle_zero_stops_the_doubling_early(self, shape, seed, sections, monkeypatch):
+        calls = []
+
+        def counted(C, k, N, L):
+            calls.append(L)
+            return _bauer_last_row(C, k, N, L)
+
+        monkeypatch.setattr("parafact.fullrank._bauer_last_row", counted)
+        F = circle_zero_factor(shape, seed)
+        factor_positive_definite(F @ F.adjoint(), 1e-11)
+        assert calls == [32 * 2**i for i in range(sections)]
+
+    # A residual-driven factor loses half its digits at a circle zero, for
+    # matrices as for scalars: the forward error is about sqrt(eps).
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (3, 3, 3), (4, 4, 2)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matrix_circle_zero_loses_half_the_digits(self, shape, seed):
+        F = circle_zero_factor(shape, seed)
+        G, report = spectral_factor(F @ F.adjoint())
+        assert report.residual <= 2e-15
+        target = canonicalize(F).factor
+        assert G.hi == target.hi
+        assert max(np.abs(G.coeff(n) - target.coeff(n)).max() for n in range(G.hi + 1)) <= 1e-6
+
+    # A det zero of multiplicity 2 to 4 on the circle leaves Gauss-Newton
+    # only linear convergence, about 0.6 per step, so one polish of the
+    # deepest section stalls above tol on these; polishing again after every
+    # doubling, each time with a fresh stall count, factors them.
+    @pytest.mark.parametrize(
+        "mult,m,seed",
+        [
+            (2, 3, 7), (3, 2, 1), (3, 2, 3), (3, 2, 6), (3, 3, 0), (3, 3, 2),
+            (3, 3, 7), (3, 3, 8), (4, 2, 3), (4, 2, 8), (4, 3, 5),
+        ],
+    )
+    def test_multiple_circle_zero_is_factored(self, mult, m, seed):
+        zero = LaurentPoly.one()
+        for _ in range(mult):
+            zero = zero * LaurentPoly({0: 1.0, 1: -1.0})
+        F = gen_spectrum(m, m, 2, seed, interior_zero_free=True).secret_factor
+        F = F @ LaurentMatrix.diagonal([zero] + [LaurentPoly.one()] * (m - 1))
+        S = F @ F.adjoint()
+        G, report = spectral_factor(S)
+        assert report.passed
+        assert (G @ G.adjoint() - S).max_abs <= 1e-9 * S.max_abs
+
+    def test_lift_retry_factors_an_untouched_band(self, monkeypatch):
+        # At L = 1024 the section of |1 - z|^8 is singular to rounding:
+        # the first Cholesky fails and the retry lifts the diagonal by
+        # 1e-13 of the largest coefficient.  The retry must start from the
+        # band itself, not from what the failed in-place attempt left.
+        q = LaurentPoly({0: 1.0, 1: -1.0})
+        f = (q * q * q * q) * (q * q * q * q).adjoint()
+        C = [np.array([[f.coeff(n)]]) for n in range(5)]
+        tries = []
+
+        def counted(ab, **kwargs):
+            tries.append(ab.shape)
+            return cholesky_banded(ab, **kwargs)
+
+        monkeypatch.setattr("scipy.linalg.cholesky_banded", counted)
+        A = _bauer_last_row(C, 1, 4, 1024)
+        assert len(tries) == 2
+        band = np.zeros((5, 1024), dtype=complex)
+        for d in range(5):
+            band[d, : 1024 - d] = C[d][0, 0]
+        band[0] += 70.0 * 1e-13
+        chol = cholesky_banded(band, lower=True)
+        assert np.array_equal(A[:, 0, 0], chol[np.arange(5), 1023 - np.arange(5)])
+
+
+def circle_zero_factor(shape, seed):
+    """An outer k = m factor times diag(1 - z, 1 + z/2, ...): det has a zero at 1."""
+    m, _, N = shape
+    F = gen_spectrum(m, m, N, seed, interior_zero_free=True).secret_factor
+    cols = [LaurentPoly({0: 1.0, 1: -1.0})] + [LaurentPoly({0: 1.0, 1: 0.5})] * (m - 1)
+    return F @ LaurentMatrix.diagonal(cols)
 
 
 def coefficient_stack(M, N):

@@ -5,17 +5,17 @@ unit circle, computes the analytic factor S+ with S = S+ S+~, S+ of order N,
 det S+(z) != 0 for |z| < 1, normalized to a canonical representative of the
 right-unitary equivalence class.
 
-The scalar case pairs the roots of z^N f(z) across the unit circle and keeps
-the outer representative of each pair.  The matrix case runs Bauer's method
-(Cholesky of a block Toeplitz section, whose deep rows converge to the factor
-coefficients), doubling the section until its estimate meets the tolerance
-or stops converging geometrically, and finally reflects any stray interior
-determinant zeros back across the circle.  A start that still misses the
-tolerance is refined by polish_coefficients: damped Gauss-Newton least
-squares on the quadratic coefficient equations sum_q A_{n+q} A_q^H = C_n.
-Should that polish stall, as at a multiple circle zero of det S, the
-doubling restarts with a polish after every section.  The rank-deficient
-pipeline ends with the same polish on its tall factor.
+Every size k >= 1 and order N >= 1, scalar and diagonal S included, takes
+one path: Bauer's method (Cholesky of a block Toeplitz section, whose deep
+rows converge to the factor coefficients), doubling the section until its
+estimate meets the tolerance or stops converging geometrically.  A start
+that still misses the tolerance is refined by polish_coefficients: damped
+Gauss-Newton least squares on the quadratic coefficient equations
+sum_q A_{n+q} A_q^H = C_n, with one step past the first iterate that meets
+the target.  Should that polish stall, as at a multiple circle zero of
+det S, the doubling restarts with a polish after every section.  Stray
+interior determinant zeros are finally reflected back across the circle.
+The rank-deficient pipeline ends with the same polish on its tall factor.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import scipy.linalg
 
 from .errors import NotFactorableError, NumericalFailureError
 from .laurent import AnalyticPolyMatrix, LaurentMatrix, LaurentPoly, _order_grid_count
-from .roots import cluster_points, laurent_roots, poly_roots, reflect_column_zero
+from .roots import laurent_roots, reflect_column_zero
 
 __all__ = [
     "CanonicalForm",
@@ -38,10 +38,6 @@ __all__ = [
 
 # Relative screen for "full rank at z = 0" inside canonicalize.
 _RANK0_TOL = 1e-12
-# Off-diagonal coefficient mass below this (relative) treats S as diagonal.
-_DIAG_TOL = 1e-12
-# Unit-circle detection band for scalar root pairing.
-_CIRCLE_TOL = 1e-7
 # Interior determinant zeros beyond this band from the circle get reflected.
 _REFLECT_BAND = 1e-7
 # Bauer's Toeplitz section has at least this many block rows (and at least
@@ -75,128 +71,25 @@ class CanonicalForm:
 def scalar_factor(f: LaurentPoly, tol: float = 1e-9) -> LaurentPoly:
     """Outer spectral factor of a scalar symbol: q analytic with q q~ = f.
 
-    f must be para-Hermitian and nonnegative on the unit circle.  The roots
-    of z^N f(z) come in pairs reflected across the circle; q takes the outer
-    representative of each pair and half of every (necessarily even) cluster
-    of unit-circle roots.  Rebuilding q from many roots loses digits, so its
-    coefficients are always refined by polish_coefficients.
-    q is normalized so q(0) is real positive, which pins the unit-modulus
-    phase freedom.
+    f must be para-Hermitian and nonnegative on the unit circle.  q is the
+    1 x 1 factor_positive_definite factor of f, polished to _FINAL_POLISH
+    because a factor that meets tol in q q~ can still be far from the outer
+    one, and normalized so q(0) is real positive, which pins the
+    unit-modulus phase freedom.
 
-    Raises NotFactorableError when f is negative beyond tol on the circle or
-    has a unit-circle zero of odd multiplicity, and NumericalFailureError
-    when the polished reconstruction still misses the tol target.
+    Raises ValueError for a nonpositive tol or a symbol that is not
+    para-Hermitian, NotFactorableError when f is negative beyond tol on the
+    circle, and NumericalFailureError when the factor misses tol.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
     f = f.trim(1e-14)
     if f.is_zero:
         return LaurentPoly.zero()
-    scale = f.max_abs
-    if not f.is_parahermitian(max(tol, 1e-12)):
-        raise ValueError("symbol is not para-Hermitian within tolerance")
-    N = f.hi
-    samples = f.eval_unit_grid(_order_grid_count(N)).real
-    if samples.min() < -tol * scale:
-        raise NotFactorableError(
-            "symbol is negative on the unit circle (min %.3e of scale %.3e)"
-            % (samples.min(), scale)
-        )
-    if N == 0:
-        c = f.coeff(0).real
-        if c <= 0:
-            raise NotFactorableError("constant symbol is not positive")
-        return LaurentPoly.constant(np.sqrt(c))
-
-    c = f.coeff_array(-N, N)
-    roots = poly_roots(c)
-    try:
-        chosen = _outer_zeros(roots, N)
-    except (NotFactorableError, NumericalFailureError):
-        # poly_roots stripped d top coefficients of z^N f below _LEAD_TRIM,
-        # as for a factor zero within ~1e-13 of the origin: its mirror went
-        # with them, but the d mirrored bottom coefficients are as small and
-        # still put d roots near the origin.  Strip those too and pair the
-        # rest; the polish restores the tiny top coefficients.
-        d = 2 * N - len(roots)
-        if not d:
-            raise
-        chosen = _outer_zeros(poly_roots(c[d : 2 * N + 1 - d]), N - d)
-
-    monic = np.poly(chosen) if len(chosen) else np.array([1.0 + 0j])
-    asc = np.concatenate([np.zeros(N + 1 - len(monic)), monic])[::-1]
-    g0 = float(np.sum(np.abs(asc) ** 2))
-    s = f.coeff(0).real / g0
-    if s <= 0:
-        raise NotFactorableError("mean of the symbol is not positive")
-    A = (np.sqrt(s) * asc)[:, None, None]
-    C = f.coeff_array(0, N)[:, None, None]
-    # q q~ can meet tol while q is still far off, so always polish.
-    A, residual = polish_coefficients(C, A, _FINAL_POLISH)
-    if residual > tol:
-        raise NumericalFailureError(
-            "scalar factor residual %.3e exceeds tolerance" % residual,
-            residual=residual,
-        )
-    q = LaurentPoly.from_coeffs(A[:, 0, 0], 0)
-    q0 = q.coeff(0)
-    if abs(q0) > 0:
-        q = q * (q0.conjugate() / abs(q0))
-    return q
-
-
-def _outer_zeros(roots: np.ndarray, n: int):
-    """The n zeros of the outer factor among the roots of its symbol.
-
-    The circle band widens from _CIRCLE_TOL up to 100 times that until the
-    pairing yields n zeros.  Raises NotFactorableError for an odd circle
-    cluster at every width and NumericalFailureError when no width fits.
-    """
-    parity_error = None
-    for widen in (1.0, 10.0, 100.0):
-        try:
-            candidate = _pair_roots(roots, _CIRCLE_TOL * widen)
-        except NotFactorableError as exc:
-            parity_error = exc
-            continue
-        if len(candidate) == n:
-            return candidate
-    if parity_error is not None:
-        raise parity_error
-    raise NumericalFailureError(
-        "could not pair %d roots into %d factor zeros" % (len(roots), n)
-    )
-
-
-def _pair_roots(roots: np.ndarray, band: float):
-    """Split roots into outer representatives plus halves of circle clusters.
-
-    Raises NotFactorableError when a circle cluster has odd multiplicity.
-    """
-    on_circle = []
-    outer = []
-    for a in roots:
-        r = abs(a)
-        if abs(r - 1.0) <= band:
-            on_circle.append(complex(a))
-        elif r > 1.0:
-            outer.append(complex(a))
-    chosen = list(outer)
-    if on_circle:
-        for center, count in cluster_points(on_circle, 3.0 * band):
-            if count % 2 != 0:
-                raise NotFactorableError(
-                    "unit-circle zero near %s has odd multiplicity %d"
-                    % (center, count)
-                )
-            unit_center = center / abs(center)
-            chosen.extend([unit_center] * (count // 2))
-    return chosen
-
-
-def _is_diagonal(S: LaurentMatrix) -> bool:
-    off = np.abs(np.stack(list(S.terms.values())) * (1 - np.eye(S.rows))).max()
-    return off <= _DIAG_TOL * S.max_abs
+    q = factor_positive_definite(LaurentMatrix.from_entries([[f]]), tol).entry(0, 0)
+    C, A = f.coeff_array(0, f.hi), q.coeff_array(0, f.hi)
+    A, _ = polish_coefficients(C[:, None, None], A[:, None, None], _FINAL_POLISH)
+    return canonicalize(LaurentMatrix(1, 1, dict(enumerate(A)))).factor.entry(0, 0)
 
 
 def _screen_definite(S: LaurentMatrix, tol: float) -> None:
@@ -407,12 +300,15 @@ def factor_positive_definite(S: LaurentMatrix, tol: float = 1e-9) -> AnalyticPol
     in the open unit disk (up to the reflection band), and S+ is the
     canonical representative of its right-unitary class.
 
-    For k > 1 Bauer's section is doubled from max(_BAUER_BLOCKS, 2N + 2)
+    For every k, Bauer's section is doubled from max(_BAUER_BLOCKS, 2N + 2)
     block rows until the best estimate meets 0.3 * tol, the cap is reached,
     or a doubling gains no more than the one before it.  Only a best
     estimate still above tol is polished toward 0.3 * tol.  If that polish
     stalls above tol, the doubling restarts from the first section, now
-    polishing after every section and going one doubling further.
+    polishing after every section and going one doubling further.  A factor
+    that needed polishing takes one more Gauss-Newton step once it meets
+    tol, because the first iterate at the target can still be far from
+    the outer factor.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -433,16 +329,6 @@ def factor_positive_definite(S: LaurentMatrix, tol: float = 1e-9) -> AnalyticPol
         F = LaurentMatrix.constant(V @ np.diag(np.sqrt(np.maximum(w, 0.0))))
         return canonicalize(F).factor
 
-    if k == 1:
-        q = scalar_factor(S.entry(0, 0), tol)
-        F = LaurentMatrix.from_entries([[q]])
-        return canonicalize(F).factor
-
-    if _is_diagonal(S):
-        qs = [scalar_factor(S.entry(i, i), tol) for i in range(k)]
-        F = LaurentMatrix.diagonal(qs)
-        return canonicalize(F).factor
-
     C = np.stack([S.coeff(n) for n in range(N + 1)])
     L = max(_BAUER_BLOCKS, 2 * N + 2)
     best_A = _bauer_last_row(list(C), k, N, L)
@@ -459,7 +345,8 @@ def factor_positive_definite(S: LaurentMatrix, tol: float = 1e-9) -> AnalyticPol
         if gain <= last_gain:
             break
         last_gain = gain
-    if best_rel > tol:
+    polished = best_rel > tol
+    if polished:
         best_A, best_rel = polish_coefficients(C, best_A, 0.3 * tol)
     if best_rel > tol:
         # At a multiple circle zero of det S Gauss-Newton converges only
@@ -481,6 +368,12 @@ def factor_positive_definite(S: LaurentMatrix, tol: float = 1e-9) -> AnalyticPol
             "factorization residual %.3e exceeds tol %.3e" % (best_rel, tol),
             residual=best_rel,
         )
+    if polished:
+        # The polish stops at its first iterate at or below the target,
+        # whose forward error can still be far above the rounding floor:
+        # (1,1,40) seed 1189 stops at residual 7.1e-16 but 4.1e-13 off the
+        # outer factor.  One more Gauss-Newton step takes it to 5.4e-15.
+        best_A, best_rel = polish_coefficients(C, best_A, 0.3 * tol, min_steps=1)
 
     F = LaurentMatrix(k, k, {n: best_A[n] for n in range(N + 1)})
     F = _reflect_interior_zeros(F, tol)

@@ -498,16 +498,27 @@ class LaurentMatrix:
             raise ValueError(
                 "dimension mismatch: %r @ %r" % (self.shape, other.shape)
             )
-        terms = {}
+        if not self._terms or not other._terms:
+            return LaurentMatrix(self._rows, other._cols)
+        # The right operand as one dense window of powers lo..hi, so each
+        # left power contributes one batched product.  Looping over the left
+        # powers in dict order sums every output coefficient in the same
+        # order as a loop over pairs of powers would.
+        lo, hi = other.lo, other.hi
+        B = np.zeros((hi - lo + 1, other._rows, other._cols), dtype=complex)
+        for m, Bm in other._terms.items():
+            B[m - lo] = Bm
+        base = self.lo + lo
+        out = np.zeros((self.span + hi - lo + 1, self._rows, other._cols), dtype=complex)
         for n, A in self._terms.items():
-            for m, B in other._terms.items():
-                k = n + m
-                P = A @ B
-                if k in terms:
-                    terms[k] = terms[k] + P
-                else:
-                    terms[k] = P
-        return LaurentMatrix(self._rows, other._cols, terms)
+            out[n + lo - base : n + hi + 1 - base] += A @ B
+        # Powers keep the order in which that pairwise loop first meets them,
+        # because later sums over a matrix's terms run in its dict order.
+        sums = np.add.outer(list(self._terms), list(other._terms)).ravel()
+        first = np.sort(np.unique(sums, return_index=True)[1])
+        return LaurentMatrix(
+            self._rows, other._cols, {int(k): out[k - base] for k in sums[first]}
+        )
 
     def shifted(self, k: int) -> "LaurentMatrix":
         return LaurentMatrix(self._rows, self._cols, {n + k: C for n, C in self._terms.items()})

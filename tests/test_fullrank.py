@@ -24,7 +24,7 @@ from parafact.fullrank import (
 from parafact.instances import gen_lossless, gen_spectrum
 from parafact.laurent import LaurentMatrix, LaurentPoly
 from parafact.paraunitary import _peel_completion
-from parafact.rankdef import compare_factors, spectral_factor
+from parafact.rankdef import compare_factors, spectral_factor, verify_factorization
 
 
 def circle_residual(F, S, count=64):
@@ -133,7 +133,8 @@ class TestFactorPositiveDefinite:
 
     # Bauer's estimate converges geometrically in the section size, so the
     # doubling reaches the tolerance without a Gauss-Newton step; only (4,4,4)
-    # seed 3 stops at 4.1e-11 at the L = 1024 cap and takes one.
+    # seed 3 stops at 4.1e-11 at the L = 1024 cap and takes two: one to meet
+    # the target and one more past it.
     @pytest.mark.parametrize("shape", [(4, 4, 4), (6, 6, 3)])
     @pytest.mark.parametrize("seed", range(4))
     def test_bauer_doubling_leaves_the_polish_no_steps(self, shape, seed, monkeypatch):
@@ -146,7 +147,7 @@ class TestFactorPositiveDefinite:
         monkeypatch.setattr("parafact.fullrank._gauss_newton_step", counted)
         S = gen_spectrum(*shape, seed).spectrum
         F = factor_positive_definite(S, 1e-11)
-        assert len(steps) == int((shape, seed) == ((4, 4, 4), 3))
+        assert len(steps) == 2 * int((shape, seed) == ((4, 4, 4), 3))
         assert (F @ F.adjoint() - S).max_abs <= 1e-11 * S.max_abs
 
     # A det zero on the circle makes Bauer converge algebraically, gaining
@@ -174,7 +175,7 @@ class TestFactorPositiveDefinite:
 
     # A residual-driven factor loses half its digits at a circle zero, for
     # matrices as for scalars: the forward error is about sqrt(eps).
-    @pytest.mark.parametrize("shape", [(2, 2, 2), (3, 3, 3), (4, 4, 2)])
+    @pytest.mark.parametrize("shape", [(1, 1, 4), (2, 2, 2), (3, 3, 3), (4, 4, 2)])
     @pytest.mark.parametrize("seed", range(3))
     def test_matrix_circle_zero_loses_half_the_digits(self, shape, seed):
         F = circle_zero_factor(shape, seed)
@@ -205,6 +206,32 @@ class TestFactorPositiveDefinite:
         G, report = spectral_factor(S)
         assert report.passed
         assert (G @ G.adjoint() - S).max_abs <= 1e-9 * S.max_abs
+
+    # Bauer's section and the polish scatter a double circle zero of det S
+    # into estimates at |a| just below 1; without reflecting them back
+    # across the circle the factor fails verification's no_interior_rank_drop.
+    @pytest.mark.parametrize("m,seed", [(2, 4), (3, 7)])
+    def test_double_circle_zero_is_reflected_out(self, m, seed):
+        zero = LaurentPoly({0: 1.0, 1: -1.0})
+        F = gen_spectrum(m, m, 2, seed, interior_zero_free=True).secret_factor
+        F = F @ LaurentMatrix.diagonal([zero * zero] + [LaurentPoly.one()] * (m - 1))
+        S = F @ F.adjoint()
+        assert verify_factorization(S, spectral_factor(S)[0]).passed
+
+    # The polish stops at its first iterate below the target; the step past
+    # it brings (1,1,40) seed 1189 and the (8,6,8) head factors of seeds 101
+    # and 106 within 1e-9 of the secret.  Scalar spectra of order 80 and 120
+    # take the same Bauer path as matrices.
+    @pytest.mark.parametrize(
+        "shape,seed",
+        [((1, 1, 40), 1189), ((8, 6, 8), 101), ((8, 6, 8), 106)]
+        + [((1, 1, N), seed) for N in (80, 120) for seed in range(4)],
+    )
+    def test_factor_matches_the_secret(self, shape, seed):
+        inst = gen_spectrum(*shape, seed, interior_zero_free=True)
+        G, report = spectral_factor(inst.spectrum)
+        assert report.passed
+        assert compare_factors(inst.secret_factor, G) is not None
 
     def test_lift_retry_factors_an_untouched_band(self, monkeypatch):
         # At L = 1024 the section of |1 - z|^8 is singular to rounding:

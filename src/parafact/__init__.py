@@ -50,12 +50,7 @@ from .instances import (
     gen_lossless,
     gen_spectrum,
 )
-from .laurent import (
-    AnalyticPolyMatrix,
-    LaurentMatrix,
-    LaurentPoly,
-    laurent_from_unit_samples,
-)
+from .laurent import AnalyticPolyMatrix, LaurentMatrix, LaurentPoly
 from .paraunitary import (
     LosslessRow,
     ParaunitaryReport,
@@ -71,29 +66,14 @@ from .rankdef import (
     Check,
     FactorReport,
     RankDefOptions,
-    RationalMatrix,
-    check_rank_identity,
     compare_factors,
     estimate_rank,
     find_rank_drop_points,
-    finalize_polynomial,
     fix_rank_drop,
-    remove_inner_poles,
-    select_pivot,
     spectral_factor,
-    stack_rational_factor,
-    tail_quotient,
     verify_factorization,
 )
-from .roots import (
-    cluster_points,
-    divide_linear,
-    divide_out,
-    laurent_roots,
-    poly_roots,
-    reflect_column_zero,
-    unitary_with_first_column,
-)
+from .roots import laurent_roots
 
 __version__ = "0.1.0"
 
@@ -117,43 +97,29 @@ __all__ = [
     "ParafactError",
     "ParaunitaryReport",
     "RankDefOptions",
-    "RationalMatrix",
     "canonicalize",
-    "check_rank_identity",
     "check_unit_norm_row",
-    "cluster_points",
     "compare_completions",
     "compare_factors",
     "complete_to_paraunitary",
     "deficiency_matrix",
-    "divide_linear",
-    "divide_out",
     "elementary_factor",
     "estimate_rank",
     "factor_positive_definite",
-    "finalize_polynomial",
     "find_rank_drop_points",
     "fix_rank_drop",
     "gen_lossless",
     "gen_spectrum",
-    "laurent_from_unit_samples",
     "laurent_roots",
     "matrix_from_text",
     "matrix_to_text",
     "paraunitary_degree",
-    "poly_roots",
     "read_matrix",
     "read_report",
-    "reflect_column_zero",
-    "remove_inner_poles",
     "report_from_text",
     "report_to_text",
     "scalar_factor",
-    "select_pivot",
     "spectral_factor",
-    "stack_rational_factor",
-    "tail_quotient",
-    "unitary_with_first_column",
     "verify_factorization",
     "verify_paraunitary",
     "write_matrix",

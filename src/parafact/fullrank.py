@@ -89,7 +89,7 @@ def scalar_factor(f: LaurentPoly, tol: float = 1e-9) -> LaurentPoly:
     q = factor_positive_definite(LaurentMatrix.from_entries([[f]]), tol).entry(0, 0)
     C, A = f.coeff_array(0, f.hi), q.coeff_array(0, f.hi)
     A, _ = polish_coefficients(C[:, None, None], A[:, None, None], _FINAL_POLISH)
-    return canonicalize(LaurentMatrix(1, 1, dict(enumerate(A)))).factor.entry(0, 0)
+    return canonicalize(LaurentMatrix.from_coeffs(A)).factor.entry(0, 0)
 
 
 def _screen_definite(S: LaurentMatrix, tol: float) -> None:
@@ -112,7 +112,7 @@ def _screen_definite(S: LaurentMatrix, tol: float) -> None:
         )
 
 
-def _bauer_last_row(C: list, k: int, N: int, L: int) -> np.ndarray:
+def _bauer_last_row(C, k: int, N: int, L: int) -> np.ndarray:
     """Deep-row block Cholesky estimate of the factor coefficients.
 
     Builds the Hermitian block Toeplitz section T[i, j] = C_{i-j} of L block
@@ -329,15 +329,15 @@ def factor_positive_definite(S: LaurentMatrix, tol: float = 1e-9) -> AnalyticPol
         F = LaurentMatrix.constant(V @ np.diag(np.sqrt(np.maximum(w, 0.0))))
         return canonicalize(F).factor
 
-    C = np.stack([S.coeff(n) for n in range(N + 1)])
+    C = S.coeff_array(0, N)
     L = max(_BAUER_BLOCKS, 2 * N + 2)
-    best_A = _bauer_last_row(list(C), k, N, L)
+    best_A = _bauer_last_row(C, k, N, L)
     best_rel, last_gain = _relative_residual(C, best_A), 0.0
     for _ in range(_BAUER_DOUBLINGS):
         if best_rel <= 0.3 * tol:
             break
         L *= 2
-        A = _bauer_last_row(list(C), k, N, L)
+        A = _bauer_last_row(C, k, N, L)
         rel = _relative_residual(C, A)
         gain = best_rel / max(rel, 1e-300)
         if rel < best_rel:
@@ -354,7 +354,7 @@ def factor_positive_definite(S: LaurentMatrix, tol: float = 1e-9) -> AnalyticPol
         # the first section, each polish with a fresh stall count, recovers.
         L, best_rel = max(_BAUER_BLOCKS, 2 * N + 2), np.inf
         for _ in range(_BAUER_DOUBLINGS + 2):
-            A = _bauer_last_row(list(C), k, N, L)
+            A = _bauer_last_row(C, k, N, L)
             rel = _relative_residual(C, A)
             if rel < best_rel:
                 best_A, best_rel = A, rel
@@ -375,7 +375,7 @@ def factor_positive_definite(S: LaurentMatrix, tol: float = 1e-9) -> AnalyticPol
         # outer factor.  One more Gauss-Newton step takes it to 5.4e-15.
         best_A, best_rel = polish_coefficients(C, best_A, 0.3 * tol, min_steps=1)
 
-    F = LaurentMatrix(k, k, {n: best_A[n] for n in range(N + 1)})
+    F = LaurentMatrix.from_coeffs(best_A)
     F = _reflect_interior_zeros(F, tol)
     factor = canonicalize(F).factor
 

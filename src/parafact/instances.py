@@ -56,7 +56,7 @@ def elementary_factor(v) -> AnalyticPolyMatrix:
     v = v / norm
     m = v.size
     P = np.outer(v, v.conj())
-    return LaurentMatrix(m, m, {0: np.eye(m) - P, 1: P}).as_analytic(0.0)
+    return AnalyticPolyMatrix.from_coeffs([np.eye(m) - P, P])
 
 
 def _haar_unitary(m: int, gen: np.random.Generator) -> np.ndarray:
@@ -88,12 +88,12 @@ def gen_spectrum(
     if N < 0:
         raise ValueError("order must be nonnegative")
     gen = np.random.default_rng(seed)
-    terms = {
-        n: (gen.standard_normal((m, k)) + 1j * gen.standard_normal((m, k)))
-        / np.sqrt(2.0)
-        for n in range(N + 1)
-    }
-    A = LaurentMatrix(m, k, terms)
+    A = LaurentMatrix.from_coeffs(
+        [
+            (gen.standard_normal((m, k)) + 1j * gen.standard_normal((m, k))) / np.sqrt(2.0)
+            for _ in range(N + 1)
+        ]
+    )
     if interior_zero_free:
         opts = RankDefOptions()
         budget = 4 * k * max(N, 1) + 16

@@ -1,16 +1,20 @@
 """Laurent polynomial scalars and matrices with complex coefficients.
 
 A Laurent polynomial is a finite sum ``sum_n c_n z^n`` with integer powers of
-either sign.  Coefficients are kept sparsely, keyed by power; exact-zero
-coefficients are never stored, so the reported span reflects the support.
-Values on the unit circle ``z = e^(i theta)`` are the objects of interest:
-the adjoint ``F~`` defined by ``F~(z) = F(1/conj(z))^H`` coincides with the
-pointwise conjugate transpose there.
+either sign.  A scalar ``LaurentPoly`` keeps its coefficients in a dict keyed
+by power, without exact zeros.  A ``LaurentMatrix`` keeps the lowest power lo
+and one dense (span + 1, rows, cols) array of the coefficient matrices from
+lo up, with all-zero matrices stripped from both ends, so in both the
+reported span is the support.  ``LaurentMatrix.from_coeffs`` and
+``coeff_array`` move whole coefficient stacks in and out.  Values on the unit
+circle ``z = e^(i theta)`` are the objects of interest: the adjoint ``F~``
+defined by ``F~(z) = F(1/conj(z))^H`` coincides with the pointwise conjugate
+transpose there.
 
 Objects are immutable after construction: arithmetic returns new instances
-and coefficient arrays are exposed read-only.  Matrix operations work on
-whole coefficient arrays; ``LaurentMatrix.derivative`` gives F' without
-going through the scalar entries.
+and coefficient arrays are exposed read-only.  Matrix operations are slices
+and batched products of the coefficient array; they never go through the
+scalar entries.
 """
 
 from __future__ import annotations
@@ -255,50 +259,79 @@ def _as_poly(x):
     return NotImplemented
 
 
+def _support(mats):
+    """(lo, hi) covering every nonzero matrix of mats; (0, -1) when all are zero."""
+    live = [M for M in mats if not M.is_zero]
+    if not live:
+        return 0, -1
+    return min(M.lo for M in live), max(M.hi for M in live)
+
+
 class LaurentMatrix:
     """Matrix Laurent polynomial ``sum_n C_n z^n`` with C_n complex matrices.
 
-    Coefficients are stored sparsely by power as read-only complex arrays of
-    a common shape.  All-zero coefficient matrices are dropped on
-    construction.
+    The coefficients C_lo..C_hi are one read-only, C-contiguous complex
+    array of shape (span + 1, rows, cols).  All-zero coefficient matrices at
+    either end are stripped on construction, so lo and hi are the ends of
+    the support; an all-zero power between them stays in the array but is
+    not listed in ``terms``.
     """
 
-    __slots__ = ("_rows", "_cols", "_terms")
+    __slots__ = ("_lo", "_coeffs")
 
     def __init__(self, rows: int, cols: int, terms=None):
         rows, cols = int(rows), int(cols)
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        data = {}
-        if terms:
-            # One stacked copy checks every power at once; the per-power loop
-            # only runs on bad input, to name the first offending power.
-            try:
-                stack = np.array(list(terms.values()), dtype=complex)
-            except ValueError:
-                stack = None
-            if (
-                stack is None
-                or stack.shape != (len(terms), rows, cols)
-                or not np.isfinite(stack).all()
-            ):
-                for n, C in terms.items():
-                    C = np.asarray(C, dtype=complex)
-                    if C.shape != (rows, cols):
-                        raise ValueError(
-                            "coefficient at power %d has shape %r, expected %r"
-                            % (n, C.shape, (rows, cols))
-                        )
-                    if not np.all(np.isfinite(C)):
-                        raise ValueError("non-finite coefficient at power %d" % n)
-            stack.setflags(write=False)
-            nonzero = stack.any(axis=(1, 2))
-            data = {int(n): C for n, C, keep in zip(terms, stack, nonzero) if keep}
-        self._rows = rows
-        self._cols = cols
-        self._terms = data
+        if not terms:
+            self._store(np.zeros((0, rows, cols), dtype=complex), 0)
+            return
+        # One stacked copy checks every shape at once; the per-power loop
+        # only runs on bad input, to name the first offending power.
+        try:
+            stack = np.array(list(terms.values()), dtype=complex)
+        except ValueError:
+            stack = None
+        if stack is None or stack.shape != (len(terms), rows, cols):
+            for n, C in terms.items():
+                C = np.asarray(C, dtype=complex)
+                if C.shape != (rows, cols):
+                    raise ValueError(
+                        "coefficient at power %d has shape %r, expected %r"
+                        % (n, C.shape, (rows, cols))
+                    )
+        powers = np.array([int(n) for n in terms])
+        lo = int(powers.min())
+        C = np.zeros((int(powers.max()) - lo + 1, rows, cols), dtype=complex)
+        C[powers - lo] = stack
+        self._store(C, lo)
+
+    def _store(self, C: np.ndarray, lo: int) -> None:
+        """Keep the fresh C-contiguous array C of powers lo.. without its zero ends."""
+        finite = np.isfinite(C)
+        if not finite.all():
+            bad = int(np.argmin(finite.all(axis=(1, 2))))
+            raise ValueError("non-finite coefficient at power %d" % (lo + bad))
+        live = np.flatnonzero(C.any(axis=(1, 2)))
+        if live.size:
+            C, lo = C[live[0] : live[-1] + 1], lo + int(live[0])
+        else:
+            C, lo = C[:0], 0
+        C.setflags(write=False)
+        self._lo = lo
+        self._coeffs = C
 
     # -- construction helpers -------------------------------------------
+
+    @classmethod
+    def from_coeffs(cls, coeffs, lo: int = 0) -> "LaurentMatrix":
+        """Build from a (count, rows, cols) coefficient array for powers lo, lo+1, ..."""
+        C = np.array(coeffs, dtype=complex, order="C")
+        if C.ndim != 3:
+            raise ValueError("coefficients must form a (count, rows, cols) array")
+        M = object.__new__(cls)
+        M._store(C, int(lo))
+        return M
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "LaurentMatrix":
@@ -306,39 +339,35 @@ class LaurentMatrix:
 
     @classmethod
     def identity(cls, m: int) -> "LaurentMatrix":
-        return cls(m, m, {0: np.eye(m, dtype=complex)})
+        return cls.from_coeffs(np.eye(m, dtype=complex)[None])
 
     @classmethod
     def constant(cls, C) -> "LaurentMatrix":
         C = np.asarray(C, dtype=complex)
         if C.ndim != 2:
             raise ValueError("constant coefficient must be a 2-d array")
-        return cls(C.shape[0], C.shape[1], {0: C})
+        return cls.from_coeffs(C[None])
 
     @classmethod
     def from_entries(cls, grid) -> "LaurentMatrix":
         """Build from a nested list of LaurentPoly / scalar entries."""
         rows = len(grid)
         cols = len(grid[0]) if rows else 0
-        powers = set()
-        polys = []
-        for r in grid:
+        powers, cells, values = [], [], []
+        for i, r in enumerate(grid):
             if len(r) != cols:
                 raise ValueError("ragged entry grid")
-            row = []
-            for e in r:
-                p = e if isinstance(e, LaurentPoly) else LaurentPoly({0: e})
-                powers.update(p.terms)
-                row.append(p)
-            polys.append(row)
-        terms = {}
-        for n in powers:
-            C = np.zeros((rows, cols), dtype=complex)
-            for i in range(rows):
-                for j in range(cols):
-                    C[i, j] = polys[i][j].coeff(n)
-            terms[n] = C
-        return cls(rows, cols, terms)
+            for j, e in enumerate(r):
+                terms = (e if isinstance(e, LaurentPoly) else LaurentPoly({0: e}))._terms
+                powers.extend(terms)
+                cells.extend([i * cols + j] * len(terms))
+                values.extend(terms.values())
+        if not powers:
+            return cls(rows, cols)
+        lo = min(powers)
+        C = np.zeros((max(powers) - lo + 1, rows * cols), dtype=complex)
+        C[np.array(powers) - lo, cells] = values
+        return cls.from_coeffs(C.reshape(-1, rows, cols), lo)
 
     @classmethod
     def diagonal(cls, entries) -> "LaurentMatrix":
@@ -349,69 +378,55 @@ class LaurentMatrix:
 
     @staticmethod
     def vstack(blocks) -> "LaurentMatrix":
-        blocks = [b for b in blocks if b.rows > 0]
-        if not blocks:
-            raise ValueError("nothing to stack")
-        cols = blocks[0].cols
-        if any(b.cols != cols for b in blocks):
-            raise ValueError("column counts differ")
-        rows = sum(b.rows for b in blocks)
-        terms = {}
-        offset = 0
-        for b in blocks:
-            for n, C in b.terms.items():
-                T = terms.setdefault(n, np.zeros((rows, cols), dtype=complex))
-                T[offset : offset + b.rows, :] = C
-            offset += b.rows
-        return LaurentMatrix(rows, cols, terms)
+        return LaurentMatrix._concat(blocks, 0)
 
     @staticmethod
     def hstack(blocks) -> "LaurentMatrix":
-        blocks = [b for b in blocks if b.cols > 0]
+        return LaurentMatrix._concat(blocks, 1)
+
+    @staticmethod
+    def _concat(blocks, axis: int) -> "LaurentMatrix":
+        """Blocks stacked along rows (axis 0) or columns (axis 1)."""
+        blocks = [b for b in blocks if b.shape[axis] > 0]
         if not blocks:
             raise ValueError("nothing to stack")
-        rows = blocks[0].rows
-        if any(b.rows != rows for b in blocks):
-            raise ValueError("row counts differ")
-        cols = sum(b.cols for b in blocks)
-        terms = {}
-        offset = 0
-        for b in blocks:
-            for n, C in b.terms.items():
-                T = terms.setdefault(n, np.zeros((rows, cols), dtype=complex))
-                T[:, offset : offset + b.cols] = C
-            offset += b.cols
-        return LaurentMatrix(rows, cols, terms)
+        if len({b.shape[1 - axis] for b in blocks}) > 1:
+            raise ValueError("%s counts differ" % ("column", "row")[axis])
+        lo, hi = _support(blocks)
+        C = np.concatenate([b.coeff_array(lo, hi) for b in blocks], axis=axis + 1)
+        return LaurentMatrix.from_coeffs(C, lo)
 
     # -- basic queries ---------------------------------------------------
 
     @property
     def rows(self) -> int:
-        return self._rows
+        return self._coeffs.shape[1]
 
     @property
     def cols(self) -> int:
-        return self._cols
+        return self._coeffs.shape[2]
 
     @property
     def shape(self):
-        return (self._rows, self._cols)
+        return self._coeffs.shape[1:]
 
     @property
     def terms(self):
-        return MappingProxyType(self._terms)
+        """Read-only mapping of each power with a nonzero coefficient to it."""
+        live = np.flatnonzero(self._coeffs.any(axis=(1, 2)))
+        return MappingProxyType({self._lo + int(i): self._coeffs[i] for i in live})
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not len(self._coeffs)
 
     @property
     def lo(self):
-        return min(self._terms) if self._terms else None
+        return None if self.is_zero else self._lo
 
     @property
     def hi(self):
-        return max(self._terms) if self._terms else None
+        return None if self.is_zero else self._lo + len(self._coeffs) - 1
 
     @property
     def order(self):
@@ -420,54 +435,54 @@ class LaurentMatrix:
 
     @property
     def span(self) -> int:
-        return (self.hi - self.lo) if self._terms else 0
+        return max(len(self._coeffs) - 1, 0)
 
     def coeff(self, n: int) -> np.ndarray:
-        C = self._terms.get(int(n))
-        if C is None:
-            return np.zeros((self._rows, self._cols), dtype=complex)
-        return C
+        i = int(n) - self._lo
+        if 0 <= i < len(self._coeffs):
+            return self._coeffs[i]
+        return np.zeros(self.shape, dtype=complex)
+
+    def coeff_array(self, lo: int, hi: int) -> np.ndarray:
+        """Coefficients for powers lo..hi inclusive, a zero-padded copy."""
+        out = np.zeros((hi - lo + 1,) + self.shape, dtype=complex)
+        a = max(lo, self._lo)
+        b = min(hi, self._lo + len(self._coeffs) - 1)
+        if a <= b:
+            out[a - lo : b - lo + 1] = self._coeffs[a - self._lo : b - self._lo + 1]
+        return out
 
     @property
     def max_abs(self) -> float:
-        return float(np.abs(np.stack(list(self._terms.values()))).max()) if self._terms else 0.0
+        return float(np.abs(self._coeffs).max()) if len(self._coeffs) else 0.0
 
     def entry(self, i: int, j: int) -> LaurentPoly:
-        return LaurentPoly({n: C[i, j] for n, C in self._terms.items()})
+        return LaurentPoly.from_coeffs(self._coeffs[:, i, j].tolist(), self._lo)
 
     def submatrix(self, row_idx, col_idx) -> "LaurentMatrix":
-        row_idx = np.asarray(row_idx, dtype=int)
-        col_idx = np.asarray(col_idx, dtype=int)
-        index = np.ix_(row_idx, col_idx)
-        terms = {n: C[index] for n, C in self._terms.items()}
-        return LaurentMatrix(len(row_idx), len(col_idx), terms)
+        index = np.ix_(np.asarray(row_idx, dtype=int), np.asarray(col_idx, dtype=int))
+        return LaurentMatrix.from_coeffs(self._coeffs[(slice(None),) + index], self._lo)
 
     def permuted(self, perm) -> "LaurentMatrix":
         """Symmetric relabeling P F P^T for a permutation of indices."""
-        if self._rows != self._cols:
+        if self.rows != self.cols:
             raise ValueError("symmetric permutation needs a square matrix")
         return self.submatrix(perm, perm)
 
     # -- arithmetic ------------------------------------------------------
 
-    def _check_same_shape(self, other):
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch: %r vs %r" % (self.shape, other.shape))
-
     def __add__(self, other):
         if not isinstance(other, LaurentMatrix):
             return NotImplemented
-        self._check_same_shape(other)
-        terms = {n: np.array(C) for n, C in self._terms.items()}
-        for n, C in other._terms.items():
-            if n in terms:
-                terms[n] = terms[n] + C
-            else:
-                terms[n] = C
-        return LaurentMatrix(self._rows, self._cols, terms)
+        if self.shape != other.shape:
+            raise ValueError("shape mismatch: %r vs %r" % (self.shape, other.shape))
+        lo, hi = _support((self, other))
+        return LaurentMatrix.from_coeffs(
+            self.coeff_array(lo, hi) + other.coeff_array(lo, hi), lo
+        )
 
     def __neg__(self):
-        return LaurentMatrix(self._rows, self._cols, {n: -C for n, C in self._terms.items()})
+        return LaurentMatrix.from_coeffs(-self._coeffs, self._lo)
 
     def __sub__(self, other):
         if not isinstance(other, LaurentMatrix):
@@ -479,127 +494,122 @@ class LaurentMatrix:
         p = _as_poly(other)
         if p is NotImplemented:
             return NotImplemented
-        terms = {}
-        for n, C in self._terms.items():
-            for m, c in p.terms.items():
-                k = n + m
-                if k in terms:
-                    terms[k] = terms[k] + c * C
-                else:
-                    terms[k] = c * C
-        return LaurentMatrix(self._rows, self._cols, terms)
+        if p.is_zero or self.is_zero:
+            return LaurentMatrix(*self.shape)
+        C = self._coeffs
+        out = np.zeros((len(C) + p.hi - p.lo,) + self.shape, dtype=complex)
+        for m, c in p.terms.items():
+            out[m - p.lo : m - p.lo + len(C)] += c * C
+        return LaurentMatrix.from_coeffs(out, self._lo + p.lo)
 
     __rmul__ = __mul__
 
     def __matmul__(self, other):
         if not isinstance(other, LaurentMatrix):
             return NotImplemented
-        if self._cols != other._rows:
+        if self.cols != other.rows:
             raise ValueError(
                 "dimension mismatch: %r @ %r" % (self.shape, other.shape)
             )
-        if not self._terms or not other._terms:
-            return LaurentMatrix(self._rows, other._cols)
-        # The right operand as one dense window of powers lo..hi, so each
-        # left power contributes one batched product.  Looping over the left
-        # powers in dict order sums every output coefficient in the same
-        # order as a loop over pairs of powers would.
-        lo, hi = other.lo, other.hi
-        B = np.zeros((hi - lo + 1, other._rows, other._cols), dtype=complex)
-        for m, Bm in other._terms.items():
-            B[m - lo] = Bm
-        base = self.lo + lo
-        out = np.zeros((self.span + hi - lo + 1, self._rows, other._cols), dtype=complex)
-        for n, A in self._terms.items():
-            out[n + lo - base : n + hi + 1 - base] += A @ B
-        # Powers keep the order in which that pairwise loop first meets them,
-        # because later sums over a matrix's terms run in its dict order.
-        sums = np.add.outer(list(self._terms), list(other._terms)).ravel()
-        first = np.sort(np.unique(sums, return_index=True)[1])
-        return LaurentMatrix(
-            self._rows, other._cols, {int(k): out[k - base] for k in sums[first]}
-        )
+        A, B = self._coeffs, other._coeffs
+        if not len(A) or not len(B):
+            return LaurentMatrix(self.rows, other.cols)
+        # One batched product per left power, summed in ascending powers.
+        out = np.zeros((len(A) + len(B) - 1, self.rows, other.cols), dtype=complex)
+        for i, An in enumerate(A):
+            out[i : i + len(B)] += An @ B
+        return LaurentMatrix.from_coeffs(out, self._lo + other._lo)
 
     def shifted(self, k: int) -> "LaurentMatrix":
-        return LaurentMatrix(self._rows, self._cols, {n + k: C for n, C in self._terms.items()})
+        return LaurentMatrix.from_coeffs(self._coeffs, self._lo + k)
 
     def adjoint(self) -> "LaurentMatrix":
         """Adjoint F~ with coefficients (F~)_n = (F_{-n})^H."""
-        return LaurentMatrix(
-            self._cols, self._rows, {-n: C.conj().T for n, C in self._terms.items()}
-        )
+        C = self._coeffs[::-1].conj().transpose(0, 2, 1)
+        return LaurentMatrix.from_coeffs(C, 1 - self._lo - len(self._coeffs))
 
     def derivative(self) -> "LaurentMatrix":
         """Formal derivative d/dz, coefficientwise as LaurentPoly.derivative."""
-        return LaurentMatrix(
-            self._rows,
-            self._cols,
-            {n - 1: n * C for n, C in self._terms.items() if n != 0},
-        )
+        n = np.arange(self._lo, self._lo + len(self._coeffs))
+        return LaurentMatrix.from_coeffs(self._coeffs * n[:, None, None], self._lo - 1)
 
     def transpose(self) -> "LaurentMatrix":
         """Plain transpose F^T, coefficientwise and without conjugation."""
-        return LaurentMatrix(
-            self._cols, self._rows, {n: C.T.copy() for n, C in self._terms.items()}
-        )
+        return LaurentMatrix.from_coeffs(self._coeffs.transpose(0, 2, 1), self._lo)
 
     # -- evaluation ------------------------------------------------------
 
     def eval(self, z) -> np.ndarray:
-        z = complex(z)
-        if not self._terms:
-            return np.zeros((self._rows, self._cols), dtype=complex)
-        lo, hi = self.lo, self.hi
-        if lo < 0 and z == 0:
+        """F at the point z, or at every point of an array z.
+
+        Returns a (rows, cols) array for a scalar z and a
+        z.shape + (rows, cols) array otherwise.  Horner's rule runs over the
+        powers max(hi, 0)..0 for all points at once; each negative power n
+        adds C_n (1/z)^(-n), with 1/z and its power taken in Python complex
+        arithmetic point by point.  Raises ZeroDivisionError when F has
+        negative powers and a point is 0.
+
+        One point takes the Horner product in place and many points out of
+        place.  numpy runs different loops for the two, and they round
+        differently when F is 1 x 1, where every point is one element; for
+        larger F both round each point alike, so a point of an array gets
+        exactly the value it gets alone.
+        """
+        z = np.asarray(z, dtype=complex)
+        acc = np.zeros(z.shape + self.shape, dtype=complex)
+        if self.is_zero:
+            return acc
+        C, lo, hi = self._coeffs, self._lo, self.hi
+        if lo < 0 and np.any(z == 0):
             raise ZeroDivisionError("negative powers evaluated at z = 0")
-        acc = np.zeros((self._rows, self._cols), dtype=complex)
+        zz = z[..., None, None] if z.ndim else complex(z)
         for n in range(max(hi, 0), -1, -1):
-            acc *= z
-            C = self._terms.get(n)
-            if C is not None:
-                acc = acc + C
+            if z.ndim:
+                acc = acc * zz
+            else:
+                acc *= zz
+            if lo <= n <= hi:
+                acc = acc + C[n - lo]
         if lo < 0:
-            w = 1.0 / z
-            for n in range(lo, 0):
-                C = self._terms.get(n)
-                if C is not None:
-                    acc = acc + C * w ** (-n)
+            w = [1.0 / complex(x) for x in z.flat]
+            for n in range(lo, min(hi + 1, 0)):
+                acc = acc + C[n - lo] * np.reshape([x ** (-n) for x in w], np.shape(zz))
         return acc
 
     def eval_unit_grid(self, count: int) -> np.ndarray:
         """Stacked values (count, rows, cols) at e^(2 pi i j / count).
 
-        Exact at the grid points: powers are folded modulo count before an
-        inverse FFT along the grid axis.
+        Exact at the grid points: powers are folded modulo count, in
+        ascending order, before an inverse FFT along the grid axis.
         """
         if count < 1:
             raise ValueError("count must be >= 1")
-        folded = np.zeros((count, self._rows, self._cols), dtype=complex)
-        for n, C in self._terms.items():
-            folded[n % count] += C
+        folded = np.zeros((count,) + self.shape, dtype=complex)
+        for start in range(0, len(self._coeffs), count):
+            chunk = self._coeffs[start : start + count]
+            s = (self._lo + start) % count
+            head = min(count - s, len(chunk))
+            folded[s : s + head] += chunk[:head]
+            folded[: len(chunk) - head] += chunk[head:]
         return np.fft.ifft(folded, axis=0) * count
 
     # -- structure checks ------------------------------------------------
 
     def trim(self, tol: float = 0.0) -> "LaurentMatrix":
         """Drop coefficient matrices with max-abs <= tol times the global max-abs."""
-        if not self._terms:
+        if self.is_zero:
             return self
-        peaks = np.abs(np.stack(list(self._terms.values()))).max(axis=(1, 2))
-        cut = tol * peaks.max()
-        return LaurentMatrix(
-            self._rows,
-            self._cols,
-            {n: C for (n, C), p in zip(self._terms.items(), peaks) if p > cut},
-        )
+        peaks = np.abs(self._coeffs).max(axis=(1, 2))
+        keep = (peaks > tol * peaks.max())[:, None, None]
+        return LaurentMatrix.from_coeffs(np.where(keep, self._coeffs, 0), self._lo)
 
     def is_parahermitian(self, tol: float = 0.0) -> bool:
         """True when F~ = F within tol relative to the largest coefficient entry."""
-        if self._rows != self._cols:
+        if self.rows != self.cols:
             return False
-        powers = {0} | set(self._terms) | {-n for n in self._terms}  # never empty
-        mirrored = np.stack([self.coeff(-n) for n in powers])
-        D = mirrored.conj().transpose(0, 2, 1) - np.stack([self.coeff(n) for n in powers])
+        w = max(abs(self._lo), abs(self._lo + len(self._coeffs) - 1))
+        C = self.coeff_array(-w, w)
+        D = C[::-1].conj().transpose(0, 2, 1) - C
         return float(np.abs(D).max()) <= tol * self.max_abs
 
     def as_analytic(self, tol: float = 0.0) -> "AnalyticPolyMatrix":
@@ -609,16 +619,14 @@ class LaurentMatrix:
         max-abs coefficient; they are dropped.
         """
         cut = tol * self.max_abs
-        terms = {}
-        for n, C in self._terms.items():
-            if n < 0:
-                if np.max(np.abs(C)) > cut:
-                    raise ValueError(
-                        "negative power %d has magnitude above tolerance" % n
-                    )
-            else:
-                terms[n] = C
-        return AnalyticPolyMatrix(self._rows, self._cols, terms)
+        neg = self._coeffs[: max(-self._lo, 0)]
+        if neg.size:
+            over = np.flatnonzero(np.abs(neg).max(axis=(1, 2)) > cut)
+            if over.size:
+                raise ValueError(
+                    "negative power %d has magnitude above tolerance" % (self._lo + over[0])
+                )
+        return AnalyticPolyMatrix.from_coeffs(self._coeffs[len(neg) :], self._lo + len(neg))
 
     def det(self) -> LaurentPoly:
         """Determinant as a Laurent polynomial, by FFT interpolation.
@@ -627,12 +635,12 @@ class LaurentMatrix:
         determinant's support window [k*lo, k*hi] and recovers coefficients
         with a forward FFT.
         """
-        if self._rows != self._cols:
+        if self.rows != self.cols:
             raise ValueError("determinant needs a square matrix")
-        k = self._rows
+        k = self.rows
         if k == 0:
             return LaurentPoly.one()
-        if not self._terms:
+        if self.is_zero:
             return LaurentPoly.zero()
         wlo, whi = k * self.lo, k * self.hi
         count = max(8, _next_pow2(whi - wlo + 1))
@@ -645,15 +653,16 @@ class LaurentMatrix:
     def __eq__(self, other):
         if not isinstance(other, LaurentMatrix):
             return NotImplemented
-        if self.shape != other.shape or set(self._terms) != set(other._terms):
-            return False
-        return all(np.array_equal(self._terms[n], other._terms[n]) for n in self._terms)
+        return (
+            self.shape == other.shape
+            and self._lo == other._lo
+            and np.array_equal(self._coeffs, other._coeffs)
+        )
 
     __hash__ = None
 
     def __repr__(self):
-        powers = sorted(self._terms)
-        return "LaurentMatrix(%dx%d, powers=%r)" % (self._rows, self._cols, powers)
+        return "LaurentMatrix(%dx%d, powers=%r)" % (self.rows, self.cols, sorted(self.terms))
 
 
 class AnalyticPolyMatrix(LaurentMatrix):
@@ -661,9 +670,9 @@ class AnalyticPolyMatrix(LaurentMatrix):
 
     __slots__ = ()
 
-    def __init__(self, rows, cols, terms=None):
-        super().__init__(rows, cols, terms)
-        if self._terms and min(self._terms) < 0:
+    def _store(self, C, lo):
+        super()._store(C, lo)
+        if not self.is_zero and self._lo < 0:
             raise ValueError("analytic polynomial matrix has negative powers")
 
 

@@ -160,10 +160,8 @@ def verify_paraunitary(U: LaurentMatrix, tol: float = 1e-9) -> ParaunitaryReport
     verdicts["coefficient_identity"] = Check(coeff_dev <= tol, coeff_dev, tol)
 
     span = (U.hi or 0) - (U.lo or 0)
-    grid_dev = 0.0
-    eye = np.eye(m)
-    for M in U.eval_unit_grid(_order_grid_count(span)):
-        grid_dev = max(grid_dev, float(np.max(np.abs(M @ M.conj().T - eye))))
+    G = U.eval_unit_grid(_order_grid_count(span))
+    grid_dev = float(np.max(np.abs(G @ G.conj().transpose(0, 2, 1) - np.eye(m))))
     verdicts["grid_unitarity"] = Check(grid_dev <= tol, grid_dev, tol)
 
     det = U.det()
@@ -259,11 +257,11 @@ def complete_to_paraunitary(
     m = row.width
     blocks = [row.as_matrix()]
     if m > 1:
-        H = np.stack([blocks[0].coeff(n)[0] for n in range(row.length + 1)])
+        H = blocks[0].coeff_array(0, row.length)[:, 0]
         C = -_conv_coeffs(H[:, :, None])
         C[0] += np.eye(m)
         A, _ = polish_coefficients(C, _peel_completion(H), _FINAL_POLISH, min_steps=1)
-        lower = canonicalize(LaurentMatrix(m, m - 1, dict(enumerate(A)))).factor
+        lower = canonicalize(LaurentMatrix.from_coeffs(A)).factor
         blocks.append(lower.transpose())
     U = LaurentMatrix.vstack(blocks).as_analytic(0.0)
     report = verify_paraunitary(U, opts.tol)

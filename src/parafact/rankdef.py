@@ -264,11 +264,12 @@ def _circle_samples(S: LaurentMatrix, opts: RankDefOptions, tag: int) -> np.ndar
     The angles come from the tag's stream of rng_seed, and all points are
     evaluated at once as exp(i n theta) times the stacked coefficients.
     """
-    count = 2 * (S.hi or 0) + 17
+    lo, hi = S.lo or 0, S.hi or 0
+    count = 2 * hi + 17
     theta = _rng(opts.rng_seed, tag).uniform(0.0, 2.0 * np.pi, count)
-    powers = sorted(S.terms) or [0]
-    stack = np.stack([S.coeff(n) for n in powers]).reshape(len(powers), -1)
-    return (np.exp(1j * np.outer(theta, powers)) @ stack).reshape(count, S.rows, S.cols)
+    stack = S.coeff_array(lo, hi).reshape(hi - lo + 1, -1)
+    waves = np.exp(1j * np.outer(theta, np.arange(lo, hi + 1)))
+    return (waves @ stack).reshape(count, S.rows, S.cols)
 
 
 def estimate_rank(S: LaurentMatrix, opts: RankDefOptions | None = None) -> int:
@@ -705,16 +706,12 @@ def finalize_polynomial(
             rows[i][j] = q
     F = LaurentMatrix.from_entries(rows).trim(1e-12)
     if F.hi is not None and F.hi > order:
-        excess = max(
-            float(np.max(np.abs(F.coeff(n)))) for n in F.terms if n > order
-        )
+        excess = float(np.max(np.abs(F.coeff_array(order + 1, F.hi))))
         if excess > opts.tol * max(F.max_abs, 1e-300):
             raise NumericalFailureError(
                 "polynomial factor exceeds order %d (excess %.3e)" % (order, excess)
             )
-        F = LaurentMatrix(
-            F.rows, F.cols, {n: C for n, C in F.terms.items() if n <= order}
-        )
+        F = LaurentMatrix.from_coeffs(F.coeff_array(0, order))
     return F.as_analytic(0.0)
 
 
@@ -775,36 +772,25 @@ def _operator_scale(F: LaurentMatrix) -> float:
     return float(np.max(_circle_svs(F)[:, 0]))
 
 
-def _batched_values(F: LaurentMatrix, z: np.ndarray) -> np.ndarray:
-    """An analytic F at every point of z, as a (len(z), rows, cols) array.
-
-    One Horner recurrence serves all points; it rounds as LaurentMatrix.eval
-    rounds each point.
-    """
-    z = z.reshape(-1, 1, 1)
-    acc = np.zeros((z.shape[0],) + F.shape, dtype=complex)
-    for n in range((F.hi or 0), -1, -1):
-        acc = acc * z + F.terms.get(n, 0.0)
-    return acc
-
-
 def _batched_slopes(F: LaurentMatrix, z: np.ndarray) -> np.ndarray:
     """F' of an analytic F at every point of z, as a (len(z), rows, cols) array.
 
-    Rounded as LaurentPoly.eval of each entry of F.derivative() rounds each
-    point, with unfused complex products (see roots._cmul).
+    The Horner recurrence of LaurentMatrix.eval on the coefficients n F_n,
+    but with unfused complex products (see roots._cmul), so each point
+    rounds as LaurentPoly.eval of the entries of F.derivative() rounds it.
     """
+    hi = F.hi or 0
+    C = F.coeff_array(0, hi)
     z = z.reshape(-1, 1, 1)
     acc = np.zeros((z.shape[0],) + F.shape, dtype=complex)
-    for n in range((F.hi or 0), 0, -1):
-        acc = _cmul(acc, z) + n * F.terms.get(n, 0.0)
+    for n in range(hi, 0, -1):
+        acc = _cmul(acc, z) + n * C[n]
     return acc
 
 
 def _smallest_svs(F: LaurentMatrix, points) -> np.ndarray:
     """Smallest singular value of an analytic F at every point."""
-    z = np.asarray(points, dtype=complex)
-    return np.linalg.svd(_batched_values(F, z), compute_uv=False)[:, -1]
+    return np.linalg.svd(F.eval(points), compute_uv=False)[:, -1]
 
 
 def _refine_drop_points(F: LaurentMatrix, starts, iters: int = 8) -> np.ndarray:
@@ -816,15 +802,15 @@ def _refine_drop_points(F: LaurentMatrix, starts, iters: int = 8) -> np.ndarray:
     Jacobian [F'(z) v, F(z)] keeps the step well-conditioned even when only
     some rows of F vanish at the point.  A start stops at a non-finite step,
     a collapsed null vector, or a step of at most 1e-15 max(1, |a|), and
-    lands on its iterate with the smallest sigma_min so far.  F and F' come
-    from array Horner recurrences over all live starts, sigma_min from one
-    batched SVD, and the minimum-norm step from a batched pseudo-inverse
-    with the cutoff that lstsq(rcond=None) uses.  Returns the landings in
-    the order of starts.
+    lands on its iterate with the smallest sigma_min so far.  F comes from
+    LaurentMatrix.eval and F' from _batched_slopes at all live starts at
+    once, sigma_min from one batched SVD, and the minimum-norm step from a
+    batched pseudo-inverse with the cutoff that lstsq(rcond=None) uses.
+    Returns the landings in the order of starts.
     """
     m, k = F.shape
     a = np.array(starts, dtype=complex).reshape(-1)
-    M = _batched_values(F, a)
+    M = F.eval(a)
     _, sv, vh = np.linalg.svd(M)
     v = vh[:, -1].conj()
     best, best_sv = a.copy(), sv[:, -1]
@@ -847,7 +833,7 @@ def _refine_drop_points(F: LaurentMatrix, starts, iters: int = 8) -> np.ndarray:
         live, step, w, nv = live[ok], upd[ok, 0], w[ok], nv[ok]
         a[live] += step
         v = w / nv[:, None]
-        M = _batched_values(F, a[live])
+        M = F.eval(a[live])
         smin = np.linalg.svd(M, compute_uv=False)[:, -1]
         better = smin < best_sv[live]
         best[live[better]] = a[live[better]]
@@ -894,13 +880,13 @@ def find_rank_drop_points(
     gen = _rng(opts.rng_seed, _TAG_COMPRESS)
     L = (gen.standard_normal((k, m)) + 1j * gen.standard_normal((k, m))) / np.sqrt(2)
     N = F.hi or 0
-    P = [L @ F.coeff(n) for n in range(N, -1, -1)]
+    P = L @ F.coeff_array(0, N)
     z = np.zeros(0, dtype=complex)
     if N:
         X = np.eye(k * N, dtype=complex)
-        X[:k, :k] = P[0]
+        X[:k, :k] = P[N]
         Y = -np.eye(k * N, k=-k, dtype=complex)
-        Y[:k] = np.hstack(P[1:])
+        Y[:k] = np.hstack(P[N - 1 :: -1])
         z = scipy.linalg.eigvals(-Y, X)
     landed = _refine_drop_points(F, z[np.isfinite(z) & (np.abs(z) < 1.0 - radius)])
     # Pole removal and numerator lifts pile zero structure onto z = 0, and
@@ -1122,12 +1108,9 @@ def spectral_factor(
     # residual barely sees: a residual already below the target says
     # nothing about that, so a tall factor always takes one step.
     A, _ = polish_coefficients(
-        np.stack([S.coeff(n) for n in range(N + 1)]),
-        np.stack([F.coeff(n) for n in range(N + 1)]),
-        _FINAL_POLISH,
-        min_steps=int(k < m),
+        S.coeff_array(0, N), F.coeff_array(0, N), _FINAL_POLISH, min_steps=int(k < m)
     )
-    F = LaurentMatrix(m, k, dict(enumerate(A)))
+    F = LaurentMatrix.from_coeffs(A)
     factor = canonicalize(F).factor
 
     product = factor @ factor.adjoint()
@@ -1232,8 +1215,8 @@ def verify_factorization(
             rng_seed=opts.rng_seed,
         )
     scale = max(S.max_abs, 1e-300)
-    negative = LaurentMatrix(*factor.shape, {n: C for n, C in factor.terms.items() if n < 0})
-    neg_mass = negative.max_abs / max(factor.max_abs, 1e-300)
+    negative = factor.coeff_array(min(factor.lo or 0, 0), -1)
+    neg_mass = float(np.abs(negative).max(initial=0.0)) / max(factor.max_abs, 1e-300)
     verdicts["analytic"] = Check(neg_mass <= opts.tol, neg_mass, opts.tol)
 
     product = factor @ factor.adjoint()
@@ -1241,12 +1224,9 @@ def verify_factorization(
     verdicts["coefficient_residual"] = Check(residual <= opts.tol, residual, opts.tol)
 
     count = _order_grid_count(S.hi or 0)
-    grid_dev = 0.0
-    Ss = S.eval_unit_grid(count)
     Fs = factor.eval_unit_grid(count)
-    for M, Fz in zip(Ss, Fs):
-        grid_dev = max(grid_dev, float(np.max(np.abs(M - Fz @ Fz.conj().T))))
-    grid_dev /= scale
+    gram = Fs @ Fs.conj().transpose(0, 2, 1)
+    grid_dev = float(np.max(np.abs(S.eval_unit_grid(count) - gram))) / scale
     verdicts["grid_residual"] = Check(grid_dev <= opts.tol, grid_dev, opts.tol)
 
     order_f, verdicts["order_matches"] = _order_check(S, product)

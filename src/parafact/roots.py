@@ -217,9 +217,7 @@ def reflect_column_zero(F: LaurentMatrix, a: complex, null_basis: np.ndarray):
     if (G.lo or 0) < 0:
         raise ValueError("reflect_column_zero expects an analytic matrix")
     d = G.hi or 0
-    C = np.zeros((d + 1, G.rows, G.cols), dtype=complex)
-    for n, M in G.terms.items():
-        C[n] = M
+    C = G.coeff_array(0, d)
     c = C[:, :, :nu].copy()
     # q has powers 0..d-1, padded with a zero row at power d so that
     # (z - a) q and (1 - conj(a) z) q are plain shifted differences.
@@ -231,4 +229,4 @@ def reflect_column_zero(F: LaurentMatrix, a: complex, null_basis: np.ndarray):
     worst = float(np.max(np.abs(resid)))
     C[:, :, :nu] = q
     C[1:, :, :nu] -= _cmul(q[:-1], a.conjugate())
-    return LaurentMatrix(G.rows, G.cols, dict(enumerate(C))), U, worst
+    return LaurentMatrix.from_coeffs(C), U, worst

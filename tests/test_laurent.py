@@ -283,6 +283,99 @@ class TestLaurentMatrix:
         assert dC.is_zero
         assert dC.shape == (2, 3)
 
+    @pytest.mark.parametrize("lo", [-3, 0, 2])
+    def test_from_coeffs_strips_zero_end_slices(self, lo):
+        rng = np.random.default_rng(40)
+        C = np.zeros((7, 2, 3), dtype=complex)
+        C[2] = rng.standard_normal((2, 3))
+        C[5, 1, 2] = 2j
+        M = LaurentMatrix.from_coeffs(C, lo)
+        assert (M.lo, M.hi, M.span) == (lo + 2, lo + 5, 3)
+        assert sorted(M.terms) == [lo + 2, lo + 5]
+        assert M == LaurentMatrix(2, 3, {lo + 2: C[2], lo + 5: C[5]})
+        Z = LaurentMatrix.from_coeffs(np.zeros((3, 2, 2)), lo)
+        assert Z.is_zero and Z.lo is None and Z == LaurentMatrix.zeros(2, 2)
+
+    def test_interior_zero_power_is_not_a_term(self):
+        from parafact.fileio import matrix_to_text
+
+        C = np.zeros((3, 2, 2), dtype=complex)
+        C[0] = np.eye(2)
+        C[2] = [[1.0, 2.0], [3.0, 4.0j]]
+        M = LaurentMatrix.from_coeffs(C, -1)
+        assert (M.lo, M.hi) == (-1, 1)
+        assert list(M.terms) == [-1, 1]
+        text = matrix_to_text(M)
+        assert '"power": 0' not in text
+        assert text == matrix_to_text(LaurentMatrix(2, 2, {-1: C[0], 1: C[2]}))
+
+    def test_coeff_array_pads_with_zeros_and_the_store_is_read_only(self):
+        C = np.arange(1.0, 13.0).reshape(3, 2, 2) + 0j
+        C[1] = 0.0
+        M = LaurentMatrix.from_coeffs(C, 1)
+        A = M.coeff_array(-1, 5)
+        assert A.shape == (7, 2, 2)
+        assert np.array_equal(A[2:5], C)
+        assert not A[:2].any() and not A[5:].any()
+        assert not M.coeff_array(7, 9).any() and M.coeff_array(4, 3).shape == (0, 2, 2)
+        A[2] = 99.0
+        C[0] = 99.0
+        assert M.coeff(1)[0, 0] == 1.0
+        for n in (1, 2, 3):
+            with pytest.raises(ValueError):
+                M.coeff(n)[0, 0] = 5.0
+
+    def test_analytic_from_coeffs_rejects_negative_powers(self):
+        C = np.ones((2, 1, 1))
+        with pytest.raises(ValueError):
+            AnalyticPolyMatrix.from_coeffs(C, -1)
+        C[0] = 0.0
+        A = AnalyticPolyMatrix.from_coeffs(C, -1)
+        assert isinstance(A, AnalyticPolyMatrix) and A.lo == 0
+
+    def test_from_entries_matches_the_dict_constructor(self):
+        p = LaurentPoly({-2: 1.0 + 1j, 1: 3.0})
+        q = LaurentPoly({0: 2.0, 3: -1j})
+        M = LaurentMatrix.from_entries([[p, 2.5], [0, q], [q, LaurentPoly.zero()]])
+        want = LaurentMatrix(
+            3,
+            2,
+            {
+                -2: [[1.0 + 1j, 0], [0, 0], [0, 0]],
+                0: [[0, 2.5], [0, 2.0], [2.0, 0]],
+                1: [[3.0, 0], [0, 0], [0, 0]],
+                3: [[0, 0], [0, -1j], [-1j, 0]],
+            },
+        )
+        assert M == want
+        assert LaurentMatrix.from_entries([[0, 0]]) == LaurentMatrix.zeros(1, 2)
+
+    @pytest.mark.parametrize("lo, hi", [(0, 4), (2, 5), (-3, 2), (-2, -1)])
+    @pytest.mark.parametrize("shape", [(3, 2), (2, 2), (1, 4)])
+    def test_eval_of_an_array_matches_each_point_bit_for_bit(self, lo, hi, shape):
+        # A 1 x 1 matrix is left out: there numpy rounds the batched and
+        # the lone complex products differently (see LaurentMatrix.eval).
+        rng = np.random.default_rng(41)
+        F = random_matrix(rng, *shape, lo=lo, hi=hi)
+        if hi - lo > 2:
+            F = F - LaurentMatrix(*shape, {lo + 1: F.coeff(lo + 1)})
+        z = np.array(sample_points() + [0.3j, -0.7 + 0.1j, 1e-3]).reshape(2, 4)
+        values = F.eval(z)
+        assert values.shape == z.shape + shape
+        for idx in np.ndindex(z.shape):
+            assert np.array_equal(values[idx], F.eval(z[idx]))
+        assert F.eval(np.zeros(0)).shape == (0,) + shape
+
+    def test_eval_at_zero_with_negative_powers_raises(self):
+        rng = np.random.default_rng(42)
+        F = random_matrix(rng, 2, 2, lo=-1, hi=1)
+        with pytest.raises(ZeroDivisionError):
+            F.eval(np.array([0.5, 0.0, 2.0]))
+        with pytest.raises(ZeroDivisionError):
+            F.eval(0.0)
+        A = random_matrix(rng, 2, 2, lo=0, hi=2)
+        assert np.array_equal(A.eval(np.array([0.5, 0.0]))[1], A.coeff(0))
+
 
 def test_laurent_from_unit_samples_round_trip():
     rng = np.random.default_rng(30)

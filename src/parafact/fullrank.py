@@ -15,7 +15,9 @@ sum_q A_{n+q} A_q^H = C_n, with one step past the first iterate that meets
 the target.  Should that polish stall, as at a multiple circle zero of
 det S, the doubling restarts with a polish after every section.  Stray
 interior determinant zeros are finally reflected back across the circle.
-The rank-deficient pipeline ends with the same polish on its tall factor.
+The rank-deficient pipeline uses both halves on its tall factor: one Bauer
+section of the regularized spectrum S + delta I starts it, and the same
+polish finishes it, as it finishes the rational fallback.
 """
 
 from __future__ import annotations
@@ -119,19 +121,32 @@ def _bauer_last_row(C, k: int, N: int, L: int) -> np.ndarray:
     rows in banded storage, factors it, and reads the last block row, whose
     blocks converge to (A_N, ..., A_0) as L grows.  Returns A with shape
     (N + 1, k, k).
+
+    In lower band storage ab[r, c] = T[c + r, c].  Block column c // k holds
+    C_d[p, q] at row r, with q = c % k and d k + p = r + q, which is the flat
+    index k (r + q) + q of C; so one (bw + 1, k) column block repeated L
+    times is the band, once the entries with c + r >= n, outside T, are
+    zeroed.  It is filled as the transpose of a C-ordered array, which is
+    the Fortran order LAPACK factors in place.
+    The last block row is read the same way: A_d[p, q] sits at row
+    d k + p - q of column (L - 1 - d) k + q, and above the diagonal of A_0
+    the factor is zero.
     """
+    C = np.asarray(C)
     n = k * L
     bw = k * (N + 1) - 1
-    scale = max(float(np.max(np.abs(Cd))) for Cd in C)
+    s = np.arange(bw + 1)[:, None] + np.arange(k)
+    block = np.where(s <= bw, C.reshape(-1)[k * np.minimum(s, bw) + np.arange(k)], 0)
+    w = min(bw, n)
+    outside = np.arange(bw + 1)[:, None] + np.arange(w) >= w
     for bump in range(4):
         # The band is factored in place, so each try fills a fresh one.
-        ab = np.zeros((bw + 1, n), dtype=complex, order="F")
-        for d in range(N + 1):
-            for p in range(k):
-                for q in range(k):
-                    if d > 0 or p >= q:
-                        ab[d * k + p - q, q : q + k * (L - d) : k] = C[d][p, q]
+        band = np.empty((L, k, bw + 1), dtype=complex)
+        band[:] = block.T
+        ab = band.reshape(n, bw + 1).T
+        ab[:, n - w :][outside] = 0.0
         if bump:
+            scale = max(float(np.max(np.abs(Cd))) for Cd in C)
             ab[0, :] += scale * (1e-13 * 100.0 ** (bump - 1))
         try:
             chol = scipy.linalg.cholesky_banded(
@@ -142,12 +157,10 @@ def _bauer_last_row(C, k: int, N: int, L: int) -> np.ndarray:
             pass
     else:
         raise NumericalFailureError("block Toeplitz section is not positive definite")
-    A = np.zeros((N + 1, k, k), dtype=complex)
-    for d in range(N + 1):
-        col0 = (L - 1 - d) * k
-        for p in range(k):
-            for q in range(k):
-                A[d, p, q] = chol[d * k + p - q, col0 + q]
+    d, p, q = np.ix_(np.arange(N + 1), np.arange(k), np.arange(k))
+    rows = d * k + p - q
+    A = chol[np.maximum(rows, 0), (L - 1 - d) * k + q]
+    A[rows < 0] = 0.0
     return A
 
 

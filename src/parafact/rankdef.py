@@ -7,7 +7,21 @@ in the open unit disk.  The pipeline:
 
 1. estimate the almost-everywhere rank from unit-circle samples;
 2. pick a symmetric permutation putting a well-conditioned k x k head block
-   in the leading position;
+   in the leading position.
+
+For k < m the regularized start comes next.  S + delta I is positive
+definite, so one Bauer section (fullrank._bauer_last_row) factors it; in
+the pivot's row order the trailing m - k columns of that factor shrink like
+sqrt(delta), because a rank-k process has a rank-k innovation.  Its first k
+columns, back in the original row order, are refined by the Gauss-Newton
+polish that the full-rank factorization also uses
+(fullrank.polish_coefficients) to the final target and one step past it.
+The start is accepted only when the polish reaches that target and the
+result has no interior rank drop; a residual within tol is not enough,
+since on projector spectra the polish can stall near 1e-10 at a factor that
+is not the outer one.  Otherwise steps 3-5, the rational construction, run
+as the fallback:
+
 3. factor the head block (full-rank case) and divide the remaining block
    rows by the adjoint factor, giving a rational tall factor whose columns
    share monic denominators;
@@ -20,20 +34,19 @@ in the open unit disk.  The pipeline:
    unpolished candidate) and reflect each across the circle with its whole
    null space in one step;
 6. restore the original row order and refine the coefficients with the
-   Gauss-Newton polish that the full-rank factorization also uses
-   (fullrank.polish_coefficients), which removes the error accumulated
-   by determinant windows, deflation divisions and Blaschke operations;
-   after step 5 it takes at least one step, whatever the residual;
-7. rotate to the canonical representative.
+   same Gauss-Newton polish, which removes the error accumulated by
+   determinant windows, deflation divisions and Blaschke operations; after
+   step 5 it takes at least one step, whatever the residual.
 
-The division of step 3 and steps 4-5 run only when k < m.  For k = m the
-head factor has no tail to divide, hence no poles, and the full-rank
-factorization has reflected its interior determinant zeros, so it has no
-interior rank drops either; it goes straight to step 6.
+Every path ends by rotating to the canonical representative.  For k = m the
+head factor is the whole factor: the full-rank factorization has reflected
+its interior determinant zeros, so it has no poles and no interior rank
+drops either, and it goes straight to the polish of step 6.  The report
+names the path taken: "full-rank", "regularized" or "rational".
 
-Every transformation multiplies columns by unit-modulus scalars or the whole
-factor by constant unitaries, so F F~ is preserved throughout up to
-rounding, which step 6 takes back out.
+Every transformation of the fallback multiplies columns by unit-modulus
+scalars or the whole factor by constant unitaries, so F F~ is preserved
+throughout up to rounding, which step 6 takes back out.
 """
 
 from __future__ import annotations
@@ -51,6 +64,7 @@ from .errors import (
 )
 from .fullrank import (
     _FINAL_POLISH,
+    _bauer_last_row,
     _screen_definite,
     canonicalize,
     factor_positive_definite,
@@ -108,6 +122,17 @@ _IDENTITY_GATE = 1e-4
 # roughly eps^(1/mu), and a landing that stopped short of a zero still
 # passes the confirmation cut within it.
 _MULTI_ROOT_RADIUS = 1e-4
+
+# The regularized start adds delta = _REGULARIZATION * max |C_n| to C_0.  Its
+# error is linear in delta, so delta is as small as rounding allows: the
+# banded Cholesky perturbs the section by about (bw + 1) eps ||T||, with
+# bw + 1 = m (N + 1) and ||T|| <= (2N + 1) m max |C_n|, which is 2e-12 of
+# max |C_n| at (8, ., 8); 1e-10 is the first power of ten 40x above that.
+# The section has max(_REGULARIZED_BLOCKS, 2N + 2) block rows: at 128,
+# Bauer's truncation error is at least four orders below the start error
+# on every shape measured, up to (8, 6, 8).
+_REGULARIZATION = 1e-10
+_REGULARIZED_BLOCKS = 128
 
 
 def _rng(seed: int, tag: int) -> np.random.Generator:
@@ -180,7 +205,13 @@ def _clamped(x: float) -> float:
 
 @dataclass
 class FactorReport:
-    """What the factorization did and how well the result checks out."""
+    """What the factorization did and how well the result checks out.
+
+    path is the route spectral_factor took: "full-rank" (k = m),
+    "regularized" (the start from S + delta I was accepted) or "rational"
+    (the fallback, the only one with Blaschke operations); None for a
+    report of verify_factorization.
+    """
 
     detected_rank: int
     pivot: Optional[tuple] = None
@@ -190,6 +221,7 @@ class FactorReport:
     order: Optional[int] = None
     verdicts: dict = field(default_factory=dict)
     rng_seed: Optional[int] = None
+    path: Optional[str] = None
 
     @property
     def passed(self) -> bool:
@@ -951,9 +983,60 @@ def fix_rank_drop(F: LaurentMatrix, a: complex, opts: RankDefOptions | None = No
 # ---------------------------------------------------------------------------
 
 
-def _outer_tall_factor(Sp, head_factor, N, perm, opts):
-    """Steps 3-5 for k < m: (outer m x k factor of Sp, pole_ops, zero_ops)."""
-    m, k = Sp.rows, head_factor.cols
+def _head_factor(head: LaurentMatrix, opts: RankDefOptions) -> AnalyticPolyMatrix:
+    """factor_positive_definite of the pivoted k x k head block.
+
+    The head factor's error is amplified by the root conditioning of the
+    derived determinant and adjugate before it reaches the deflation step,
+    so it aims two orders below the requested tolerance and falls back to
+    the nominal target only when that proves unreachable.
+    """
+    try:
+        return factor_positive_definite(head, opts.tol * 1e-2)
+    except NumericalFailureError:
+        return factor_positive_definite(head, opts.tol)
+
+
+def _regularized_start(S: LaurentMatrix, perm: tuple, k: int, opts: RankDefOptions):
+    """Coefficients (N+1, m, k) of the outer factor of a rank-k S, or None.
+
+    The first k columns of one Bauer section of S + delta I, delta =
+    _REGULARIZATION max |C_n|, factored in the pivot's row order and read
+    back in the original one, are polished to _FINAL_POLISH and one step
+    past it.  None, which sends spectral_factor to the rational
+    construction, means the polish missed that target, the result has an
+    interior rank drop, or the section or the drop finder raised
+    NumericalFailureError.
+    """
+    m, N = S.rows, S.hi
+    C = S.coeff_array(0, N)
+    section = S.permuted(perm).coeff_array(0, N)
+    section[0] += _REGULARIZATION * S.max_abs * np.eye(m)
+    try:
+        B = _bauer_last_row(section, m, N, max(_REGULARIZED_BLOCKS, 2 * N + 2))
+    except NumericalFailureError:
+        return None
+    B = B[:, np.argsort(perm), :k]
+    A, rel = polish_coefficients(C, B, _FINAL_POLISH, min_steps=1)
+    if rel > _FINAL_POLISH:
+        return None
+    A, _ = polish_coefficients(C, A, _FINAL_POLISH, min_steps=1)
+    try:
+        drops = find_rank_drop_points(LaurentMatrix.from_coeffs(A), opts)
+    except NumericalFailureError:
+        return None
+    return None if drops else A
+
+
+def _outer_tall_factor(S: LaurentMatrix, perm: tuple, k: int, opts: RankDefOptions):
+    """Steps 3-6 for k < m, the rational construction: (A, pole_ops, zero_ops).
+
+    A holds the (N+1, m, k) coefficients of the outer factor of S in its
+    original row order, after the final polish.
+    """
+    m, N = S.rows, S.hi
+    Sp = S.permuted(perm)
+    head_factor = _head_factor(Sp.submatrix(range(k), range(k)), opts)
     tail = tail_quotient(Sp.submatrix(range(k, m), range(k)), head_factor, opts)
     R = stack_rational_factor(head_factor, tail)
     R, pole_ops = remove_inner_poles(R, opts)
@@ -968,6 +1051,7 @@ def _outer_tall_factor(Sp, head_factor, N, perm, opts):
             pole_ops=pole_ops,
             zero_ops=tuple(zero_ops),
             rng_seed=opts.rng_seed,
+            path="rational",
         )
         return NumericalFailureError(
             "interior zero removal did not terminate within %d steps" % cap,
@@ -1044,7 +1128,15 @@ def _outer_tall_factor(Sp, head_factor, N, perm, opts):
     num = clear_drops(num, anchors)
     R = RationalMatrix(num, [shared_den] * R.cols)
     F = finalize_polynomial(R, N, opts)
-    return clear_drops(F), pole_ops, tuple(zero_ops)
+    F = clear_drops(F).submatrix(np.argsort(perm), range(k))
+    # Drop clearing divides at noise-limited points of multiple zeros, which
+    # can leave the factor 1e-9 off the outer one along directions the
+    # residual barely sees: a residual already below the target says
+    # nothing about that, so the polish always takes one step.
+    A, _ = polish_coefficients(
+        S.coeff_array(0, N), F.coeff_array(0, N), _FINAL_POLISH, min_steps=1
+    )
+    return A, pole_ops, tuple(zero_ops)
 
 
 def spectral_factor(
@@ -1060,8 +1152,12 @@ def spectral_factor(
     records the detected rank, pivot, every Blaschke operation, the final
     residual, and named verdicts.
 
-    The tail quotient, pole removal and drop clearing run only for k < m;
-    for k = m the head factor is already outer and goes to the final polish.
+    For k = m the head factor is already outer and goes to the final
+    polish.  For k < m the regularized start of S + delta I is tried first
+    and kept when its polish reaches the final target with no interior rank
+    drop; otherwise the rational construction runs (head factor, tail
+    quotient, pole removal, drop clearing, final polish).  report.path
+    names which of the three ran.
 
     rank overrides the sampled rank estimate when given.  Raises
     ValueError / NotFactorableError on bad input, DegenerateInputError when
@@ -1083,35 +1179,23 @@ def spectral_factor(
 
     perm = select_pivot(S, k, opts)
     identity_check = check_rank_identity(S, perm, k, opts)
-    Sp = S.permuted(perm)
-    head = Sp.submatrix(range(k), range(k))
-    # The head factor's error is amplified by the root conditioning of the
-    # derived determinant and adjugate before it reaches the deflation step,
-    # so aim two orders below the requested tolerance and fall back to the
-    # nominal target only when that proves unreachable.
-    try:
-        head_factor = factor_positive_definite(head, opts.tol * 1e-2)
-    except NumericalFailureError:
-        head_factor = factor_positive_definite(head, opts.tol)
-
-    if k < m:
-        F, pole_ops, zero_ops = _outer_tall_factor(Sp, head_factor, N, perm, opts)
+    pole_ops = zero_ops = ()
+    if k == m:
+        # The pivot is the identity.  Drop clearing looks for interior
+        # eigenvalues of a compression L F; for square F they are the
+        # interior roots of det F, which factor_positive_definite has
+        # reflected already.
+        path = "full-rank"
+        A, _ = polish_coefficients(
+            S.coeff_array(0, N), _head_factor(S, opts).coeff_array(0, N), _FINAL_POLISH
+        )
     else:
-        # Drop clearing looks for interior eigenvalues of a compression L F;
-        # for square F they are the interior roots of det F, which
-        # factor_positive_definite has reflected already.
-        F, pole_ops, zero_ops = head_factor, (), ()
-
-    F = F.submatrix(np.argsort(perm), range(k))
-    # Drop clearing divides at noise-limited points of multiple zeros, which
-    # can leave the factor 1e-9 off the outer one along directions the
-    # residual barely sees: a residual already below the target says
-    # nothing about that, so a tall factor always takes one step.
-    A, _ = polish_coefficients(
-        S.coeff_array(0, N), F.coeff_array(0, N), _FINAL_POLISH, min_steps=int(k < m)
-    )
-    F = LaurentMatrix.from_coeffs(A)
-    factor = canonicalize(F).factor
+        path = "regularized"
+        A = _regularized_start(S, perm, k, opts)
+        if A is None:
+            path = "rational"
+            A, pole_ops, zero_ops = _outer_tall_factor(S, perm, k, opts)
+    factor = canonicalize(LaurentMatrix.from_coeffs(A)).factor
 
     product = factor @ factor.adjoint()
     residual = (product - S).max_abs / scale
@@ -1130,6 +1214,7 @@ def spectral_factor(
         order=order,
         verdicts=verdicts,
         rng_seed=opts.rng_seed,
+        path=path,
     )
     if residual > opts.tol:
         raise NumericalFailureError(

@@ -239,6 +239,19 @@ class TestPeelCompletion:
         assert W is not None
         assert np.max(np.abs(W - np.eye(m - 1))) < 1e-9
 
+    def test_projector_spectrum_takes_the_rational_fallback(self):
+        # The regularized start stalls near 2.5e-10 here, with no interior
+        # rank drop, at a factor that is not the outer one; the fallback
+        # must run and still give the completion's lower block.
+        row = gen_lossless(4, 8, 1).row
+        U, _ = complete_to_paraunitary(row)
+        lower = U.submatrix(range(1, 4), range(4)).transpose()
+        factor, report = spectral_factor(deficiency_matrix(row), rank=3)
+        assert report.path == "rational"
+        W = compare_factors(factor, lower, RankDefOptions(tol=1e-9))
+        assert W is not None
+        assert np.max(np.abs(W - np.eye(3))) < 1e-9
+
 
 class TestFormerCompletionFailures:
     """Rows on which completion through spectral_factor raised."""

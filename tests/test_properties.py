@@ -68,6 +68,19 @@ def test_pivot_head_block_is_nonsingular_on_the_circle(case):
         assert head[-1] > 1e-8 * whole[0]
 
 
+@SETTINGS
+@given(spectra(), st.data(), st.floats(1e-3, 1e3))
+def test_rank_deficient_factor_follows_permutation_and_scaling(case, data, c):
+    S, k = case
+    assume(k < S.rows)
+    perm = data.draw(st.permutations(range(S.rows)))
+    F, _ = spectral_factor(S)
+    G, _ = spectral_factor(S.permuted(perm))
+    assert compare_factors(F.submatrix(perm, range(k)), G) is not None
+    H, _ = spectral_factor(S * c)
+    assert compare_factors(F * np.sqrt(c), H) is not None
+
+
 def plant(F, zeros):
     """(planted, reflected): column 0 of F times (z - a), and times
     (1 - conj(a) z), for every a in zeros."""

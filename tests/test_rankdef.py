@@ -26,6 +26,7 @@ from parafact.rankdef import (
     _TAG_RANK,
     _circle_samples,
     _operator_scale,
+    _outer_tall_factor,
     _refine_drop_points,
     _rng,
     RankDefOptions,
@@ -320,9 +321,12 @@ class TestRankDropPoints:
             )
             assert _operator_scale(F) == want
 
-    # Blaschke operation counts of the whole pipeline on zero-free instances,
-    # recorded with the per-entry refine and reflection code.  Drop clearing
-    # on whole coefficient arrays must take the same steps.
+    # Blaschke operation counts of the rational construction on zero-free
+    # instances, recorded with the per-entry refine and reflection code.
+    # Drop clearing on whole coefficient arrays must take the same steps.
+    # spectral_factor takes the regularized start on these instances, so
+    # the counts come from the fallback, _outer_tall_factor, called as
+    # spectral_factor would call it.
     @pytest.mark.parametrize(
         "m,k,N,seed,zero_ops,pole_ops",
         [
@@ -345,14 +349,23 @@ class TestRankDropPoints:
     )
     def test_operation_counts_are_pinned(self, m, k, N, seed, zero_ops, pole_ops):
         inst = gen_spectrum(m, k, N, seed, interior_zero_free=True)
-        factor, report = spectral_factor(inst.spectrum)
-        assert len(report.zero_ops) == zero_ops
-        assert len(report.pole_ops) == pole_ops
+        S = inst.spectrum.trim(0.0)
+        opts = RankDefOptions()
+        A, pole, zero = _outer_tall_factor(S, select_pivot(S, k, opts), k, opts)
+        assert len(zero) == zero_ops
+        assert len(pole) == pole_ops
+        assert compare_factors(inst.secret_factor, LaurentMatrix.from_coeffs(A)) is not None
+
+        factor, report = spectral_factor(S)
+        assert report.path == "regularized"
+        assert report.pole_ops == () and report.zero_ops == ()
         assert compare_factors(inst.secret_factor, factor) is not None
 
     # On these instances every drop of the rational stage has nullity
     # k - 1 and is reflected whole, so drop clearing takes one reporting and
-    # one confirming pass there, and one pass on the polynomial factor.
+    # one confirming pass there, and one pass on the polynomial factor.  The
+    # regularized start that spectral_factor takes instead makes one pass,
+    # its acceptance check.
     @pytest.mark.parametrize("m,k,N", [(6, 3, 3), (8, 4, 4), (6, 4, 6)])
     def test_drop_clearing_takes_three_finder_passes(self, m, k, N, monkeypatch):
         calls = []
@@ -363,8 +376,16 @@ class TestRankDropPoints:
 
         monkeypatch.setattr("parafact.rankdef.find_rank_drop_points", counted)
         inst = gen_spectrum(m, k, N, 0, interior_zero_free=True)
-        spectral_factor(inst.spectrum)
+        S = inst.spectrum.trim(0.0)
+        opts = RankDefOptions()
+        _outer_tall_factor(S, select_pivot(S, k, opts), k, opts)
         assert len(calls) == 3
+
+        calls.clear()
+        factor, report = spectral_factor(S)
+        assert report.path == "regularized"
+        assert len(calls) == 1
+        assert compare_factors(inst.secret_factor, factor) is not None
 
     @pytest.mark.parametrize("nu", [2, 3])
     def test_block_drop_is_reflected_in_one_fix(self, nu):

@@ -6,10 +6,11 @@ of the same order as S, and of full column rank inside the open unit
 disk, and it extends a unit-norm analytic row to a square paraunitary
 matrix whose determinant is a monomial.
 
-Layers, lowest first:
+Layers, lowest first; a module imports only from layers listed before it:
 
+    errors       the exception hierarchy
     laurent      Laurent polynomial and matrix arithmetic
-    roots        root finding, clustering, and column reflections
+    roots        root finding, clustering, column reflections, rank drops
     fullrank     positive definite (full-rank) factorization
     rankdef      rank-deficient factorization driver and verification
     paraunitary  unit-norm rows, completion, paraunitarity checks

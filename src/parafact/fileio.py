@@ -34,6 +34,10 @@ __all__ = [
 
 _METADATA_FIELDS = {"name": str, "seed": int, "generator": str}
 
+# A LaurentMatrix is dense over its power span, so two far-apart powers in a
+# short file could ask for any memory; 2^24 coefficients (256 MiB) is ample.
+_MAX_DENSE_COEFFS = 2**24
+
 
 def _fmt(x: float) -> str:
     """Decimal form of a finite float with 17 significant digits.
@@ -123,7 +127,8 @@ def matrix_from_text(text: str) -> tuple[LaurentMatrix, dict]:
     """Parse matrix-file text; returns (matrix, metadata dict).
 
     Raises ValueError on anything malformed: wrong types, non-finite
-    numbers, shape mismatches, or powers out of order.
+    numbers, shape mismatches, powers out of order, or a power span whose
+    dense store would exceed _MAX_DENSE_COEFFS coefficients.
     """
     try:
         doc = json.loads(text)
@@ -163,6 +168,11 @@ def matrix_from_text(text: str) -> tuple[LaurentMatrix, dict]:
                     _as_finite(cell[1], "im at (%d, %d), power %d" % (i, j, p)),
                 )
         terms[p] = C
+    if terms:
+        span = last_power - min(terms)
+        _require((span + 1) * rows * cols <= _MAX_DENSE_COEFFS,
+                 "power span %d of a %d x %d matrix needs more than %d coefficients"
+                 % (span, rows, cols, _MAX_DENSE_COEFFS))
     metadata = {}
     if "metadata" in doc:
         meta = doc["metadata"]

@@ -13,8 +13,9 @@ that still misses the tolerance is refined by polish_coefficients: damped
 Gauss-Newton least squares on the quadratic coefficient equations
 sum_q A_{n+q} A_q^H = C_n, with one step past the first iterate that meets
 the target.  Should that polish stall, as at a multiple circle zero of
-det S, the doubling restarts with a polish after every section.  Stray
-interior determinant zeros are finally reflected back across the circle.
+det S, the doubling restarts with a polish after every section.  Interior
+rank drops, which Bauer and the polish leave near circle zeros of det S,
+are finally reflected across the circle by roots.clear_rank_drops.
 The rank-deficient pipeline uses both halves on its tall factor: one Bauer
 section of the regularized spectrum S + delta I starts it, and the same
 polish finishes it, as it finishes the rational fallback.
@@ -29,7 +30,7 @@ import scipy.linalg
 
 from .errors import NotFactorableError, NumericalFailureError
 from .laurent import AnalyticPolyMatrix, LaurentMatrix, LaurentPoly, _order_grid_count
-from .roots import laurent_roots, reflect_column_zero
+from .roots import RankDefOptions, clear_rank_drops
 
 __all__ = [
     "CanonicalForm",
@@ -40,8 +41,6 @@ __all__ = [
 
 # Relative screen for "full rank at z = 0" inside canonicalize.
 _RANK0_TOL = 1e-12
-# Interior determinant zeros beyond this band from the circle get reflected.
-_REFLECT_BAND = 1e-7
 # Bauer's Toeplitz section has at least this many block rows (and at least
 # 2 * order + 2); it is doubled up to _BAUER_DOUBLINGS times while its
 # estimate misses the polish target.  Off circle zeros of det S each
@@ -256,31 +255,6 @@ def polish_coefficients(
     return best, best_rel
 
 
-def _reflect_interior_zeros(F: LaurentMatrix, tol: float):
-    """Reflect determinant zeros with |a| < 1 - band across the unit circle.
-
-    Zeros within the band of the circle belong to semidefinite spectra and
-    stay put.  Each reflection preserves F F~ exactly up to the division
-    remainder, which is checked against tol.
-    """
-    det = F.det().trim(1e-12)
-    if det.is_zero:
-        raise NumericalFailureError("factor determinant vanished identically")
-    inner = [a for a in laurent_roots(det) if abs(a) < 1.0 - _REFLECT_BAND]
-    inner.sort(key=lambda w: (abs(w), w.real, w.imag))
-    scale = F.max_abs
-    for a in inner:
-        Fa = F.eval(a)
-        _, sv, vh = np.linalg.svd(Fa)
-        F, _, rem = reflect_column_zero(F, a, vh[-1].conj())
-        if rem > 1e3 * tol * max(scale, 1e-300):
-            raise NumericalFailureError(
-                "interior zero reflection left remainder %.3e" % rem,
-                residual=rem / max(scale, 1e-300),
-            )
-    return F
-
-
 def canonicalize(F: LaurentMatrix) -> CanonicalForm:
     """Rotate an analytic factor to its canonical right-unitary representative.
 
@@ -309,8 +283,8 @@ def factor_positive_definite(S: LaurentMatrix, tol: float = 1e-9) -> AnalyticPol
     """Canonical analytic spectral factor of a full-rank definite spectrum.
 
     Postconditions: S+ is analytic of the same order as S, S+ S+~ matches S
-    within tol relative to the largest coefficient, det S+ has no zeros
-    in the open unit disk (up to the reflection band), and S+ is the
+    within tol relative to the largest coefficient, find_rank_drop_points
+    reports no rank drop of S+ in the open unit disk, and S+ is the
     canonical representative of its right-unitary class.
 
     For every k, Bauer's section is doubled from max(_BAUER_BLOCKS, 2N + 2)
@@ -388,8 +362,7 @@ def factor_positive_definite(S: LaurentMatrix, tol: float = 1e-9) -> AnalyticPol
         # outer factor.  One more Gauss-Newton step takes it to 5.4e-15.
         best_A, best_rel = polish_coefficients(C, best_A, 0.3 * tol, min_steps=1)
 
-    F = LaurentMatrix.from_coeffs(best_A)
-    F = _reflect_interior_zeros(F, tol)
+    F = clear_rank_drops(LaurentMatrix.from_coeffs(best_A), RankDefOptions(tol=tol))
     factor = canonicalize(F).factor
 
     final = (factor @ factor.adjoint() - S).max_abs / scale

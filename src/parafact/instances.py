@@ -15,7 +15,7 @@ import numpy as np
 
 from .laurent import AnalyticPolyMatrix, LaurentMatrix
 from .paraunitary import LosslessRow
-from .rankdef import RankDefOptions, find_rank_drop_points, fix_rank_drop
+from .roots import clear_rank_drops
 
 # Relative size below which a leading coefficient vector counts as absent
 # when deciding the actual order of a generated row.
@@ -78,10 +78,10 @@ def gen_spectrum(
 
     Coefficients are i.i.d. complex Gaussian, scaled so the factor's largest
     coefficient has magnitude one.  With interior_zero_free the factor's
-    interior rank drops are reflected across the circle first, which leaves
-    the spectrum unchanged but makes the secret factor itself the outer
-    representative, so factor comparisons (not just residuals) are valid
-    against it.
+    interior rank drops are reflected across the circle first
+    (roots.clear_rank_drops), which leaves the spectrum unchanged but makes
+    the secret factor itself the outer representative, so factor
+    comparisons (not just residuals) are valid against it.
     """
     if not 1 <= k <= m:
         raise ValueError("rank %r out of range for size %r" % (k, m))
@@ -95,17 +95,7 @@ def gen_spectrum(
         ]
     )
     if interior_zero_free:
-        opts = RankDefOptions()
-        budget = 4 * k * max(N, 1) + 16
-        while budget > 0:
-            drops = find_rank_drop_points(A, opts)
-            if not drops:
-                break
-            for a in drops:
-                A, ops = fix_rank_drop(A, a, opts)
-                budget -= len(ops)
-                if budget <= 0:
-                    break
+        A = clear_rank_drops(A)
     A = (A * (1.0 / A.max_abs)).as_analytic(0.0)
     S = (A @ A.adjoint()).trim(0.0)
     return Instance(secret_factor=A, spectrum=S, seed=int(seed), params=(m, k, N))

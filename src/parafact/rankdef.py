@@ -39,10 +39,11 @@ as the fallback:
    step 5 it takes at least one step, whatever the residual.
 
 Every path ends by rotating to the canonical representative.  For k = m the
-head factor is the whole factor: the full-rank factorization has reflected
-its interior determinant zeros, so it has no poles and no interior rank
-drops either, and it goes straight to the polish of step 6.  The report
-names the path taken: "full-rank", "regularized" or "rational".
+head factor is the whole factor: the full-rank factorization has cleared
+its interior rank drops with the finder and reflection of step 5
+(roots.clear_rank_drops), so it has no poles and no interior rank drops,
+and it goes straight to the polish of step 6.  The report names the path
+taken: "full-rank", "regularized" or "rational".
 
 Every transformation of the fallback multiplies columns by unit-modulus
 scalars or the whole factor by constant unitaries, so F F~ is preserved
@@ -79,17 +80,25 @@ from .laurent import (
     laurent_from_unit_samples,
 )
 from .roots import (
-    _cmul,
+    _DEFLATION_RADIUS,
+    _MULTI_ROOT_RADIUS,
+    _RANK_TOL,
+    _TAG_COMPRESS,
+    BlaschkeOp,
+    RankDefOptions,
+    _operator_scale,
+    _refine_drop_points,
+    _rng,
+    _smallest_svs,
     divide_linear,
     divide_out,
+    find_rank_drop_points,
+    fix_rank_drop,
     laurent_roots,
-    reflect_column_zero,
 )
 
 __all__ = [
-    "RankDefOptions",
     "RationalMatrix",
-    "BlaschkeOp",
     "Check",
     "FactorReport",
     "estimate_rank",
@@ -99,29 +108,20 @@ __all__ = [
     "stack_rational_factor",
     "remove_inner_poles",
     "finalize_polynomial",
-    "find_rank_drop_points",
-    "fix_rank_drop",
     "spectral_factor",
     "compare_factors",
     "verify_factorization",
 ]
 
 # Stream tags so each randomized step draws from an independent,
-# reproducible generator for a given rng_seed.
+# reproducible generator for a given rng_seed; roots._TAG_COMPRESS is 103.
 _TAG_RANK = 101
 _TAG_PIVOT = 102
-_TAG_COMPRESS = 103
 
 # Head-block conditioning gate for the block identity check: samples where
 # the head is more than this factor away from the sample's largest singular
 # value are skipped, bounding the error amplification of the inverse.
 _IDENTITY_GATE = 1e-4
-
-# Radius within which find_rank_drop_points keeps only the best-confirmed
-# candidate: eigenvalue estimates of a multiplicity-mu zero scatter by
-# roughly eps^(1/mu), and a landing that stopped short of a zero still
-# passes the confirmation cut within it.
-_MULTI_ROOT_RADIUS = 1e-4
 
 # The regularized start adds delta = _REGULARIZATION * max |C_n| to C_0.  Its
 # error is linear in delta, so delta is as small as rounding allows: the
@@ -133,53 +133,6 @@ _MULTI_ROOT_RADIUS = 1e-4
 # on every shape measured, up to (8, 6, 8).
 _REGULARIZATION = 1e-10
 _REGULARIZED_BLOCKS = 128
-
-
-def _rng(seed: int, tag: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, tag])))
-
-
-@dataclass(frozen=True)
-class RankDefOptions:
-    """Tolerances and seeds for the rank-deficient pipeline.
-
-    tol: relative residual target for the factorization.
-    rank_tol: relative singular-value cutoff for rank decisions.
-    deflation_radius: relative radius for root clustering and for the
-        interior/boundary split of denominator zeros.
-    rng_seed: seed for rank sampling, pivoting, and the drop-finding
-        compression.
-    """
-
-    tol: float = 1e-9
-    rank_tol: float = 1e-8
-    deflation_radius: float = 1e-7
-    rng_seed: int = 0
-
-    def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
-        if not self.rank_tol > 0:
-            raise ValueError("rank_tol must be positive")
-        if not 0 < self.deflation_radius < 1e-2:
-            raise ValueError("deflation_radius must be in (0, 1e-2)")
-
-
-@dataclass(frozen=True)
-class BlaschkeOp:
-    """One unit-modulus column operation applied during the pipeline.
-
-    direction is 'pole-removal' (denominator zero moved out of the disk)
-    or 'zero-removal' (factor zero reflected out of the disk); unitary is
-    the constant column rotation used for zero removal, None otherwise.
-    A zero of nullity nu is reflected in one step and recorded as nu
-    operations on columns 0..nu-1 that share a and unitary.
-    """
-
-    a: complex
-    column: int
-    direction: str
-    unitary: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
@@ -307,7 +260,7 @@ def _circle_samples(S: LaurentMatrix, opts: RankDefOptions, tag: int) -> np.ndar
 def estimate_rank(S: LaurentMatrix, opts: RankDefOptions | None = None) -> int:
     """Almost-everywhere rank of S on the unit circle.
 
-    Counts singular values above rank_tol times the sample's largest
+    Counts singular values above _RANK_TOL times the sample's largest
     singular value at 2*order + 17 pseudo-random circle points and takes the
     maximum count over samples.
     """
@@ -318,7 +271,7 @@ def estimate_rank(S: LaurentMatrix, opts: RankDefOptions | None = None) -> int:
     if S.is_zero:
         return 0
     sv = np.linalg.svd(_circle_samples(S, opts, _TAG_RANK), compute_uv=False)
-    counts = np.sum(sv > opts.rank_tol * sv[:, :1], axis=1)
+    counts = np.sum(sv > _RANK_TOL * sv[:, :1], axis=1)
     return int(np.max(np.where(sv[:, 0] > 0, counts, 0)))
 
 
@@ -359,7 +312,7 @@ def select_pivot(S: LaurentMatrix, k: int, opts: RankDefOptions | None = None) -
         if score > best_score:
             best_idx, best_minsv, best_score = idx, minsv, score
 
-    hits = int(np.sum(live & (best_minsv > opts.rank_tol * scales)))
+    hits = int(np.sum(live & (best_minsv > _RANK_TOL * scales)))
     if hits <= len(samples) // 2:
         raise DegenerateInputError(
             "no permutation keeps the leading %d x %d block full rank "
@@ -504,7 +457,7 @@ def _polish_root(
     return a
 
 
-def _deflate_column(entries, den, opts: RankDefOptions):
+def _deflate_column(entries, den):
     """Cancel common roots of a column's numerator entries and denominator.
 
     A denominator root counts as shared when every nonzero entry's
@@ -514,7 +467,6 @@ def _deflate_column(entries, den, opts: RankDefOptions):
     estimates would leave remainders at the root-finding error level, which
     dominates the factorization residual.  Returns (entries, den).
     """
-    radius = opts.deflation_radius
     if all(e.is_zero for e in entries):
         return entries, LaurentPoly.one()
     while den.hi and den.hi > 0:
@@ -522,7 +474,7 @@ def _deflate_column(entries, den, opts: RankDefOptions):
         dden = den.derivative()
         dentries = [e.derivative() for e in entries]
         for a in sorted(laurent_roots(den), key=lambda w: (abs(w), w.real, w.imag)):
-            cut = radius * max(1.0, abs(a))
+            cut = _DEFLATION_RADIUS * max(1.0, abs(a))
             ad = _polish_root(den, dden, a)
             wd = abs(dden.eval(ad)) / max(den.max_abs, 1e-300)
             acc = wd * ad
@@ -566,9 +518,7 @@ def _deflate_column(entries, den, opts: RankDefOptions):
     return entries, den
 
 
-def tail_quotient(
-    S_tail: LaurentMatrix, head_factor: AnalyticPolyMatrix, opts: RankDefOptions | None = None
-) -> RationalMatrix:
+def tail_quotient(S_tail: LaurentMatrix, head_factor: AnalyticPolyMatrix) -> RationalMatrix:
     """Rational quotient of the coupling block by the adjoint head factor.
 
     Computes S_tail (head_factor~)^{-1} as numerator / monic denominator per
@@ -576,7 +526,6 @@ def tail_quotient(
     adjoint factor, powers are shifted to make everything analytic, and
     common roots are deflated away.
     """
-    opts = opts or RankDefOptions()
     k = head_factor.cols
     if S_tail.cols != k:
         raise ValueError("coupling block width must match the head factor")
@@ -602,7 +551,7 @@ def tail_quotient(
     # independently estimated roots and let the denominators drift apart.
     flat = [num.entry(i, j) for i in range(num.rows) for j in range(num.cols)]
     flat, det_a = _monic_normalized(flat, det_a)
-    flat, det_a = _deflate_column(flat, det_a, opts)
+    flat, det_a = _deflate_column(flat, det_a)
 
     rows = [
         [flat[i * num.cols + j] for j in range(num.cols)] for i in range(num.rows)
@@ -632,10 +581,10 @@ def stack_rational_factor(
     return RationalMatrix(LaurentMatrix.from_entries(rows), tail.denominators)
 
 
-def remove_inner_poles(R: RationalMatrix, opts: RankDefOptions | None = None):
+def remove_inner_poles(R: RationalMatrix):
     """Multiply columns by unit-modulus rational factors to clear interior poles.
 
-    Each denominator zero a with |a| < 1 - deflation_radius is exchanged for
+    Each denominator zero a with |a| < 1 - _DEFLATION_RADIUS is exchanged for
     a zero at 1/conj(a) by the factor (z - a)/(1 - conj(a) z), which has unit
     modulus on the circle, so R R~ is untouched.  Zeros within the radius of
     the circle must cancel against the numerator (deflation); when one does
@@ -644,15 +593,14 @@ def remove_inner_poles(R: RationalMatrix, opts: RankDefOptions | None = None):
 
     Returns (cleared RationalMatrix, tuple of BlaschkeOp records).
     """
-    opts = opts or RankDefOptions()
-    radius = opts.deflation_radius
+    radius = _DEFLATION_RADIUS
     ops = []
     new_cols = []
     new_dens = []
     for j in range(R.cols):
         entries = R.column_entries(j)
         den = R.denominators[j]
-        entries, den = _deflate_column(entries, den, opts)
+        entries, den = _deflate_column(entries, den)
         if den.hi and den.hi > 0:
             # A pole of multiplicity mu at the origin shows up as mu noise
             # roots scattered on a ring of radius ~eps^(1/mu), which the
@@ -691,7 +639,7 @@ def remove_inner_poles(R: RationalMatrix, opts: RankDefOptions | None = None):
                 den = q * LaurentPoly({0: 1.0, 1: -a.conjugate()})
                 entries, den = _monic_normalized(entries, den)
                 ops.append(BlaschkeOp(a=complex(a), column=j, direction="pole-removal"))
-            entries, den = _deflate_column(entries, den, opts)
+            entries, den = _deflate_column(entries, den)
         if den.hi and den.hi > 0:
             bad = [
                 a
@@ -790,195 +738,6 @@ def _common_denominator(R: RationalMatrix):
 
 
 # ---------------------------------------------------------------------------
-# interior rank drops
-# ---------------------------------------------------------------------------
-
-
-def _circle_svs(F: LaurentMatrix) -> np.ndarray:
-    """Singular values of F at 16 unit-circle samples, one row per sample."""
-    return np.linalg.svd(F.eval_unit_grid(16), compute_uv=False)
-
-
-def _operator_scale(F: LaurentMatrix) -> float:
-    """Largest singular value of F over the samples of _circle_svs."""
-    return float(np.max(_circle_svs(F)[:, 0]))
-
-
-def _batched_slopes(F: LaurentMatrix, z: np.ndarray) -> np.ndarray:
-    """F' of an analytic F at every point of z, as a (len(z), rows, cols) array.
-
-    The Horner recurrence of LaurentMatrix.eval on the coefficients n F_n,
-    but with unfused complex products (see roots._cmul), so each point
-    rounds as LaurentPoly.eval of the entries of F.derivative() rounds it.
-    """
-    hi = F.hi or 0
-    C = F.coeff_array(0, hi)
-    z = z.reshape(-1, 1, 1)
-    acc = np.zeros((z.shape[0],) + F.shape, dtype=complex)
-    for n in range(hi, 0, -1):
-        acc = _cmul(acc, z) + n * C[n]
-    return acc
-
-
-def _smallest_svs(F: LaurentMatrix, points) -> np.ndarray:
-    """Smallest singular value of an analytic F at every point."""
-    return np.linalg.svd(F.eval(points), compute_uv=False)[:, -1]
-
-
-def _refine_drop_points(F: LaurentMatrix, starts, iters: int = 8) -> np.ndarray:
-    """Polish many rank-drop estimates of an analytic F in one batched pass.
-
-    Eigenvalue estimates are only accurate to about eps^(1/mu) at a
-    multiplicity-mu drop.  Solving F(z) v = 0 jointly for the point and the
-    null direction by Gauss-Newton restores full accuracy: the combined
-    Jacobian [F'(z) v, F(z)] keeps the step well-conditioned even when only
-    some rows of F vanish at the point.  A start stops at a non-finite step,
-    a collapsed null vector, or a step of at most 1e-15 max(1, |a|), and
-    lands on its iterate with the smallest sigma_min so far.  F comes from
-    LaurentMatrix.eval and F' from _batched_slopes at all live starts at
-    once, sigma_min from one batched SVD, and the minimum-norm step from a
-    batched pseudo-inverse with the cutoff that lstsq(rcond=None) uses.
-    Returns the landings in the order of starts.
-    """
-    m, k = F.shape
-    a = np.array(starts, dtype=complex).reshape(-1)
-    M = F.eval(a)
-    _, sv, vh = np.linalg.svd(M)
-    v = vh[:, -1].conj()
-    best, best_sv = a.copy(), sv[:, -1]
-    live = np.arange(a.size)
-    rcond = np.finfo(float).eps * max(m + 1, k + 1)
-    for _ in range(iters):
-        if not live.size:
-            break
-        J = np.zeros((live.size, m + 1, k + 1), dtype=complex)
-        J[:, :m, 0] = (_batched_slopes(F, a[live]) @ v[:, :, None])[:, :, 0]
-        J[:, :m, 1:] = M
-        # forbid motion along v itself so the unit-norm gauge stays fixed
-        J[:, m, 1:] = v.conj()
-        r = np.zeros((live.size, m + 1, 1), dtype=complex)
-        r[:, :m] = M @ v[:, :, None]
-        upd = -(np.linalg.pinv(J, rcond=rcond) @ r)[:, :, 0]
-        w = v + upd[:, 1:]
-        nv = np.linalg.norm(w, axis=1)
-        ok = np.all(np.isfinite(upd), axis=1) & (nv >= 1e-300)
-        live, step, w, nv = live[ok], upd[ok, 0], w[ok], nv[ok]
-        a[live] += step
-        v = w / nv[:, None]
-        M = F.eval(a[live])
-        smin = np.linalg.svd(M, compute_uv=False)[:, -1]
-        better = smin < best_sv[live]
-        best[live[better]] = a[live[better]]
-        best_sv[live[better]] = smin[better]
-        going = np.abs(step) > 1e-15 * np.maximum(1.0, np.abs(a[live]))
-        live, v, M = live[going], v[going], M[going]
-    return best
-
-
-def find_rank_drop_points(
-    F: LaurentMatrix, opts: RankDefOptions | None = None
-) -> list:
-    """Interior points where a tall analytic factor drops column rank.
-
-    Heuristic but verified.  P(z) = L F(z), for one random k x m
-    compression L, is singular wherever F drops rank.  The starts are the
-    finite eigenvalues inside the disk of the kN x kN block-companion
-    pencil z X + Y of P (X = diag(P_N, I, ..., I); Y has the top block row
-    [P_{N-1} ... P_0] and -I on the block sub-diagonal), from the QZ of
-    the pencil.  All of them are polished against F itself in one batched
-    Gauss-Newton, _refine_drop_points.  The landings inside the disk and
-    the origin, which joins unpolished, are scored by their smallest
-    singular value; going from the best, each one below the cut is
-    reported unless a reported point lies within _MULTI_ROOT_RADIUS.  An
-    eigenvalue where only the compression is singular lands on no drop and
-    fails the cut.  Raises ValueError when F is wide or has negative
-    powers, and NumericalFailureError when F drops rank at every circle
-    sample (its normal rank is deficient, so every point would be a drop).
-    """
-    opts = opts or RankDefOptions()
-    m, k = F.rows, F.cols
-    if m < k:
-        raise ValueError("factor must be tall")
-    if (F.lo or 0) < 0:
-        raise ValueError("factor must be analytic")
-    radius = opts.deflation_radius
-    sv = _circle_svs(F)
-    cut = opts.rank_tol * max(float(np.max(sv[:, 0])), 1e-300)
-    if np.all(sv[:, -1] <= cut):
-        raise NumericalFailureError(
-            "factor drops rank at every circle sample: largest sampled "
-            "smallest singular value %.3e, cut %.3e" % (np.max(sv[:, -1]), cut)
-        )
-    gen = _rng(opts.rng_seed, _TAG_COMPRESS)
-    L = (gen.standard_normal((k, m)) + 1j * gen.standard_normal((k, m))) / np.sqrt(2)
-    N = F.hi or 0
-    P = L @ F.coeff_array(0, N)
-    z = np.zeros(0, dtype=complex)
-    if N:
-        X = np.eye(k * N, dtype=complex)
-        X[:k, :k] = P[N]
-        Y = -np.eye(k * N, k=-k, dtype=complex)
-        Y[:k] = np.hstack(P[N - 1 :: -1])
-        z = scipy.linalg.eigvals(-Y, X)
-    landed = _refine_drop_points(F, z[np.isfinite(z) & (np.abs(z) < 1.0 - radius)])
-    # Pole removal and numerator lifts pile zero structure onto z = 0, and
-    # the eigenvalues of a multiplicity-mu zero there smear over a ring of
-    # radius ~eps^(1/mu), so the origin is always a candidate.  It is not
-    # polished: that would cost a Gauss-Newton run on every factor, square
-    # outer factors included, to find what an exact zero there shows as is.
-    candidates = np.append(landed[np.abs(landed) < 1.0 - radius], 0j)
-    svs = _smallest_svs(F, candidates)
-    # A start far from its zero can stop short of it after the last step
-    # and still pass the cut, so the best-confirmed candidate near each
-    # drop is reported instead of an average over the landings there.
-    out = []
-    for i in np.argsort(svs, kind="stable"):
-        if not svs[i] < cut:
-            break
-        a = complex(candidates[i])
-        if all(abs(a - b) > _MULTI_ROOT_RADIUS for b in out):
-            out.append(a)
-    out.sort(key=lambda w: (w.real, w.imag))
-    return out
-
-
-def fix_rank_drop(F: LaurentMatrix, a: complex, opts: RankDefOptions | None = None):
-    """Reflect one interior rank-drop point across the unit circle.
-
-    Every right singular direction of F(a) whose singular value is at most
-    rank_tol times the operator scale, the gate that decides F drops rank
-    at a, is reflected in one step: columns are rotated so those nu
-    directions come first, and each of the first nu columns is divided by
-    (z - a) and multiplied by (1 - conj(a) z).  The product F F~ is
-    preserved; the zero moves to 1/conj(a) with its whole null space.
-
-    Returns (fixed factor, ops): one BlaschkeOp per reflected column
-    0..nu-1, all sharing a and the applied unitary.
-    """
-    opts = opts or RankDefOptions()
-    a = complex(a)
-    scale = _operator_scale(F)
-    _, sv, vh = np.linalg.svd(F.eval(a))
-    nu = int(np.sum(sv <= opts.rank_tol * max(scale, 1e-300)))
-    if not nu:
-        raise ValueError(
-            "factor does not drop rank at %s (smallest singular value %.3e)"
-            % (a, sv[-1])
-        )
-    G, U, rem = reflect_column_zero(F, a, vh[-nu:].conj().T)
-    if rem > 10.0 * max(opts.tol, opts.rank_tol) * max(F.max_abs, 1e-300):
-        raise NumericalFailureError(
-            "zero reflection at %s left remainder %.3e" % (a, rem),
-            residual=rem,
-        )
-    ops = tuple(
-        BlaschkeOp(a=a, column=j, direction="zero-removal", unitary=U)
-        for j in range(nu)
-    )
-    return G.as_analytic(0.0), ops
-
-
-# ---------------------------------------------------------------------------
 # driver
 # ---------------------------------------------------------------------------
 
@@ -1037,9 +796,9 @@ def _outer_tall_factor(S: LaurentMatrix, perm: tuple, k: int, opts: RankDefOptio
     m, N = S.rows, S.hi
     Sp = S.permuted(perm)
     head_factor = _head_factor(Sp.submatrix(range(k), range(k)), opts)
-    tail = tail_quotient(Sp.submatrix(range(k, m), range(k)), head_factor, opts)
+    tail = tail_quotient(Sp.submatrix(range(k, m), range(k)), head_factor)
     R = stack_rational_factor(head_factor, tail)
-    R, pole_ops = remove_inner_poles(R, opts)
+    R, pole_ops = remove_inner_poles(R)
 
     cap = 2 * N * m + 16
     zero_ops = []
@@ -1074,8 +833,8 @@ def _outer_tall_factor(S: LaurentMatrix, perm: tuple, k: int, opts: RankDefOptio
         #
         # Reflections are unimodular on the circle, so the gate's scale
         # holds for every pass.
-        radius = opts.deflation_radius
-        gate = opts.rank_tol * max(_operator_scale(G), 1e-300)
+        radius = _DEFLATION_RADIUS
+        gate = _RANK_TOL * max(_operator_scale(G), 1e-300)
         while True:
             points = find_rank_drop_points(G, opts)
             if anchors:
@@ -1181,10 +940,9 @@ def spectral_factor(
     identity_check = check_rank_identity(S, perm, k, opts)
     pole_ops = zero_ops = ()
     if k == m:
-        # The pivot is the identity.  Drop clearing looks for interior
-        # eigenvalues of a compression L F; for square F they are the
-        # interior roots of det F, which factor_positive_definite has
-        # reflected already.
+        # The pivot is the identity, and factor_positive_definite has
+        # already cleared the factor's interior rank drops with the same
+        # finder that verification runs.
         path = "full-rank"
         A, _ = polish_coefficients(
             S.coeff_array(0, N), _head_factor(S, opts).coeff_array(0, N), _FINAL_POLISH

@@ -1,7 +1,8 @@
 """Root finding, clustering, and linear-factor algebra for Laurent polynomials.
 
 All root finding goes through companion-matrix eigenvalues (np.roots, whose
-eigensolver balances the companion matrix).  Division routines pick the
+eigensolver balances the companion matrix, or the QZ of a block-companion
+pencil for the interior rank drops of a matrix).  Division routines pick the
 recurrence direction that keeps the multipliers inside the unit disk:
 dividing by (z - a) runs top-down when |a| <= 1 and bottom-up otherwise so
 accumulated error stays bounded.
@@ -9,8 +10,13 @@ accumulated error stays bounded.
 
 from __future__ import annotations
 
-import numpy as np
+from dataclasses import dataclass
+from typing import Optional
 
+import numpy as np
+import scipy.linalg
+
+from .errors import NumericalFailureError
 from .laurent import LaurentMatrix, LaurentPoly
 
 __all__ = [
@@ -21,11 +27,31 @@ __all__ = [
     "divide_out",
     "unitary_with_first_column",
     "reflect_column_zero",
+    "RankDefOptions",
+    "BlaschkeOp",
+    "find_rank_drop_points",
+    "fix_rank_drop",
+    "clear_rank_drops",
 ]
 
 # Leading coefficients below this relative size are numerical debris and are
 # stripped before building the companion matrix.
 _LEAD_TRIM = 1e-13
+
+# Stream tag of the drop finder's random compression.
+_TAG_COMPRESS = 103
+
+# Relative singular-value cutoff for every rank decision.
+_RANK_TOL = 1e-8
+
+# Relative radius for root deflation; |a| >= 1 - _DEFLATION_RADIUS is on the circle.
+_DEFLATION_RADIUS = 1e-7
+
+# Radius within which find_rank_drop_points keeps only the best-confirmed
+# candidate: eigenvalue estimates of a multiplicity-mu zero scatter by
+# roughly eps^(1/mu), and a landing that stopped short of a zero still
+# passes the confirmation cut within it.
+_MULTI_ROOT_RADIUS = 1e-4
 
 
 def poly_roots(coeffs_ascending) -> np.ndarray:
@@ -230,3 +256,245 @@ def reflect_column_zero(F: LaurentMatrix, a: complex, null_basis: np.ndarray):
     C[:, :, :nu] = q
     C[1:, :, :nu] -= _cmul(q[:-1], a.conjugate())
     return LaurentMatrix.from_coeffs(C), U, worst
+
+
+def _rng(seed: int, tag: int) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, tag])))
+
+
+@dataclass(frozen=True)
+class RankDefOptions:
+    """Tolerances and seeds for the rank-deficient pipeline.
+
+    tol: relative residual target for the factorization.
+    rng_seed: seed for rank sampling, pivoting, and the drop-finding
+        compression.
+    """
+
+    tol: float = 1e-9
+    rng_seed: int = 0
+
+    def __post_init__(self):
+        if not self.tol > 0:
+            raise ValueError("tol must be positive")
+
+
+@dataclass(frozen=True)
+class BlaschkeOp:
+    """One unit-modulus column operation applied during the pipeline.
+
+    direction is 'pole-removal' (denominator zero moved out of the disk)
+    or 'zero-removal' (factor zero reflected out of the disk); unitary is
+    the constant column rotation used for zero removal, None otherwise.
+    A zero of nullity nu is reflected in one step and recorded as nu
+    operations on columns 0..nu-1 that share a and unitary.
+    """
+
+    a: complex
+    column: int
+    direction: str
+    unitary: Optional[np.ndarray] = None
+
+
+def _circle_svs(F: LaurentMatrix) -> np.ndarray:
+    """Singular values of F at 16 unit-circle samples, one row per sample."""
+    return np.linalg.svd(F.eval_unit_grid(16), compute_uv=False)
+
+
+def _operator_scale(F: LaurentMatrix) -> float:
+    """Largest singular value of F over the samples of _circle_svs."""
+    return float(np.max(_circle_svs(F)[:, 0]))
+
+
+def _batched_slopes(F: LaurentMatrix, z: np.ndarray) -> np.ndarray:
+    """F' of an analytic F at every point of z, as a (len(z), rows, cols) array.
+
+    The Horner recurrence of LaurentMatrix.eval on the coefficients n F_n,
+    but with unfused complex products (see roots._cmul), so each point
+    rounds as LaurentPoly.eval of the entries of F.derivative() rounds it.
+    """
+    hi = F.hi or 0
+    C = F.coeff_array(0, hi)
+    z = z.reshape(-1, 1, 1)
+    acc = np.zeros((z.shape[0],) + F.shape, dtype=complex)
+    for n in range(hi, 0, -1):
+        acc = _cmul(acc, z) + n * C[n]
+    return acc
+
+
+def _smallest_svs(F: LaurentMatrix, points) -> np.ndarray:
+    """Smallest singular value of an analytic F at every point."""
+    return np.linalg.svd(F.eval(points), compute_uv=False)[:, -1]
+
+
+def _refine_drop_points(F: LaurentMatrix, starts, iters: int = 8) -> np.ndarray:
+    """Polish many rank-drop estimates of an analytic F in one batched pass.
+
+    Eigenvalue estimates are only accurate to about eps^(1/mu) at a
+    multiplicity-mu drop.  Solving F(z) v = 0 jointly for the point and the
+    null direction by Gauss-Newton restores full accuracy: the combined
+    Jacobian [F'(z) v, F(z)] keeps the step well-conditioned even when only
+    some rows of F vanish at the point.  A start stops at a non-finite step,
+    a collapsed null vector, or a step of at most 1e-15 max(1, |a|), and
+    lands on its iterate with the smallest sigma_min so far.  F comes from
+    LaurentMatrix.eval and F' from _batched_slopes at all live starts at
+    once, sigma_min from one batched SVD, and the minimum-norm step from a
+    batched pseudo-inverse with the cutoff that lstsq(rcond=None) uses.
+    Returns the landings in the order of starts.
+    """
+    m, k = F.shape
+    a = np.array(starts, dtype=complex).reshape(-1)
+    M = F.eval(a)
+    _, sv, vh = np.linalg.svd(M)
+    v = vh[:, -1].conj()
+    best, best_sv = a.copy(), sv[:, -1]
+    live = np.arange(a.size)
+    rcond = np.finfo(float).eps * max(m + 1, k + 1)
+    for _ in range(iters):
+        if not live.size:
+            break
+        J = np.zeros((live.size, m + 1, k + 1), dtype=complex)
+        J[:, :m, 0] = (_batched_slopes(F, a[live]) @ v[:, :, None])[:, :, 0]
+        J[:, :m, 1:] = M
+        # forbid motion along v itself so the unit-norm gauge stays fixed
+        J[:, m, 1:] = v.conj()
+        r = np.zeros((live.size, m + 1, 1), dtype=complex)
+        r[:, :m] = M @ v[:, :, None]
+        upd = -(np.linalg.pinv(J, rcond=rcond) @ r)[:, :, 0]
+        w = v + upd[:, 1:]
+        nv = np.linalg.norm(w, axis=1)
+        ok = np.all(np.isfinite(upd), axis=1) & (nv >= 1e-300)
+        live, step, w, nv = live[ok], upd[ok, 0], w[ok], nv[ok]
+        a[live] += step
+        v = w / nv[:, None]
+        M = F.eval(a[live])
+        smin = np.linalg.svd(M, compute_uv=False)[:, -1]
+        better = smin < best_sv[live]
+        best[live[better]] = a[live[better]]
+        best_sv[live[better]] = smin[better]
+        going = np.abs(step) > 1e-15 * np.maximum(1.0, np.abs(a[live]))
+        live, v, M = live[going], v[going], M[going]
+    return best
+
+
+def find_rank_drop_points(
+    F: LaurentMatrix, opts: RankDefOptions | None = None
+) -> list:
+    """Interior points where a tall analytic factor drops column rank.
+
+    Heuristic but verified.  P(z) = L F(z), for one random k x m
+    compression L, is singular wherever F drops rank.  The starts are the
+    finite eigenvalues inside the disk of the kN x kN block-companion
+    pencil z X + Y of P (X = diag(P_N, I, ..., I); Y has the top block row
+    [P_{N-1} ... P_0] and -I on the block sub-diagonal), from the QZ of
+    the pencil.  All of them are polished against F itself in one batched
+    Gauss-Newton, _refine_drop_points.  The landings inside the disk and
+    the origin, which joins unpolished, are scored by their smallest
+    singular value; going from the best, each one below the cut is
+    reported unless a reported point lies within _MULTI_ROOT_RADIUS.  An
+    eigenvalue where only the compression is singular lands on no drop and
+    fails the cut.  Raises ValueError when F is wide or has negative
+    powers, and NumericalFailureError when F drops rank at every circle
+    sample (its normal rank is deficient, so every point would be a drop).
+    """
+    opts = opts or RankDefOptions()
+    m, k = F.rows, F.cols
+    if m < k:
+        raise ValueError("factor must be tall")
+    if (F.lo or 0) < 0:
+        raise ValueError("factor must be analytic")
+    radius = _DEFLATION_RADIUS
+    sv = _circle_svs(F)
+    cut = _RANK_TOL * max(float(np.max(sv[:, 0])), 1e-300)
+    if np.all(sv[:, -1] <= cut):
+        raise NumericalFailureError(
+            "factor drops rank at every circle sample: largest sampled "
+            "smallest singular value %.3e, cut %.3e" % (np.max(sv[:, -1]), cut)
+        )
+    gen = _rng(opts.rng_seed, _TAG_COMPRESS)
+    L = (gen.standard_normal((k, m)) + 1j * gen.standard_normal((k, m))) / np.sqrt(2)
+    N = F.hi or 0
+    P = L @ F.coeff_array(0, N)
+    z = np.zeros(0, dtype=complex)
+    if N:
+        X = np.eye(k * N, dtype=complex)
+        X[:k, :k] = P[N]
+        Y = -np.eye(k * N, k=-k, dtype=complex)
+        Y[:k] = np.hstack(P[N - 1 :: -1])
+        z = scipy.linalg.eigvals(-Y, X)
+    landed = _refine_drop_points(F, z[np.isfinite(z) & (np.abs(z) < 1.0 - radius)])
+    # Pole removal and numerator lifts pile zero structure onto z = 0, and
+    # the eigenvalues of a multiplicity-mu zero there smear over a ring of
+    # radius ~eps^(1/mu), so the origin is always a candidate.  It is not
+    # polished: that would cost a Gauss-Newton run on every factor, square
+    # outer factors included, to find what an exact zero there shows as is.
+    candidates = np.append(landed[np.abs(landed) < 1.0 - radius], 0j)
+    svs = _smallest_svs(F, candidates)
+    # A start far from its zero can stop short of it after the last step
+    # and still pass the cut, so the best-confirmed candidate near each
+    # drop is reported instead of an average over the landings there.
+    out = []
+    for i in np.argsort(svs, kind="stable"):
+        if not svs[i] < cut:
+            break
+        a = complex(candidates[i])
+        if all(abs(a - b) > _MULTI_ROOT_RADIUS for b in out):
+            out.append(a)
+    out.sort(key=lambda w: (w.real, w.imag))
+    return out
+
+
+def fix_rank_drop(F: LaurentMatrix, a: complex, opts: RankDefOptions | None = None):
+    """Reflect one interior rank-drop point across the unit circle.
+
+    Every right singular direction of F(a) whose singular value is at most
+    _RANK_TOL times the operator scale, the gate that decides F drops rank
+    at a, is reflected in one step: columns are rotated so those nu
+    directions come first, and each of the first nu columns is divided by
+    (z - a) and multiplied by (1 - conj(a) z).  The product F F~ is
+    preserved; the zero moves to 1/conj(a) with its whole null space.
+
+    Returns (fixed factor, ops): one BlaschkeOp per reflected column
+    0..nu-1, all sharing a and the applied unitary.
+    """
+    opts = opts or RankDefOptions()
+    a = complex(a)
+    scale = _operator_scale(F)
+    _, sv, vh = np.linalg.svd(F.eval(a))
+    nu = int(np.sum(sv <= _RANK_TOL * max(scale, 1e-300)))
+    if not nu:
+        raise ValueError(
+            "factor does not drop rank at %s (smallest singular value %.3e)"
+            % (a, sv[-1])
+        )
+    G, U, rem = reflect_column_zero(F, a, vh[-nu:].conj().T)
+    if rem > 10.0 * max(opts.tol, _RANK_TOL) * max(F.max_abs, 1e-300):
+        raise NumericalFailureError(
+            "zero reflection at %s left remainder %.3e" % (a, rem),
+            residual=rem,
+        )
+    ops = tuple(
+        BlaschkeOp(a=a, column=j, direction="zero-removal", unitary=U)
+        for j in range(nu)
+    )
+    return G.as_analytic(0.0), ops
+
+
+def clear_rank_drops(F: LaurentMatrix, opts: RankDefOptions | None = None):
+    """Reflect every interior rank drop of a tall analytic F across the circle.
+
+    Passes of find_rank_drop_points, each point fixed by fix_rank_drop,
+    until a pass reports none.  Raises NumericalFailureError when drops
+    remain after 4 k max(N, 1) + 16 reflected columns.
+    """
+    opts = opts or RankDefOptions()
+    budget = cap = 4 * F.cols * max(F.hi or 0, 1) + 16
+    while drops := find_rank_drop_points(F, opts):
+        if budget <= 0:
+            raise NumericalFailureError("rank drops left after a budget of %d" % cap)
+        for a in drops:
+            F, ops = fix_rank_drop(F, a, opts)
+            budget -= len(ops)
+            if budget <= 0:
+                break
+    return F

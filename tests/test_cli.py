@@ -88,6 +88,21 @@ class TestFactor:
     def test_missing_file_exits_2(self, tmp_path):
         assert run("factor", tmp_path / "absent.json") == 2
 
+    def test_far_apart_powers_exit_2_with_an_error_report(self, tmp_path):
+        # A dense store over powers 0..10^12 of an 8 x 8 matrix would need
+        # 931 TiB; the file is refused as invalid input, not left to fail
+        # in the allocator.
+        big = tmp_path / "big.json"
+        write_matrix(big, LaurentMatrix(8, 8, {0: np.eye(8), 1: np.eye(8)}))
+        big.write_text(big.read_text().replace('"power": 1,', '"power": 1000000000000,'))
+        assert run("info", big) == 2
+        rep = tmp_path / "rep.json"
+        assert run("factor", big, "--report", rep) == 2
+        report = assert_round_trip(rep)
+        assert report["exit_code"] == 2
+        assert report["error"]["type"] == "ValueError"
+        assert "span 1000000000000" in report["error"]["message"]
+
 
 class TestComplete:
     def test_passing_instance_exits_0(self, lossless, tmp_path):

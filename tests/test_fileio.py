@@ -90,6 +90,15 @@ class TestMatrixFiles:
         with pytest.raises(ValueError):
             matrix_from_text(text)
 
+    # The dense store spans every power between the ends: powers 0 and
+    # 10^12 of an 8 x 8 matrix once asked numpy for 931 TiB.
+    @pytest.mark.parametrize("shape,top", [((8, 8), 10**12), ((1, 1), 2**24)])
+    def test_far_apart_powers_are_rejected(self, shape, top):
+        text = matrix_to_text(LaurentMatrix(*shape, {0: np.ones(shape), 1: np.ones(shape)}))
+        text = text.replace('"power": 1,', '"power": %d,' % top)
+        with pytest.raises(ValueError, match="span %d" % top):
+            matrix_from_text(text)
+
     def test_unknown_metadata_is_not_written(self):
         with pytest.raises(ValueError):
             matrix_to_text(LaurentMatrix.zeros(1, 1), metadata={"owner": "x"})

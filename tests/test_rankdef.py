@@ -20,7 +20,9 @@ from parafact.instances import gen_lossless, gen_spectrum
 from parafact.laurent import LaurentMatrix, LaurentPoly, _order_grid_count
 from parafact.paraunitary import deficiency_matrix
 from parafact.rankdef import (
+    _DEFLATION_RADIUS,
     _MULTI_ROOT_RADIUS,
+    _RANK_TOL,
     _TAG_COMPRESS,
     _TAG_PIVOT,
     _TAG_RANK,
@@ -42,6 +44,7 @@ from parafact.rankdef import (
     tail_quotient,
     verify_factorization,
 )
+from parafact.roots import clear_rank_drops
 
 
 def circle_points(count=33):
@@ -109,7 +112,7 @@ def pointwise_rank(S, opts):
     for M in pointwise_samples(S, opts, _TAG_RANK):
         sv = np.linalg.svd(M, compute_uv=False)
         if sv[0] > 0:
-            best = max(best, int(np.sum(sv > opts.rank_tol * sv[0])))
+            best = max(best, int(np.sum(sv > _RANK_TOL * sv[0])))
     return best
 
 
@@ -233,13 +236,13 @@ class TestPipelineStages:
         self.Sp = Sp
 
     def test_tail_quotient_solves_coupling_identity(self):
-        tail = tail_quotient(self.tail_block, self.head_factor, self.opts)
+        tail = tail_quotient(self.tail_block, self.head_factor)
         for z in circle_points(17):
             lhs = tail.eval(z) @ self.head_factor.eval(z).conj().T
             assert np.max(np.abs(lhs - self.tail_block.eval(z))) < 1e-8
 
     def test_stacked_factor_reproduces_spectrum_on_circle(self):
-        tail = tail_quotient(self.tail_block, self.head_factor, self.opts)
+        tail = tail_quotient(self.tail_block, self.head_factor)
         R = stack_rational_factor(self.head_factor, tail)
         for z in circle_points(17):
             Rz = R.eval(z)
@@ -248,9 +251,9 @@ class TestPipelineStages:
     def test_remove_inner_poles_moves_denominator_roots_out(self):
         from parafact.roots import laurent_roots
 
-        tail = tail_quotient(self.tail_block, self.head_factor, self.opts)
+        tail = tail_quotient(self.tail_block, self.head_factor)
         R = stack_rational_factor(self.head_factor, tail)
-        R2, ops = remove_inner_poles(R, self.opts)
+        R2, ops = remove_inner_poles(R)
         for den in R2.denominators:
             if den.hi == 0:
                 continue
@@ -363,9 +366,10 @@ class TestRankDropPoints:
 
     # On these instances every drop of the rational stage has nullity
     # k - 1 and is reflected whole, so drop clearing takes one reporting and
-    # one confirming pass there, and one pass on the polynomial factor.  The
-    # regularized start that spectral_factor takes instead makes one pass,
-    # its acceptance check.
+    # one confirming pass there, and one pass on the polynomial factor: three
+    # on the (m, k) tall factor.  The k x k head factor makes its own single
+    # pass inside factor_positive_definite.  The regularized start that
+    # spectral_factor takes instead makes one pass, its acceptance check.
     @pytest.mark.parametrize("m,k,N", [(6, 3, 3), (8, 4, 4), (6, 4, 6)])
     def test_drop_clearing_takes_three_finder_passes(self, m, k, N, monkeypatch):
         calls = []
@@ -375,17 +379,52 @@ class TestRankDropPoints:
             return find_rank_drop_points(F, opts)
 
         monkeypatch.setattr("parafact.rankdef.find_rank_drop_points", counted)
+        monkeypatch.setattr("parafact.roots.find_rank_drop_points", counted)
         inst = gen_spectrum(m, k, N, 0, interior_zero_free=True)
         S = inst.spectrum.trim(0.0)
         opts = RankDefOptions()
+        calls.clear()
         _outer_tall_factor(S, select_pivot(S, k, opts), k, opts)
-        assert len(calls) == 3
+        assert calls.count((m, k)) == 3
+        assert calls.count((k, k)) == 1
+        assert len(calls) == 4
 
         calls.clear()
         factor, report = spectral_factor(S)
         assert report.path == "regularized"
-        assert len(calls) == 1
+        assert calls == [(m, k)]
         assert compare_factors(inst.secret_factor, factor) is not None
+
+    def test_clear_rank_drops_reflects_a_simple_and_a_double_zero(self):
+        m, N = 3, 2
+        a, b = 0.4 + 0.3j, -0.5 + 0.2j
+        outer = gen_spectrum(m, m, N, 7, interior_zero_free=True).secret_factor
+        rng = np.random.default_rng(7)
+        Q, R = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+        F = outer @ LaurentMatrix.constant(Q * (np.diag(R) / np.abs(np.diag(R))))
+        zero = {w: LaurentPoly({0: -w, 1: 1.0}) for w in (a, b)}
+        mirror = {w: LaurentPoly({0: 1.0, 1: -w.conjugate()}) for w in (a, b)}
+        one = LaurentPoly.one()
+        planted = F @ LaurentMatrix.diagonal([zero[a], zero[b] * zero[b], one])
+        reflected = F @ LaurentMatrix.diagonal([mirror[a], mirror[b] * mirror[b], one])
+        found = find_rank_drop_points(planted)
+        assert len(found) == 2
+        assert min(abs(w - a) for w in found) < 1e-8
+        assert min(abs(w - b) for w in found) < 1e-6
+
+        G = clear_rank_drops(planted)
+        assert find_rank_drop_points(G) == []
+        S = planted @ planted.adjoint()
+        assert (G @ G.adjoint() - S).max_abs <= 1e-13 * S.max_abs
+        assert compare_factors(reflected, G) is not None
+
+    def test_clear_rank_drops_raises_when_its_budget_runs_out(self, monkeypatch):
+        # A fix that reflects nothing leaves the drop for every pass, so the
+        # 4 k max(N, 1) + 16 = 20 reflected columns run out.
+        F = LaurentMatrix.from_entries([[LaurentPoly({0: -0.5, 1: 1.0})]])
+        monkeypatch.setattr("parafact.roots.fix_rank_drop", lambda G, a, opts: (G, (None,)))
+        with pytest.raises(NumericalFailureError, match="budget of 20"):
+            clear_rank_drops(F)
 
     @pytest.mark.parametrize("nu", [2, 3])
     def test_block_drop_is_reflected_in_one_fix(self, nu):
@@ -468,7 +507,7 @@ def per_start_drop_points(F, opts=None):
     opts = opts or RankDefOptions()
     m, k = F.shape
     N = F.hi
-    radius = opts.deflation_radius
+    radius = _DEFLATION_RADIUS
     gen = _rng(opts.rng_seed, _TAG_COMPRESS)
     L = (gen.standard_normal((k, m)) + 1j * gen.standard_normal((k, m))) / np.sqrt(2)
     X = np.eye(k * N, dtype=complex)
@@ -481,7 +520,7 @@ def per_start_drop_points(F, opts=None):
     scale = max(
         float(np.linalg.svd(M, compute_uv=False)[0]) for M in F.eval_unit_grid(16)
     )
-    cut = opts.rank_tol * max(scale, 1e-300)
+    cut = _RANK_TOL * max(scale, 1e-300)
 
     def smallest_sv(w):
         return float(np.linalg.svd(F.eval(w), compute_uv=False)[-1])
@@ -756,7 +795,3 @@ class TestOptionsValidation:
     def test_bad_tolerances_raise(self):
         with pytest.raises(ValueError):
             RankDefOptions(tol=0.0)
-        with pytest.raises(ValueError):
-            RankDefOptions(rank_tol=-1.0)
-        with pytest.raises(ValueError):
-            RankDefOptions(deflation_radius=0.5)

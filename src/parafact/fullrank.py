@@ -16,9 +16,9 @@ the target.  Should that polish stall, as at a multiple circle zero of
 det S, the doubling restarts with a polish after every section.  Interior
 rank drops, which Bauer and the polish leave near circle zeros of det S,
 are finally reflected across the circle by roots.clear_rank_drops.
-The rank-deficient pipeline uses both halves on its tall factor: one Bauer
-section of the regularized spectrum S + delta I starts it, and the same
-polish finishes it, as it finishes the rational fallback.
+The rank-deficient pipeline uses both halves on its tall factor: Bauer
+sections of the regularized spectra S + delta I and S + 2 delta I start it,
+and the same polish finishes it, as it finishes the rational fallback.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NotFactorableError, NumericalFailureError
 from .laurent import AnalyticPolyMatrix, LaurentMatrix, LaurentPoly, _order_grid_count
@@ -164,11 +165,14 @@ def _bauer_last_row(C, k: int, N: int, L: int) -> np.ndarray:
 
 
 def _conv_coeffs(A: np.ndarray) -> np.ndarray:
-    """Coefficients D_n = sum_q A_{n+q} A_q^H, n = 0..N, of A A~ for (N+1, m, k) A."""
+    """Coefficients D_n = sum_q A_{n+q} A_q^H, n = 0..N, of A A~ for (N+1, m, k) A.
+
+    One contraction over windows W[n, :, :, q] = A_{n+q} of A padded with
+    N zero powers; it rounds as one einsum per power does.
+    """
     P = A.shape[0]
-    return np.stack(
-        [np.einsum("qik,qjk->ij", A[n:], A[: P - n].conj()) for n in range(P)]
-    )
+    W = sliding_window_view(np.concatenate([A, np.zeros_like(A[1:])]), P, axis=0)
+    return np.einsum("nikq,qjk->nij", W, A.conj())
 
 
 def _relative_residual(C: np.ndarray, A: np.ndarray) -> float:
@@ -180,24 +184,43 @@ def _coeff_jacobian(A: np.ndarray) -> np.ndarray:
     """Real Jacobian of D_0..D_N with respect to the real and imaginary parts of A.
 
     A_p enters D_n through A_p A_{p-n}^H and A_{n+p} A_p^H.  With row-major
-    vectorization the first is kron(I, conj(A_{p-n})) acting on vec(dA_p),
-    the second has entries A_{n+p}[i, c] delta_{jr} and acts on conj(vec(dA_p)).
+    vectorization, dD_n[i, j] / dA_p[i, c] = conj(A_{p-n}[j, c]) for p >= n
+    (the linear part lin), and dD_n[i, j] / conj(dA_p[j, c]) = A_{n+p}[i, c]
+    for n + p <= N (the antilinear part anti).  The real blocks are
+    [[Re(lin + anti), -Im(lin - anti)], [Im(lin + anti), Re(lin - anti)]],
+    written by index into one zeroed array.
+
+    Every entry, the sign of each zero included, is what those sums give
+    on dense complex lin and anti arrays whose zeros are all +0: xGELSY's
+    Householder vectors take the sign of their leading entry, so a zero of
+    the other sign changes the step in its last bits.
     """
     P, m, k = A.shape
-    n = np.arange(P)[:, None]
-    p = np.arange(P)[None, :]
-    padded = np.concatenate([A, np.zeros_like(A)])
-    lower = padded[np.where(p >= n, p - n, P)]
-    upper = padded[n + p]
-    eye = np.eye(m)
-    lin = np.einsum("ir,npjc->nijprc", eye, lower.conj()).reshape(P * m * m, P * m * k)
-    anti = np.einsum("npic,jr->nijprc", upper, eye).reshape(P * m * m, P * m * k)
-    return np.block(
-        [
-            [(lin + anti).real, -(lin - anti).imag],
-            [(lin + anti).imag, (lin - anti).real],
-        ]
-    )
+    U = P * m * k
+    J = np.zeros((2 * P * m * m, 2 * U))
+    flat = J.reshape(-1)
+    row = 2 * U * np.arange(P * m * m).reshape(P, m, m, 1)
+    col = np.arange(U).reshape(P, m, 1, k)
+    down = P * m * m * 2 * U
+    s = np.arange(P)
+    n, p = np.nonzero(s[:, None] <= s)
+    # + 0.0 turns every -0 of lin and anti into +0.
+    lin = A[p - n].conj()[:, None] + 0.0
+    at = row[n] + col[p]
+    flat[at] = lin.real
+    flat[at + U] = lin.imag
+    flat[at + down] = lin.imag
+    flat[at + down + U] = lin.real
+    n, p = np.nonzero(s[:, None] + s < P)
+    anti = A[n + p][:, :, None] + 0.0
+    at = row[n] + col[p].swapaxes(1, 2)
+    flat[at] += anti.real
+    flat[at + U] -= anti.imag
+    flat[at + down] += anti.imag
+    flat[at + down + U] -= anti.real
+    # The upper-right block, Im lin - Im anti so far, becomes its negation.
+    np.negative(J[: P * m * m, U:], out=J[: P * m * m, U:])
+    return J
 
 
 def _gauss_newton_step(C: np.ndarray, A: np.ndarray) -> np.ndarray:

@@ -50,7 +50,9 @@ _DEFLATION_RADIUS = 1e-7
 # Radius within which find_rank_drop_points keeps only the best-confirmed
 # candidate: eigenvalue estimates of a multiplicity-mu zero scatter by
 # roughly eps^(1/mu), and a landing that stopped short of a zero still
-# passes the confirmation cut within it.
+# passes the confirmation cut within it.  It is also the radius of the start
+# screen: every estimate of a zero of multiplicity up to 3 lies within it
+# (eps^(1/3) = 6e-6; at most 2.2e-5 measured on planted triple zeros).
 _MULTI_ROOT_RADIUS = 1e-4
 
 
@@ -377,6 +379,22 @@ def _refine_drop_points(F: LaurentMatrix, starts, iters: int = 8) -> np.ndarray:
     return best
 
 
+def _screened_starts(F: LaurentMatrix, starts: np.ndarray) -> np.ndarray:
+    """The starts that may lie within _MULTI_ROOT_RADIUS of a rank drop of F.
+
+    If F(b) v = 0 for a unit v, then for any a in the closed disk
+    sigma_min(F(a)) <= |(F(a) - F(b)) v| <= |a - b| max |F'| <= |a - b| s,
+    with s = sum_n n ||F_n||_2 bounding F' on the disk.  A start with
+    sigma_min(F(a)) > _MULTI_ROOT_RADIUS s therefore lies farther than that
+    radius from every drop, and is dropped.
+    """
+    if not starts.size:
+        return starts
+    C = F.coeff_array(0, F.hi or 0)
+    slope = float(np.sum(np.arange(C.shape[0]) * np.linalg.norm(C, 2, axis=(1, 2))))
+    return starts[_smallest_svs(F, starts) <= _MULTI_ROOT_RADIUS * slope]
+
+
 def find_rank_drop_points(
     F: LaurentMatrix, opts: RankDefOptions | None = None
 ) -> list:
@@ -387,8 +405,13 @@ def find_rank_drop_points(
     finite eigenvalues inside the disk of the kN x kN block-companion
     pencil z X + Y of P (X = diag(P_N, I, ..., I); Y has the top block row
     [P_{N-1} ... P_0] and -I on the block sub-diagonal), from the QZ of
-    the pencil.  All of them are polished against F itself in one batched
-    Gauss-Newton, _refine_drop_points.  The landings inside the disk and
+    the pencil.  A start a is dropped when sigma_min(F(a)) exceeds
+    _MULTI_ROOT_RADIUS sum_n n ||F_n||_2, which proves it farther than that
+    radius from every drop (_screened_starts): the eigenvalue estimates of
+    a zero of multiplicity up to 3 lie well within it, so every drop keeps
+    its own start.  On an outer factor typically none is left, and then
+    nothing is polished.  The rest are polished against F itself in one
+    batched Gauss-Newton, _refine_drop_points.  The landings inside the disk and
     the origin, which joins unpolished, are scored by their smallest
     singular value; going from the best, each one below the cut is
     reported unless a reported point lies within _MULTI_ROOT_RADIUS.  An
@@ -422,7 +445,8 @@ def find_rank_drop_points(
         Y = -np.eye(k * N, k=-k, dtype=complex)
         Y[:k] = np.hstack(P[N - 1 :: -1])
         z = scipy.linalg.eigvals(-Y, X)
-    landed = _refine_drop_points(F, z[np.isfinite(z) & (np.abs(z) < 1.0 - radius)])
+    starts = _screened_starts(F, z[np.isfinite(z) & (np.abs(z) < 1.0 - radius)])
+    landed = _refine_drop_points(F, starts) if starts.size else starts
     # Pole removal and numerator lifts pile zero structure onto z = 0, and
     # the eigenvalues of a multiplicity-mu zero there smear over a ring of
     # radius ~eps^(1/mu), so the origin is always a candidate.  It is not

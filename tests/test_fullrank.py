@@ -376,15 +376,73 @@ class TestPolishCoefficients:
             g /= np.linalg.norm(g)
             assert abs(x @ g) <= max(1e-12, 10 * tilt) * np.linalg.norm(x)
 
-    @pytest.mark.parametrize("shape", [(3, 2, 2), (4, 3, 1), (1, 2, 2), (5, 1, 1)])
+    @pytest.mark.parametrize(
+        "shape", [(3, 2, 2), (4, 3, 1), (1, 2, 2), (5, 1, 1), (25, 1, 1), (9, 8, 6)]
+    )
     def test_convolution_matches_loop_reference(self, shape):
         A = random_coefficients(np.random.default_rng(1), shape)
         P, m, _ = shape
+        # The one contraction must round as one einsum per power does, in
+        # double and in the extended precision of the polish residual.
+        for X in (A, A.astype(np.clongdouble)):
+            loop = np.stack(
+                [np.einsum("qik,qjk->ij", X[n:], X[: P - n].conj()) for n in range(P)]
+            )
+            assert _conv_coeffs(X).dtype == X.dtype
+            assert np.array_equal(_conv_coeffs(X), loop)
         D = np.zeros((P, m, m), dtype=complex)
         for n in range(P):
             for q in range(P - n):
                 D[n] += A[n + q] @ A[q].conj().T
         assert np.max(np.abs(_conv_coeffs(A) - D)) < 1e-13
+
+    # (P, m, k) = (N + 1, m, k): the four factor-rankdef shapes, two
+    # factor-fullrank shapes, the three completion blocks and a k = 1 shape.
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            (5, 4, 2),
+            (4, 6, 3),
+            (5, 8, 4),
+            (7, 6, 4),
+            (25, 1, 1),
+            (5, 4, 4),
+            (5, 3, 2),
+            (9, 4, 3),
+            (7, 6, 5),
+            (3, 4, 1),
+        ],
+    )
+    def test_jacobian_matches_the_dense_reference(self, shape):
+        # The dense einsum / np.block construction the Jacobian replaced.
+        # Signs of zeros count: xGELSY's Householder vectors follow them.
+        def dense(A):
+            P, m, k = A.shape
+            n = np.arange(P)[:, None]
+            p = np.arange(P)[None, :]
+            padded = np.concatenate([A, np.zeros_like(A)])
+            lower = padded[np.where(p >= n, p - n, P)]
+            upper = padded[n + p]
+            eye = np.eye(m)
+            lin = np.einsum("ir,npjc->nijprc", eye, lower.conj()).reshape(P * m * m, -1)
+            anti = np.einsum("npic,jr->nijprc", upper, eye).reshape(P * m * m, -1)
+            return np.block(
+                [
+                    [(lin + anti).real, -(lin - anti).imag],
+                    [(lin + anti).imag, (lin - anti).real],
+                ]
+            )
+
+        rng = np.random.default_rng(4)
+        A = random_coefficients(rng, shape)
+        B = A.copy()
+        # Bauer's estimates carry exact zeros above the diagonal of A_0.
+        B[0][np.triu_indices(min(shape[1:]), 1)] = 0.0
+        # Rounding gives zeros of both signs and exact cancellations.
+        for X in (A, B, -B, np.round(A)):
+            got, want = _coeff_jacobian(X), dense(X)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
     @pytest.mark.parametrize("shape", [(3, 2, 2), (4, 3, 1), (2, 4, 3)])
     def test_jacobian_matches_central_difference(self, shape):

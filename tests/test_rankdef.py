@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from parafact import fullrank, rankdef
 from parafact.errors import (
     DegenerateInputError,
     IndeterminateError,
@@ -44,7 +45,7 @@ from parafact.rankdef import (
     tail_quotient,
     verify_factorization,
 )
-from parafact.roots import clear_rank_drops
+from parafact.roots import _screened_starts, clear_rank_drops
 
 
 def circle_points(count=33):
@@ -554,6 +555,51 @@ def planted_factor(rng, m, k, N, zeros):
     return base @ LaurentMatrix.diagonal([col] + [LaurentPoly.one()] * (k - 1))
 
 
+class TestStartScreen:
+    """find_rank_drop_points polishes only starts that can lie near a drop."""
+
+    @pytest.mark.parametrize("shape", [(4, 2, 4), (6, 3, 3), (8, 4, 4), (6, 4, 6)])
+    def test_outer_tall_factor_polishes_no_start(self, shape, monkeypatch):
+        calls = []
+
+        def counted(F, starts, iters=8):
+            calls.append(len(starts))
+            return _refine_drop_points(F, starts, iters)
+
+        monkeypatch.setattr("parafact.roots._refine_drop_points", counted)
+        F = gen_spectrum(*shape, 3, interior_zero_free=True).secret_factor
+        assert find_rank_drop_points(F) == []
+        assert calls == []
+
+    @pytest.mark.parametrize("mu", [1, 2, 3])
+    def test_start_within_the_radius_of_a_zero_passes(self, mu):
+        a = 0.3 - 0.45j
+        F = planted_factor(np.random.default_rng(80 + mu), 5, 3, 2, [a] * mu)
+        starts = a + 0.999 * _MULTI_ROOT_RADIUS * np.exp(1j * np.linspace(0, 6, 7))
+        assert np.array_equal(_screened_starts(F, starts), starts)
+
+    def test_start_far_from_every_zero_is_dropped(self):
+        a = 0.3 - 0.45j
+        F = planted_factor(np.random.default_rng(81), 5, 3, 2, [a])
+        far = np.array([-0.4 + 0.2j, 0.1 + 0.6j])
+        assert _screened_starts(F, far).size == 0
+        assert _screened_starts(F, np.array([a])).size == 1
+
+    def test_simple_double_and_triple_zeros_are_all_reported(self):
+        zeros = {-0.5 + 0.2j: 1, 0.1 + 0.55j: 2, 0.4 - 0.3j: 3}
+        planted = [a for a, mu in zeros.items() for _ in range(mu)]
+        for seed in range(5):
+            F = planted_factor(np.random.default_rng(90 + seed), 6, 3, 2, planted)
+            found = find_rank_drop_points(F)
+            for a in zeros:
+                assert min(abs(b - a) for b in found) <= _MULTI_ROOT_RADIUS
+            # sigma_min grows like d^mu off a mu-fold zero, so a landing up to
+            # about _RANK_TOL^(1/3) short of the triple zero passes the cut
+            # as a second report; no report lies farther out than that.
+            for b in found:
+                assert min(abs(b - a) for a in zeros) <= 1e-2
+
+
 class TestBatchedDropPolish:
     """The batched polish of the start set against the per-start loop."""
 
@@ -657,6 +703,42 @@ class TestSpectralFactor:
         assert find_rank_drop_points(factor) == []
         sv0 = np.linalg.svd(factor.eval(0.0), compute_uv=False)
         assert sv0[-1] > 0
+
+    @pytest.mark.parametrize("shape", [(4, 2, 4), (6, 3, 3), (8, 4, 4), (6, 4, 6)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_regularized_start_takes_two_polish_steps(self, shape, seed, monkeypatch):
+        # The extrapolated start 2 B(delta) - B(2 delta) cancels the error of
+        # one section to first order, so the polish needs one step to reach
+        # its target and takes one more past it.
+        steps, starts = [], []
+        step, polish = fullrank._gauss_newton_step, fullrank.polish_coefficients
+
+        def counted(C, A):
+            steps.append(A.shape)
+            return step(C, A)
+
+        def recorded(C, A, target, min_steps=0):
+            starts.append(A)
+            return polish(C, A, target, min_steps)
+
+        monkeypatch.setattr("parafact.fullrank._gauss_newton_step", counted)
+        monkeypatch.setattr("parafact.rankdef.polish_coefficients", recorded)
+        m, k, N = shape
+        inst = gen_spectrum(m, k, N, seed, interior_zero_free=True)
+        S = inst.spectrum.trim(0.0)
+        factor, report = spectral_factor(S)
+        assert report.path == "regularized"
+        assert len(steps) == 2
+        assert compare_factors(inst.secret_factor, factor) is not None
+
+        perm = select_pivot(S, k, RankDefOptions())
+        section = S.permuted(perm).coeff_array(0, N)
+        section[0] += rankdef._REGULARIZATION * S.max_abs * np.eye(m)
+        blocks = max(rankdef._REGULARIZED_BLOCKS, 2 * N + 2)
+        single = fullrank._bauer_last_row(section, m, N, blocks)[:, np.argsort(perm), :k]
+        C = S.coeff_array(0, N)
+        extrapolated = fullrank._relative_residual(C, starts[0])
+        assert extrapolated * 10.0 <= fullrank._relative_residual(C, single)
 
     def test_detected_rank_is_automatic(self):
         rng = np.random.default_rng(71)

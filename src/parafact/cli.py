@@ -51,38 +51,29 @@ EXIT_INVALID = 2
 EXIT_NUMERICAL = 3
 
 
-def _finish(args, verdicts: dict) -> int:
-    """Write the report when requested and turn the verdicts into a code."""
-    code = EXIT_PASS if all(v["pass"] for v in verdicts.values()) else EXIT_FAIL
+def _finish(args, checks: dict, code=None, error=None) -> int:
+    """Write the report when requested, each Check serialized once, and return
+    the exit code: pass or fail by the checks unless a code is given."""
+    if code is None:
+        code = EXIT_PASS if all(c.passed for c in checks.values()) else EXIT_FAIL
     if getattr(args, "report", None):
-        write_report(
-            args.report,
-            {
-                "command": args.command,
-                "options": args.echo(args),
-                "verdicts": verdicts,
-                "exit_code": code,
-            },
-        )
+        report = {
+            "command": getattr(args, "command", ""),
+            "options": args.echo(args) if hasattr(args, "echo") else {},
+            "verdicts": {name: c.to_dict() for name, c in checks.items()},
+            "exit_code": code,
+        }
+        if error is not None:
+            report["error"] = error
+        write_report(args.report, report)
     return code
 
 
 def _error_report(args, code: int, exc: Exception) -> None:
     """Best-effort failure report: one failing verdict, the error, consistent code."""
-    path = getattr(args, "report", None)
-    if not path:
-        return
     try:
-        write_report(
-            path,
-            {
-                "command": getattr(args, "command", ""),
-                "options": args.echo(args) if hasattr(args, "echo") else {},
-                "verdicts": {"error_free": Check(False, 1.0, 0.5).to_dict()},
-                "error": {"type": type(exc).__name__, "message": str(exc)},
-                "exit_code": code,
-            },
-        )
+        error = {"type": type(exc).__name__, "message": str(exc)}
+        _finish(args, {"error_free": Check(False, 1.0, 0.5)}, code, error)
     except Exception:
         pass
 
@@ -116,8 +107,7 @@ def cmd_factor(args) -> int:
         "factor %dx%d, order %s, residual %.3e"
         % (factor.rows, factor.cols, report.order, report.residual)
     )
-    verdicts = {name: c.to_dict() for name, c in report.verdicts.items()}
-    return _finish(args, verdicts)
+    return _finish(args, report.verdicts)
 
 
 def _echo_complete(args) -> dict:
@@ -152,8 +142,7 @@ def cmd_complete(args) -> int:
         abs(abs(phase) - 1.0) <= args.tol, abs(phase), 1.0 + args.tol
     )
     checks["det_phase_angle"] = Check(True, float(np.angle(phase)), 2.0 * math.pi)
-    verdicts = {name: c.to_dict() for name, c in checks.items()}
-    return _finish(args, verdicts)
+    return _finish(args, checks)
 
 
 def _echo_verify(args) -> dict:
@@ -174,13 +163,12 @@ def cmd_verify(args) -> int:
     else:
         U, _ = read_matrix(args.paraunitary)
         report = verify_paraunitary(U, tol=args.tol)
-    verdicts = {name: c.to_dict() for name, c in report.verdicts.items()}
-    failing = sorted(name for name, v in verdicts.items() if not v["pass"])
+    failing = sorted(name for name, c in report.verdicts.items() if not c.passed)
     if failing:
         print("FAIL: %s" % ", ".join(failing))
     else:
         print("all checks passed")
-    return _finish(args, verdicts)
+    return _finish(args, report.verdicts)
 
 
 def _echo_random(args) -> dict:

@@ -113,15 +113,14 @@ class ParaunitaryReport:
 def check_unit_norm_row(row: LosslessRow, tol: float = 1e-9) -> bool:
     """Whether the row has unit norm identically on the unit circle.
 
-    True iff the Laurent polynomial sum_j u_j u_j~ - 1 has every
-    coefficient at most tol in magnitude.
+    True iff the Laurent polynomial sum_j u_j u_j~ - 1, formed as the
+    1 x 1 product h h~ of the row h, has every coefficient at most tol in
+    magnitude.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    acc = LaurentPoly.zero()
-    for e in row.entries:
-        acc = acc + e * e.adjoint()
-    return (acc - LaurentPoly.one()).max_abs <= tol
+    h = row.as_matrix()
+    return (h @ h.adjoint() - LaurentMatrix.identity(1)).max_abs <= tol
 
 
 def deficiency_matrix(row: LosslessRow, tol: float = 1e-9) -> LaurentMatrix:

@@ -373,16 +373,11 @@ def _edge_trimmed_abs(p: LaurentPoly, cut: float) -> LaurentPoly:
     """
     if p.is_zero:
         return p
-    lo, hi = p.lo, p.hi
-    while lo <= hi and abs(p.coeff(lo)) <= cut:
-        lo += 1
-    while hi >= lo and abs(p.coeff(hi)) <= cut:
-        hi -= 1
-    if lo > hi:
+    c = p.coeff_array(p.lo, p.hi)
+    big = [i for i, x in enumerate(c.tolist()) if abs(x) > cut]
+    if not big:
         return LaurentPoly.zero()
-    if lo == p.lo and hi == p.hi:
-        return p
-    return LaurentPoly({n: p.coeff(n) for n in range(lo, hi + 1)})
+    return LaurentPoly.from_coeffs(c[big[0] : big[-1] + 1], p.lo + big[0])
 
 
 def _edge_trimmed(p: LaurentPoly, rel: float = 1e-12) -> LaurentPoly:
@@ -392,8 +387,6 @@ def _edge_trimmed(p: LaurentPoly, rel: float = 1e-12) -> LaurentPoly:
     true degree; leaving it in place corrupts the power bookkeeping (shifts,
     folds, and root counts) downstream.
     """
-    if p.is_zero:
-        return p
     return _edge_trimmed_abs(p, rel * p.max_abs)
 
 
@@ -622,9 +615,7 @@ def remove_inner_poles(R: RationalMatrix):
             while s < den.hi and abs(den.coeff(s)) <= strip_tol:
                 s += 1
             if s:
-                den = LaurentPoly(
-                    {n - s: den.coeff(n) for n in range(s, den.hi + 1)}
-                )
+                den = LaurentPoly.from_coeffs(den.coeff_array(s, den.hi))
                 for _ in range(s):
                     ops.append(
                         BlaschkeOp(a=0j, column=j, direction="pole-removal")

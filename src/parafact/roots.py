@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NumericalFailureError
-from .laurent import LaurentMatrix, LaurentPoly
+from .laurent import LaurentMatrix, LaurentPoly, _cmul
 
 __all__ = [
     "poly_roots",
@@ -197,20 +197,6 @@ def unitary_with_first_column(v: np.ndarray) -> np.ndarray:
     return U
 
 
-def _cmul(x: np.ndarray, w: complex) -> np.ndarray:
-    """x * w rounded as scalar complex arithmetic rounds it.
-
-    numpy's vectorized complex product may fuse a multiply and an add (it
-    does on x86 with FMA), which rounds differently from the same product
-    taken entry by entry.  Forming the real and imaginary parts apart keeps
-    array recurrences bit-for-bit equal to their per-entry LaurentPoly form.
-    """
-    out = np.empty(x.shape, dtype=complex)
-    out.real = x.real * w.real - x.imag * w.imag
-    out.imag = x.real * w.imag + x.imag * w.real
-    return out
-
-
 def reflect_column_zero(F: LaurentMatrix, a: complex, null_basis: np.ndarray):
     """Move a zero of an analytic matrix at an interior point a across the circle.
 
@@ -312,8 +298,9 @@ def _batched_slopes(F: LaurentMatrix, z: np.ndarray) -> np.ndarray:
     """F' of an analytic F at every point of z, as a (len(z), rows, cols) array.
 
     The Horner recurrence of LaurentMatrix.eval on the coefficients n F_n,
-    but with unfused complex products (see roots._cmul), so each point
-    rounds as LaurentPoly.eval of the entries of F.derivative() rounds it.
+    but with unfused complex products (see laurent._cmul), so each point
+    rounds as the scalar Horner recurrence on each entry of F.derivative(),
+    LaurentPoly.eval, rounds it.
     """
     hi = F.hi or 0
     C = F.coeff_array(0, hi)
@@ -468,6 +455,10 @@ def find_rank_drop_points(
     return out
 
 
+class _NoRankDrop(ValueError):
+    """fix_rank_drop was given a point where F does not drop rank."""
+
+
 def fix_rank_drop(F: LaurentMatrix, a: complex, opts: RankDefOptions | None = None):
     """Reflect one interior rank-drop point across the unit circle.
 
@@ -487,7 +478,7 @@ def fix_rank_drop(F: LaurentMatrix, a: complex, opts: RankDefOptions | None = No
     _, sv, vh = np.linalg.svd(F.eval(a))
     nu = int(np.sum(sv <= _RANK_TOL * max(scale, 1e-300)))
     if not nu:
-        raise ValueError(
+        raise _NoRankDrop(
             "factor does not drop rank at %s (smallest singular value %.3e)"
             % (a, sv[-1])
         )
@@ -508,17 +499,29 @@ def clear_rank_drops(F: LaurentMatrix, opts: RankDefOptions | None = None):
     """Reflect every interior rank drop of a tall analytic F across the circle.
 
     Passes of find_rank_drop_points, each point fixed by fix_rank_drop,
-    until a pass reports none.  Raises NumericalFailureError when drops
-    remain after 4 k max(N, 1) + 16 reflected columns.
+    until a pass reports none.  A point that no longer passes the rank gate
+    is skipped: near a multiple zero the finder can report a second point,
+    which an earlier fix of the same pass has already cleared.  Raises
+    NumericalFailureError when a pass fixes no point, or when drops remain
+    after 4 k max(N, 1) + 16 reflected columns.
     """
     opts = opts or RankDefOptions()
     budget = cap = 4 * F.cols * max(F.hi or 0, 1) + 16
     while drops := find_rank_drop_points(F, opts):
         if budget <= 0:
             raise NumericalFailureError("rank drops left after a budget of %d" % cap)
+        skipped = []
         for a in drops:
-            F, ops = fix_rank_drop(F, a, opts)
+            try:
+                F, ops = fix_rank_drop(F, a, opts)
+            except _NoRankDrop as exc:
+                skipped.append(exc)
+                continue
             budget -= len(ops)
             if budget <= 0:
                 break
+        if len(skipped) == len(drops):
+            raise NumericalFailureError(
+                "no reported point of a pass drops rank: %s" % skipped[0]
+            )
     return F

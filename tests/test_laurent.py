@@ -7,6 +7,8 @@ complex arithmetic on and off the unit circle.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parafact.laurent import (
     AnalyticPolyMatrix,
@@ -434,3 +436,215 @@ def test_stacked_reductions_equal_the_per_power_loop():
     Z = LaurentMatrix.zeros(2, 2)
     assert Z.max_abs == 0.0 and Z.trim(0.5).is_zero and Z.is_parahermitian(0.0)
     assert not random_matrix(rng, 2, 3).is_parahermitian(1e9)
+
+
+class DictPoly:
+    """The scalar Laurent polynomial as it was before the dense store: a dict
+    keyed by power, without exact zeros, in the order its builders insert.
+
+    Kept as the reference for LaurentPoly, which must round every operation
+    below as this class does.  Its sums run in the dict's insertion order.
+    Every operand the library builds lists its powers in ascending order,
+    and then a product agrees with the dense one in every bit.  A sum
+    p + q where q brings powers below p's lists them after p's, and then a
+    product (p + q) * r adds its terms in another order than the dense
+    product, which always adds in ascending powers.  That case is not
+    pinned here: the two differ in the last bits.
+    """
+
+    def __init__(self, terms=None):
+        self._terms = {int(n): complex(c) for n, c in (terms or {}).items() if c != 0}
+
+    @classmethod
+    def of(cls, p):
+        return cls(dict(p.terms))
+
+    @property
+    def lo(self):
+        return min(self._terms) if self._terms else None
+
+    @property
+    def hi(self):
+        return max(self._terms) if self._terms else None
+
+    def coeff(self, n):
+        return self._terms.get(int(n), 0j)
+
+    def coeff_array(self, lo, hi):
+        out = np.zeros(hi - lo + 1, dtype=complex)
+        for n, c in self._terms.items():
+            if lo <= n <= hi:
+                out[n - lo] = c
+        return out
+
+    @property
+    def max_abs(self):
+        return max((abs(c) for c in self._terms.values()), default=0.0)
+
+    def __add__(self, other):
+        data = dict(self._terms)
+        for n, c in other._terms.items():
+            data[n] = data.get(n, 0j) + c
+        return DictPoly(data)
+
+    def __neg__(self):
+        return DictPoly({n: -c for n, c in self._terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        data = {}
+        for n, a in self._terms.items():
+            for m, b in other._terms.items():
+                data[n + m] = data.get(n + m, 0j) + a * b
+        return DictPoly(data)
+
+    def adjoint(self):
+        return DictPoly({-n: c.conjugate() for n, c in self._terms.items()})
+
+    def derivative(self):
+        return DictPoly({n - 1: n * c for n, c in self._terms.items() if n != 0})
+
+    def eval(self, z):
+        z = complex(z)
+        if not self._terms:
+            return 0j
+        lo, hi = self.lo, self.hi
+        acc = 0j
+        for n in range(max(hi, 0), -1, -1):
+            acc = acc * z + self._terms.get(n, 0j)
+        if lo < 0:
+            w = 1.0 / z
+            neg = 0j
+            for n in range(lo, 0):
+                neg = neg * w + self._terms.get(n, 0j)
+            acc += neg * w
+        return acc
+
+    def eval_unit_grid(self, count):
+        folded = np.zeros(count, dtype=complex)
+        for n, c in self._terms.items():
+            folded[n % count] += c
+        return np.fft.ifft(folded) * count
+
+    def trim(self, tol=0.0):
+        cut = tol * self.max_abs
+        return DictPoly({n: c for n, c in self._terms.items() if abs(c) > cut})
+
+    def is_parahermitian(self, tol=0.0):
+        dev = 0.0
+        for n in set(self._terms) | {-n for n in self._terms}:
+            dev = max(dev, abs(self.coeff(-n).conjugate() - self.coeff(n)))
+        return dev <= tol * self.max_abs
+
+
+def same_bits(p, d):
+    """p (a LaurentPoly) and d (a DictPoly) hold the same coefficients, bit for bit."""
+    if p.is_zero or d.lo is None:
+        return p.is_zero and d.lo is None
+    return (p.lo, p.hi) == (d.lo, d.hi) and (
+        p.coeff_array(p.lo, p.hi).tobytes() == d.coeff_array(d.lo, d.hi).tobytes()
+    )
+
+
+def reference_pair(rng):
+    """A LaurentPoly with negative powers, interior exact zeros and one of
+    eight scales from 1e-8 to 1e8, and its DictPoly, built in ascending powers."""
+    lo = int(rng.integers(-6, 3))
+    count = int(rng.integers(1, 14))
+    c = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+    c *= 10.0 ** rng.choice([-8, -5, -2, 0, 1, 3, 6, 8])
+    c[1:-1][rng.random(max(count - 2, 0)) < 0.3] = 0.0
+    terms = {lo + i: x for i, x in enumerate(c)}
+    return LaurentPoly(terms), DictPoly(terms)
+
+
+def test_dense_poly_rounds_as_the_dict_reference():
+    rng = np.random.default_rng(43)
+    points = [0.3 + 0.4j, -1.7 + 0.2j, np.exp(2.1j), 1e-3j, 25.0]
+    for _ in range(400):
+        (p, dp), (q, dq) = reference_pair(rng), reference_pair(rng)
+        assert p.coeff_array(-9, 17).tobytes() == dp.coeff_array(-9, 17).tobytes()
+        assert same_bits(p + q, dp + dq)
+        assert same_bits(p - q, dp - dq)
+        assert same_bits(p * q, dp * dq)
+        assert same_bits(p * 2.5j, dp * DictPoly({0: 2.5j}))
+        assert same_bits(p.adjoint(), dp.adjoint())
+        assert same_bits(p.derivative(), dp.derivative())
+        assert same_bits(p.derivative() * q, dp.derivative() * dq)
+        for tol in (0.0, 1e-3, 0.3, 0.9):
+            assert same_bits(p.trim(tol), dp.trim(tol))
+        assert p.max_abs == dp.max_abs
+        for z in points:
+            assert np.array_equal(p.eval(z), dp.eval(z))
+        for count in (1, 3, 8, 64):
+            grid = p.eval_unit_grid(count)
+            assert grid.tobytes() == dp.eval_unit_grid(count).tobytes()
+        h, dh = p + p.adjoint() + q * 1e-9, dp + dp.adjoint() + dq * DictPoly({0: 1e-9})
+        assert same_bits(h, dh)
+        dev = max(abs(dh.coeff(-n).conjugate() - dh.coeff(n)) for n in range(-20, 21))
+        edge = dev / dh.max_abs
+        for tol in (0.0, np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0), 0.5):
+            assert h.is_parahermitian(tol) == dh.is_parahermitian(tol)
+
+
+IDENTITIES = settings(max_examples=60, derandomize=True, database=None, deadline=None)
+
+
+@st.composite
+def polys(draw):
+    """A LaurentPoly with powers in -5..7, interior exact zeros, scale 1e-6..1e6."""
+    lo = draw(st.integers(-5, 2))
+    count = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+    c[1:-1][rng.random(max(count - 2, 0)) < 0.3] = 0.0
+    return LaurentPoly.from_coeffs(c * draw(st.sampled_from([1e-6, 1e-2, 1.0, 1e3, 1e6])), lo)
+
+
+@st.composite
+def matrix_pairs(draw):
+    """(F, G) with F m x p and G p x n, powers in -3..4."""
+    m, p, n = (draw(st.integers(1, 4)) for _ in range(3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    F = random_matrix(rng, m, p, lo=draw(st.integers(-3, 1)), hi=draw(st.integers(1, 3)))
+    G = random_matrix(rng, p, n, lo=draw(st.integers(-2, 0)), hi=draw(st.integers(0, 4)))
+    return F, G
+
+
+@IDENTITIES
+@given(polys(), polys())
+def test_adjoint_of_a_product_is_the_reversed_product_of_adjoints(p, q):
+    # Each power of both sides sums the same products in the same order.
+    assert (p * q).adjoint() == q.adjoint() * p.adjoint()
+
+
+@IDENTITIES
+@given(polys(), polys())
+def test_product_rule(p, q):
+    lhs, rhs = (p * q).derivative(), p.derivative() * q + p * q.derivative()
+    top = max(abs(p.lo), abs(p.hi)) + max(abs(q.lo), abs(q.hi))
+    bound = 1e-14 * p.max_abs * q.max_abs * (top + 1) * (min(p.span, q.span) + 1)
+    assert (lhs - rhs).max_abs <= bound
+
+
+@IDENTITIES
+@given(matrix_pairs())
+def test_adjoint_of_a_matrix_product(pair):
+    F, G = pair
+    diff = (F @ G).adjoint() - G.adjoint() @ F.adjoint()
+    assert diff.max_abs <= 1e-14 * F.max_abs * G.max_abs * F.cols * (F.span + G.span + 1)
+
+
+@IDENTITIES
+@given(matrix_pairs())
+def test_entries_round_trip(pair):
+    F, _ = pair
+    entries = [[F.entry(i, j) for j in range(F.cols)] for i in range(F.rows)]
+    assert LaurentMatrix.from_entries(entries) == F
+    for i in range(F.rows):
+        for j in range(F.cols):
+            assert entries[i][j] == LaurentPoly(
+                {n: C[i, j] for n, C in F.terms.items()}
+            )

@@ -427,6 +427,25 @@ class TestRankDropPoints:
         with pytest.raises(NumericalFailureError, match="budget of 20"):
             clear_rank_drops(F)
 
+    @pytest.mark.parametrize(
+        "shape, seed", [((6, 3, 2), 1), ((5, 3, 2), 12), ((4, 2, 2), 17), ((4, 2, 2), 19)]
+    )
+    def test_clear_rank_drops_skips_a_point_an_earlier_fix_cleared(self, shape, seed):
+        # Near the double and the triple zero the finder reports a second
+        # point, which the first point's fix has already cleared.
+        zeros = [-0.5 + 0.2j] + [0.1 + 0.55j] * 2 + [0.4 - 0.3j] * 3
+        F = planted_factor(np.random.default_rng(90 + seed), *shape, zeros)
+        G = clear_rank_drops(F)
+        assert find_rank_drop_points(G) == []
+        S = F @ F.adjoint()
+        assert (G @ G.adjoint() - S).max_abs <= 1e-7 * S.max_abs
+
+    def test_clear_rank_drops_raises_when_a_pass_fixes_nothing(self, monkeypatch):
+        F = gen_spectrum(3, 2, 2, 7, interior_zero_free=True).secret_factor
+        monkeypatch.setattr("parafact.roots.find_rank_drop_points", lambda G, opts: [0.1j])
+        with pytest.raises(NumericalFailureError, match="no reported point of a pass drops rank"):
+            clear_rank_drops(F)
+
     @pytest.mark.parametrize("nu", [2, 3])
     def test_block_drop_is_reflected_in_one_fix(self, nu):
         m, k, N = 5, 4, 2

@@ -34,10 +34,6 @@ __all__ = [
 
 _METADATA_FIELDS = {"name": str, "seed": int, "generator": str}
 
-# A LaurentMatrix is dense over its power span, so two far-apart powers in a
-# short file could ask for any memory; 2^24 coefficients (256 MiB) is ample.
-_MAX_DENSE_COEFFS = 2**24
-
 
 def _fmt(x: float) -> str:
     """Decimal form of a finite float with 17 significant digits.
@@ -76,6 +72,38 @@ def _as_finite(value, what: str) -> float:
 # ---------------------------------------------------------------------------
 # matrix files
 # ---------------------------------------------------------------------------
+
+
+def _block_from_cells(block: list, cols: int, p: int) -> np.ndarray:
+    """The complex coefficient block of power p from its rows of [re, im] cells.
+
+    The well-formed case is checked in one pass over the flattened numbers,
+    and the block is their float array viewed as complex, which keeps every
+    value, signed zeros included, as complex(re, im) does.  Anything else
+    goes through the cell-by-cell check, which raises the error that names
+    the first bad row, cell or number.
+    """
+    cells = [cell for row in block if type(row) is list and len(row) == cols for cell in row]
+    flat = [x for cell in cells if type(cell) is list and len(cell) == 2 for x in cell]
+    if len(flat) == 2 * len(block) * cols and all(type(x) in (float, int) for x in flat):
+        try:
+            values = np.array(flat, dtype=float)
+        except OverflowError:
+            values = None
+        if values is not None and np.isfinite(values).all():
+            return values.view(complex).reshape(len(block), cols)
+    C = np.zeros((len(block), cols), dtype=complex)
+    for i, row in enumerate(block):
+        _require(isinstance(row, list) and len(row) == cols,
+                 "row %d of power %d must have %d entries" % (i, p, cols))
+        for j, cell in enumerate(row):
+            _require(isinstance(cell, list) and len(cell) == 2,
+                     "entry (%d, %d) of power %d must be [re, im]" % (i, j, p))
+            C[i, j] = complex(
+                _as_finite(cell[0], "re at (%d, %d), power %d" % (i, j, p)),
+                _as_finite(cell[1], "im at (%d, %d), power %d" % (i, j, p)),
+            )
+    return C
 
 
 def matrix_to_text(M: LaurentMatrix, metadata: dict | None = None) -> str:
@@ -128,7 +156,7 @@ def matrix_from_text(text: str) -> tuple[LaurentMatrix, dict]:
 
     Raises ValueError on anything malformed: wrong types, non-finite
     numbers, shape mismatches, powers out of order, or a power span whose
-    dense store would exceed _MAX_DENSE_COEFFS coefficients.
+    dense store LaurentMatrix refuses (laurent._MAX_DENSE_COEFFS).
     """
     try:
         doc = json.loads(text)
@@ -156,23 +184,8 @@ def matrix_from_text(text: str) -> tuple[LaurentMatrix, dict]:
         block = item["matrix"]
         _require(isinstance(block, list) and len(block) == rows,
                  "matrix for power %d must have %d rows" % (p, rows))
-        C = np.zeros((rows, cols), dtype=complex)
-        for i, row in enumerate(block):
-            _require(isinstance(row, list) and len(row) == cols,
-                     "row %d of power %d must have %d entries" % (i, p, cols))
-            for j, cell in enumerate(row):
-                _require(isinstance(cell, list) and len(cell) == 2,
-                         "entry (%d, %d) of power %d must be [re, im]" % (i, j, p))
-                C[i, j] = complex(
-                    _as_finite(cell[0], "re at (%d, %d), power %d" % (i, j, p)),
-                    _as_finite(cell[1], "im at (%d, %d), power %d" % (i, j, p)),
-                )
-        terms[p] = C
-    if terms:
-        span = last_power - min(terms)
-        _require((span + 1) * rows * cols <= _MAX_DENSE_COEFFS,
-                 "power span %d of a %d x %d matrix needs more than %d coefficients"
-                 % (span, rows, cols, _MAX_DENSE_COEFFS))
+        terms[p] = _block_from_cells(block, cols, p)
+    M = LaurentMatrix(rows, cols, terms)
     metadata = {}
     if "metadata" in doc:
         meta = doc["metadata"]
@@ -188,7 +201,7 @@ def matrix_from_text(text: str) -> tuple[LaurentMatrix, dict]:
                 _require(isinstance(meta[key], str),
                          "metadata %s must be a string" % key)
                 metadata[key] = meta[key]
-    return LaurentMatrix(rows, cols, terms), metadata
+    return M, metadata
 
 
 def write_matrix(path, M: LaurentMatrix, metadata: dict | None = None) -> None:

@@ -12,7 +12,10 @@ estimate meets the tolerance or stops converging geometrically.  A start
 that still misses the tolerance is refined by polish_coefficients: damped
 Gauss-Newton least squares on the quadratic coefficient equations
 sum_q A_{n+q} A_q^H = C_n, with one step past the first iterate that meets
-the target.  Should that polish stall, as at a multiple circle zero of
+the target.  A polish factors the Jacobian once, as LAPACK xGELSY does, and
+takes its later steps as chord steps on that factorization while a bound on
+their first-order contraction stays below _CHORD_CONTRACTION; past it, it
+factors again.  Should that polish stall, as at a multiple circle zero of
 det S, the doubling restarts with a polish after every section.  Interior
 rank drops, which Bauer and the polish leave near circle zeros of det S,
 are finally reflected across the circle by roots.clear_rank_drops.
@@ -28,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg import blas, lapack
 
 from .errors import NotFactorableError, NumericalFailureError
 from .laurent import AnalyticPolyMatrix, LaurentMatrix, LaurentPoly, _order_grid_count
@@ -60,6 +64,15 @@ _POLISH_MAX_ITERS = 30
 _POLISH_HALVINGS = 10
 # Residual target of the polish that ends scalar_factor and spectral_factor.
 _FINAL_POLISH = 1e-15
+# A chord step contracts the error by kappa to first order, where a
+# Gauss-Newton step contracts it by a term quadratic in the error.  The
+# step past the final target must take the forward error from what a
+# residual of _FINAL_POLISH certifies, ||J^+|| _FINAL_POLISH ||C||, to what
+# one at the rounding unit u certifies, ||J^+|| u ||C||: a gain of
+# _FINAL_POLISH / u.  A chord step keeps that gain while kappa <= u /
+# _FINAL_POLISH, about 0.11; at the larger targets it then gains at least
+# 9 per step, far above the halving that the stall rule asks for.
+_CHORD_CONTRACTION = 0.5 * np.finfo(float).eps / _FINAL_POLISH
 
 
 @dataclass(frozen=True)
@@ -197,45 +210,112 @@ def _coeff_jacobian(A: np.ndarray) -> np.ndarray:
     """
     P, m, k = A.shape
     U = P * m * k
-    J = np.zeros((2 * P * m * m, 2 * U))
-    flat = J.reshape(-1)
-    row = 2 * U * np.arange(P * m * m).reshape(P, m, m, 1)
-    col = np.arange(U).reshape(P, m, 1, k)
-    down = P * m * m * 2 * U
+    down = P * m * m
+    # Column-major, the order xGEQP3 factors in, so it needs no copy.
+    J = np.zeros((2 * down, 2 * U), order="F")
+    flat = J.T.reshape(-1)
+    row = np.arange(down).reshape(P, m, m, 1)
+    col = 2 * down * np.arange(U).reshape(P, m, 1, k)
+    right = 2 * down * U
     s = np.arange(P)
     n, p = np.nonzero(s[:, None] <= s)
     # + 0.0 turns every -0 of lin and anti into +0.
     lin = A[p - n].conj()[:, None] + 0.0
     at = row[n] + col[p]
     flat[at] = lin.real
-    flat[at + U] = lin.imag
+    flat[at + right] = lin.imag
     flat[at + down] = lin.imag
-    flat[at + down + U] = lin.real
+    flat[at + down + right] = lin.real
     n, p = np.nonzero(s[:, None] + s < P)
     anti = A[n + p][:, :, None] + 0.0
     at = row[n] + col[p].swapaxes(1, 2)
     flat[at] += anti.real
-    flat[at + U] -= anti.imag
+    flat[at + right] -= anti.imag
     flat[at + down] += anti.imag
-    flat[at + down + U] -= anti.real
+    flat[at + down + right] -= anti.real
     # The upper-right block, Im lin - Im anti so far, becomes its negation.
-    np.negative(J[: P * m * m, U:], out=J[: P * m * m, U:])
+    np.negative(J[:down, U:], out=J[:down, U:])
     return J
 
 
-def _gauss_newton_step(C: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """Minimum-norm least-squares step of the equations linearized at A."""
-    P, m, k = A.shape
-    U = P * m * k
+class _JacobianFactor:
+    """Complete orthogonal factorization of the Jacobian J at A0, as xGELSY forms it.
+
+    QR with column pivoting (xGEQP3) gives J P = Q [[R11, R12], [0, R22]];
+    the rank r counts the leading diagonal entries of R above numpy
+    lstsq's cutoff eps * max(J.shape) times |R[0, 0]|, and xTZRZF turns
+    the top r rows into [T 0] Z with T upper triangular.  solve applies
+    Q^T (xORMQR), T^-1 (xTRSM), Z^T (xORMRZ) and P.  Each routine gets the
+    workspace xGELSY passes it, because LAPACK's blocking, and so the
+    rounding, follows the workspace: the solution then equals
+    scipy.linalg.lstsq(J, b, cut, lapack_driver="gelsy") in every bit.
+    """
+
+    def __init__(self, A: np.ndarray):
+        self.at = A
+        J = _coeff_jacobian(A)
+        m, n = J.shape
+        mn = min(m, n)
+        cut = np.finfo(float).eps * max(m, n)
+        work = int(lapack.dgelsy_lwork(m, n, 1, cut)[0])
+        self.qr, jpvt, self.tau, _, _ = lapack.dgeqp3(J, work - mn, overwrite_a=True)
+        self.perm = jpvt - 1
+        d = np.abs(np.diagonal(self.qr))
+        cuts = np.flatnonzero(d <= cut * d[0]) if d[0] else [0]
+        self.rank = int(cuts[0]) if len(cuts) else mn
+        self.work = work - 2 * mn
+        # xGELSY skips this at full rank, where it leaves T = R11 and Z = I.
+        self.rz, self.tau_z, _ = lapack.dtzrzf(self.qr[: self.rank], self.work)
+        self._pinv_norm = None
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """Minimum-norm least-squares solution of J x = b, J cut to rank r."""
+        r, n = self.rank, self.qr.shape[1]
+        y = np.zeros((n, 1))
+        if r:
+            c = lapack.dormqr("L", "T", self.qr, self.tau, b[:, None], self.work)[0]
+            y[:r] = blas.dtrsm(1.0, self.rz[:, :r], c[:r])
+            y = lapack.dormrz(self.rz, self.tau_z, y, side="L", trans="T", lwork=self.work)[0]
+        x = np.empty(n)
+        x[self.perm] = y[:, 0]
+        return x
+
+    def contraction(self, A: np.ndarray) -> float:
+        """Bound on kappa = ||J(A) - J(A0)||_2 ||J(A0)^+||_2, up to xTRCON's estimate.
+
+        J is real-linear in A, so J(A) - J(A0) = J(E) with E = A - A0, and
+        J(E) h = conv(h, E) + conv(E, h): for each power q, E_q enters each
+        convolution once, through a block shift and a product with E_q, so
+        ||J(E)||_2 <= 2 sum_q ||E_q||_2 <= 2 sum_q ||E_q||_F.  The truncated
+        J(A0)^+ is P Z^T [T^-1; 0] Q^T, of norm ||T^-1||_2 <= sqrt(r)
+        ||T^-1||_1, and xTRCON estimates ||T^-1||_1 = 1 / (rcond ||T||_1).
+        """
+        if self._pinv_norm is None:
+            T = self.rz[:, : self.rank]
+            # 1 / ||T^-1||_1 by the estimate; zero for a singular or empty T.
+            scale = 0.0
+            if self.rank:
+                scale = lapack.dtrcon(T)[0] * np.abs(np.triu(T)).sum(axis=0).max()
+            self._pinv_norm = np.sqrt(self.rank) / scale if scale > 0 else np.inf
+        E = A - self.at
+        moved = float(np.sqrt((E.real**2 + E.imag**2).sum(axis=(1, 2))).sum())
+        return 2.0 * moved * self._pinv_norm
+
+
+def _gauss_newton_step(C: np.ndarray, A: np.ndarray, factor: _JacobianFactor) -> np.ndarray:
+    """Least-squares step of the equations linearized at A, by factor's Jacobian.
+
+    With factor taken at A it is the minimum-norm Gauss-Newton step; with
+    factor taken at an earlier iterate it is a chord step.
+    """
     # Near a factor with zeros close to the circle the Jacobian has
     # singular values far below its largest, and the step divides the
     # residual by them.  Forming the residual in extended precision keeps
     # its rounding noise from being amplified into the coefficients.
     R = (C - _conv_coeffs(A.astype(np.clongdouble))).astype(complex).reshape(-1)
-    J = _coeff_jacobian(A)
-    cut = np.finfo(float).eps * max(J.shape)
-    x = scipy.linalg.lstsq(J, np.concatenate([R.real, R.imag]), cut, lapack_driver="gelsy")[0]
-    return (x[:U] + 1j * x[U:]).reshape(P, m, k)
+    x = factor.solve(np.concatenate([R.real, R.imag]))
+    U = x.size // 2
+    return (x[:U] + 1j * x[U:]).reshape(A.shape)
 
 
 def polish_coefficients(
@@ -246,9 +326,14 @@ def polish_coefficients(
     A is (N+1, m, k) and C is (N+1, m, m); the unknowns are the real and
     imaginary parts of A, the equations sum_q A_{n+q} A_q^H = C_n.  Each
     step is the minimum-norm least-squares solution of the linearized
-    equations, by complete orthogonal factorization (LAPACK xGELSY) with
-    numpy lstsq's rank cutoff eps * max(J.shape), so it has no component
-    along the right-unitary gauge of A, the Jacobian's only null space.
+    equations, by complete orthogonal factorization (_JacobianFactor, the
+    one LAPACK xGELSY forms) with numpy lstsq's rank cutoff
+    eps * max(J.shape), so it has no component along the right-unitary
+    gauge of A, the Jacobian's only null space.
+    The first step factors J at the start.  A later step is a chord step
+    that reuses the kept factorization of J(A0) at the iterate A, as long
+    as its contraction bound kappa = ||J(A) - J(A0)|| ||J(A0)^+|| is at
+    most _CHORD_CONTRACTION; otherwise it factors J(A) and keeps that.
     A full step may raise the max-abs residual (relative to max |C_n|) up
     to _POLISH_GROWTH times the best one so far; beyond that it is halved.
     Stops when the residual reaches target after at least min_steps steps,
@@ -258,11 +343,14 @@ def polish_coefficients(
     """
     best, best_rel = A, _relative_residual(C, A)
     stalls = 0
+    factor = None
     for step_count in range(_POLISH_MAX_ITERS):
         reached = best_rel <= target and step_count >= min_steps
         if reached or stalls >= _POLISH_STALLS:
             break
-        step = _gauss_newton_step(C, A)
+        if factor is None or factor.contraction(A) > _CHORD_CONTRACTION:
+            factor = _JacobianFactor(A)
+        step = _gauss_newton_step(C, A, factor)
         for _ in range(_POLISH_HALVINGS):
             trial = A + step
             rel = _relative_residual(C, trial)

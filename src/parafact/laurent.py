@@ -34,6 +34,12 @@ __all__ = [
 ]
 
 
+# The store is dense over the power span, so a few far-apart powers could
+# ask for any memory; a dict of terms may span at most 2^24 coefficients
+# (256 MiB), far above the k N powers of any factor the library builds.
+_MAX_DENSE_COEFFS = 2**24
+
+
 def _next_pow2(n: int) -> int:
     m = 1
     while m < n:
@@ -99,10 +105,22 @@ class _Laurent:
         self._coeffs = C
 
     def _store_terms(self, terms, shape) -> None:
-        """Keep a dict mapping each power to a coefficient of the given shape."""
+        """Keep a dict mapping each power to a coefficient of the given shape.
+
+        Raises ValueError, naming the span, when the dense store of the
+        powers from the lowest to the highest would exceed _MAX_DENSE_COEFFS
+        coefficients.
+        """
         terms = {int(n): np.asarray(c, dtype=complex) for n, c in (terms or {}).items()}
         lo = min(terms, default=0)
-        C = np.zeros((max(terms, default=lo - 1) - lo + 1,) + shape, dtype=complex)
+        span = max(terms, default=lo - 1) - lo
+        if (span + 1) * int(np.prod(shape)) > _MAX_DENSE_COEFFS:
+            what = "a %d x %d matrix" % shape if shape else "a scalar"
+            raise ValueError(
+                "power span %d of %s needs more than %d coefficients"
+                % (span, what, _MAX_DENSE_COEFFS)
+            )
+        C = np.zeros((span + 1,) + shape, dtype=complex)
         for n, c in terms.items():
             if c.shape != shape:
                 raise ValueError(

@@ -60,6 +60,7 @@ from typing import Optional
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
 from .errors import (
     DegenerateInputError,
@@ -285,6 +286,22 @@ def estimate_rank(S: LaurentMatrix, opts: RankDefOptions | None = None) -> int:
     return int(np.max(np.where(sv[:, 0] > 0, counts, 0)))
 
 
+def _pivot_heads(blocks, k: int) -> list:
+    """The first k column pivots of each block's QR with column pivoting, sorted.
+
+    Only xGEQP3 runs, with the workspace its query asks for, as in
+    scipy.linalg.qr(..., pivoting=True), so the pivots are that call's;
+    Q is never formed.
+    """
+    heads, lwork = [], {}
+    for M in blocks:
+        if M.shape not in lwork:
+            lwork[M.shape] = int(lapack.zgeqp3(M, -1)[3][0].real)
+        jpvt = lapack.zgeqp3(M, lwork[M.shape])[1]
+        heads.append(tuple(sorted(int(i) - 1 for i in jpvt[:k])))
+    return heads
+
+
 def select_pivot(S: LaurentMatrix, k: int, opts: RankDefOptions | None = None) -> tuple:
     """Symmetric permutation placing a robust k x k head block first.
 
@@ -306,11 +323,7 @@ def select_pivot(S: LaurentMatrix, k: int, opts: RankDefOptions | None = None) -
 
     candidates = [tuple(range(k))]
     if k < m:
-        _, _, piv = scipy.linalg.qr(samples.reshape(-1, m), mode="economic", pivoting=True)
-        candidates.append(tuple(sorted(int(i) for i in piv[:k])))
-        for M in samples:
-            _, _, piv = scipy.linalg.qr(M, mode="economic", pivoting=True)
-            candidates.append(tuple(sorted(int(i) for i in piv[:k])))
+        candidates += _pivot_heads([samples.reshape(-1, m), *samples], k)
 
     live = scales > 0
     safe = np.where(live, scales, 1.0)
@@ -763,8 +776,9 @@ def _regularized_start(S: LaurentMatrix, perm: tuple, k: int, opts: RankDefOptio
     Bauer sections B(delta) of S + delta I and B(2 delta) of S + 2 delta I,
     delta = _REGULARIZATION max |C_n|, are factored in the pivot's row
     order.  The first k columns of 2 B(delta) - B(2 delta), read back in
-    the original row order, are polished to _FINAL_POLISH and one step
-    past it.  None, which sends spectral_factor to the rational
+    the original row order, are polished to _FINAL_POLISH in at least two
+    steps, so that the second, a chord step on the first one's Jacobian
+    factorization, goes past it.  None, which sends spectral_factor to the rational
     construction, means the polish missed that target, the result has an
     interior rank drop, or the section or the drop finder raised
     NumericalFailureError.
@@ -782,10 +796,9 @@ def _regularized_start(S: LaurentMatrix, perm: tuple, k: int, opts: RankDefOptio
         except NumericalFailureError:
             return None
     B = (2.0 * sections[0] - sections[1])[:, np.argsort(perm), :k]
-    A, rel = polish_coefficients(C, B, _FINAL_POLISH, min_steps=1)
+    A, rel = polish_coefficients(C, B, _FINAL_POLISH, min_steps=2)
     if rel > _FINAL_POLISH:
         return None
-    A, _ = polish_coefficients(C, A, _FINAL_POLISH, min_steps=1)
     try:
         drops = find_rank_drop_points(LaurentMatrix.from_coeffs(A), opts)
     except NumericalFailureError:

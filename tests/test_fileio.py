@@ -90,6 +90,40 @@ class TestMatrixFiles:
         with pytest.raises(ValueError):
             matrix_from_text(text)
 
+    @pytest.mark.parametrize(
+        "value,expected",
+        [
+            (-0.0, None),
+            (0, None),
+            (2**53 + 1, None),
+            (-(2**70) - 1, None),
+            (1e308, None),
+            (True, (ValueError, "im at (1, 0), power 3 must be a number, got True")),
+            (False, (ValueError, "im at (1, 0), power 3 must be a number, got False")),
+            (10**400, (OverflowError, "int too large to convert to float")),
+            (float("nan"), (ValueError, "im at (1, 0), power 3 must be finite, got nan")),
+            (float("-inf"), (ValueError, "im at (1, 0), power 3 must be finite, got -inf")),
+            ("1", (ValueError, "im at (1, 0), power 3 must be a number, got '1'")),
+        ],
+    )
+    def test_cells_parse_as_complex_of_each_number(self, value, expected):
+        # The block is one float array viewed as complex; it must keep what
+        # complex(float(re), float(im)) keeps, signed zeros included, and
+        # refuse a cell with the cell-by-cell message.
+        block = [[[1.5, -2], [0.25, 3]], [[-0.0, value], [7, 1e-300]]]
+        text = json.dumps(
+            {"rows": 2, "cols": 2, "terms": [{"power": 3, "matrix": block}]}
+        )
+        if expected is not None:
+            kind, message = expected
+            with pytest.raises(kind) as info:
+                matrix_from_text(text)
+            assert str(info.value) == message
+            return
+        M, _ = matrix_from_text(text)
+        want = np.array([[complex(float(re), float(im)) for re, im in row] for row in block])
+        assert M.coeff(3).tobytes() == want.tobytes()
+
     # The dense store spans every power between the ends: powers 0 and
     # 10^12 of an 8 x 8 matrix once asked numpy for 931 TiB.
     @pytest.mark.parametrize("shape,top", [((8, 8), 10**12), ((1, 1), 2**24)])

@@ -7,10 +7,12 @@ cases are checked through the defining identity and the canonical form.
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.linalg import cholesky_banded
 
 from parafact.errors import NotFactorableError
 from parafact.fullrank import (
+    _JacobianFactor,
     _bauer_last_row,
     _coeff_jacobian,
     _conv_coeffs,
@@ -134,20 +136,28 @@ class TestFactorPositiveDefinite:
     # Bauer's estimate converges geometrically in the section size, so the
     # doubling reaches the tolerance without a Gauss-Newton step; only (4,4,4)
     # seed 3 stops at 4.1e-11 at the L = 1024 cap and takes two: one to meet
-    # the target and one more past it.
+    # the target and one more past it.  They come from two polish calls, and
+    # each call factors the Jacobian at its own start.
     @pytest.mark.parametrize("shape", [(4, 4, 4), (6, 6, 3)])
     @pytest.mark.parametrize("seed", range(4))
     def test_bauer_doubling_leaves_the_polish_no_steps(self, shape, seed, monkeypatch):
-        steps = []
+        steps, factors = [], []
 
-        def counted(C, A):
+        def counted(C, A, factor):
             steps.append(A.shape)
-            return _gauss_newton_step(C, A)
+            return _gauss_newton_step(C, A, factor)
+
+        def factored(A):
+            factors.append(A.shape)
+            return _JacobianFactor(A)
 
         monkeypatch.setattr("parafact.fullrank._gauss_newton_step", counted)
+        monkeypatch.setattr("parafact.fullrank._JacobianFactor", factored)
         S = gen_spectrum(*shape, seed).spectrum
         F = factor_positive_definite(S, 1e-11)
-        assert len(steps) == 2 * int((shape, seed) == ((4, 4, 4), 3))
+        polished = int((shape, seed) == ((4, 4, 4), 3))
+        assert len(steps) == 2 * polished
+        assert len(factors) == 2 * polished
         assert (F @ F.adjoint() - S).max_abs <= 1e-11 * S.max_abs
 
     # A det zero on the circle makes Bauer converge algebraically, gaining
@@ -357,7 +367,7 @@ class TestPolishCoefficients:
     @pytest.mark.parametrize("kind", ["head", "tall", "completion"])
     def test_step_is_the_minimum_norm_least_squares_step(self, kind):
         C, A = polish_start(kind)
-        x = real_vector(_gauss_newton_step(C, A))
+        x = real_vector(_gauss_newton_step(C, A, _JacobianFactor(A)))
         J = _coeff_jacobian(A)
         b = real_vector((C - _conv_coeffs(A.astype(np.clongdouble))).astype(complex))
         best = np.linalg.pinv(J) @ b
@@ -489,6 +499,75 @@ class TestPolishCoefficients:
         A, rel = polish_coefficients(C, A0, 0.0)
         assert rel <= _relative_residual(C, A0)
         assert rel < 1e-15
+
+    # (P, m, k) = (N + 1, m, k) of the Jacobians on the benchmark: the five
+    # factor-fullrank shapes, the four factor-rankdef shapes and the three
+    # completion blocks.
+    BENCH_JACOBIANS = [
+        (25, 1, 1), (41, 1, 1), (5, 4, 4), (9, 3, 3), (4, 6, 6),
+        (5, 4, 2), (4, 6, 3), (5, 8, 4), (7, 6, 4),
+        (5, 3, 2), (9, 4, 3), (7, 6, 5),
+    ]
+
+    @pytest.mark.parametrize("case", ["head", "tall", "completion"] + BENCH_JACOBIANS)
+    def test_kept_factorization_solves_as_gelsy(self, case):
+        # The first step of every polish must stay the xGELSY step in every
+        # bit, and a chord step solves another right-hand side with the same
+        # factorization, so both sides are checked against lstsq.
+        rng = np.random.default_rng(5)
+        if isinstance(case, str):
+            C, A = polish_start(case)
+        else:
+            A = random_coefficients(rng, case)
+            C = _conv_coeffs(A + 1e-6 * random_coefficients(rng, case))
+        J = _coeff_jacobian(A)
+        cut = np.finfo(float).eps * max(J.shape)
+        factor = _JacobianFactor(A)
+        step = real_vector(_gauss_newton_step(C, A, factor))
+        b = real_vector((C - _conv_coeffs(A.astype(np.clongdouble))).astype(complex))
+        for rhs in (b, rng.standard_normal(b.size)):
+            want, _, rank, _ = scipy.linalg.lstsq(J, rhs, cut, lapack_driver="gelsy")
+            assert factor.rank == rank
+            assert factor.solve(rhs).tobytes() == want.tobytes()
+        assert step.tobytes() == factor.solve(b).tobytes()
+
+    @pytest.mark.parametrize("kind", ["head", "tall", "completion"])
+    def test_contraction_bounds_kappa(self, kind):
+        # J is real-linear in A, and the bound must cover
+        # ||J(A) - J(A0)||_2 ||J(A0)^+||_2 with the truncated pseudoinverse.
+        _, A0 = polish_start(kind)
+        factor = _JacobianFactor(A0)
+        J0 = _coeff_jacobian(A0)
+        pinv = 1.0 / np.linalg.svd(J0, compute_uv=False)[factor.rank - 1]
+        rng = np.random.default_rng(6)
+        for scale in (1e-9, 1e-5, 1e-2):
+            E = scale * random_coefficients(rng, A0.shape)
+            JE = _coeff_jacobian(E)
+            moved = _coeff_jacobian(A0 + E) - J0
+            assert np.max(np.abs(moved - JE)) <= 1e-14 * np.max(np.abs(J0))
+            assert np.linalg.norm(JE, 2) * pinv <= factor.contraction(A0 + E)
+        assert factor.contraction(A0) == 0.0
+
+    def test_far_start_refactors_every_step(self, monkeypatch):
+        # 1e-3 off the tall factor the first steps move J by far more than a
+        # chord step tolerates, so each of them factors J afresh.
+        steps, factors = [], []
+
+        def counted(C, A, factor):
+            steps.append(factor)
+            return _gauss_newton_step(C, A, factor)
+
+        def factored(A):
+            factors.append(_JacobianFactor(A))
+            return factors[-1]
+
+        monkeypatch.setattr("parafact.fullrank._gauss_newton_step", counted)
+        monkeypatch.setattr("parafact.fullrank._JacobianFactor", factored)
+        C, A = polish_start("tall")
+        _, rel = polish_coefficients(C, A, 1e-15, min_steps=2)
+        assert rel <= 1e-15
+        assert len(steps) >= 3
+        assert steps == factors
 
 
 class TestCanonicalize:

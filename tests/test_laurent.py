@@ -130,6 +130,24 @@ class TestLaurentPoly:
         assert LaurentPoly({0: 1.0}) != LaurentPoly({1: 1.0})
 
 
+def test_dict_terms_refuse_a_dense_store_past_the_cap(monkeypatch):
+    # The store is dense over the span, so the dict constructors refuse a
+    # span whose store exceeds the cap, before allocating it.
+    with pytest.raises(ValueError, match="span 1000000000000 of a scalar"):
+        LaurentPoly({0: 1.0, 10**12: 2.0})
+    with pytest.raises(ValueError, match="span 1000000000000 of a 8 x 8 matrix"):
+        LaurentMatrix(8, 8, {0: np.eye(8), 10**12: np.eye(8)})
+    monkeypatch.setattr("parafact.laurent._MAX_DENSE_COEFFS", 96)
+    assert LaurentPoly({-5: 1.0, 90: 2.0}).span == 95
+    with pytest.raises(ValueError, match="span 96 of a scalar"):
+        LaurentPoly({-5: 1.0, 91: 2.0})
+    assert LaurentMatrix(2, 3, {0: np.ones((2, 3)), 15: np.ones((2, 3))}).span == 15
+    with pytest.raises(ValueError, match="span 16 of a 2 x 3 matrix needs more than 96"):
+        LaurentMatrix(2, 3, {0: np.ones((2, 3)), 16: np.ones((2, 3))})
+    # Arrays handed over whole are already allocated and pass unchecked.
+    assert LaurentPoly.from_coeffs(np.ones(200)).span == 199
+
+
 class TestLaurentMatrix:
     def test_identity_and_constant(self):
         I = LaurentMatrix.identity(3)

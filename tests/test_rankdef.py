@@ -30,6 +30,7 @@ from parafact.rankdef import (
     _circle_samples,
     _operator_scale,
     _outer_tall_factor,
+    _pivot_heads,
     _refine_drop_points,
     _rng,
     RankDefOptions,
@@ -206,6 +207,28 @@ class TestBatchedSampling:
                     want = pointwise_rank_identity(S, perm, rank)
                     got = check_rank_identity(S, perm, rank)
                     assert (got.passed, got.measured) == want
+
+    @pytest.mark.parametrize(
+        "make,k",
+        [
+            (lambda s, shape=shape: gen_spectrum(*shape, s).spectrum, shape[1])
+            for shape in [(4, 2, 4), (6, 3, 3), (8, 4, 4), (6, 4, 6)]
+        ]
+        + [
+            (lambda s, shape=shape: deficiency_matrix(gen_lossless(*shape, s).row), shape[0] - 1)
+            for shape in [(3, 4), (4, 8), (6, 6)]
+        ],
+    )
+    def test_pivot_heads_are_the_pivoted_qr_ones(self, make, k):
+        # xGEQP3 alone, without forming Q, on the benchmark shapes' samples.
+        for seed in range(3):
+            samples = _circle_samples(make(seed), RankDefOptions(), _TAG_PIVOT)
+            blocks = [samples.reshape(-1, samples.shape[2]), *samples]
+            want = [
+                tuple(sorted(scipy.linalg.qr(M, mode="economic", pivoting=True)[2][:k]))
+                for M in blocks
+            ]
+            assert _pivot_heads(blocks, k) == want
 
     def test_rank_two_spectrum_has_no_full_rank_pivot(self):
         rng = np.random.default_rng(80)
@@ -728,27 +751,36 @@ class TestSpectralFactor:
     def test_regularized_start_takes_two_polish_steps(self, shape, seed, monkeypatch):
         # The extrapolated start 2 B(delta) - B(2 delta) cancels the error of
         # one section to first order, so the polish needs one step to reach
-        # its target and takes one more past it.
-        steps, starts = [], []
+        # its target and takes one more past it.  The second is a chord step
+        # on the first one's Jacobian factorization.
+        steps, factors, starts = [], [], []
         step, polish = fullrank._gauss_newton_step, fullrank.polish_coefficients
+        factor = fullrank._JacobianFactor
 
-        def counted(C, A):
+        def counted(C, A, kept):
             steps.append(A.shape)
-            return step(C, A)
+            return step(C, A, kept)
+
+        def factored(A):
+            factors.append(A.shape)
+            return factor(A)
 
         def recorded(C, A, target, min_steps=0):
             starts.append(A)
             return polish(C, A, target, min_steps)
 
         monkeypatch.setattr("parafact.fullrank._gauss_newton_step", counted)
+        monkeypatch.setattr("parafact.fullrank._JacobianFactor", factored)
         monkeypatch.setattr("parafact.rankdef.polish_coefficients", recorded)
         m, k, N = shape
         inst = gen_spectrum(m, k, N, seed, interior_zero_free=True)
         S = inst.spectrum.trim(0.0)
-        factor, report = spectral_factor(S)
+        F, report = spectral_factor(S)
         assert report.path == "regularized"
         assert len(steps) == 2
-        assert compare_factors(inst.secret_factor, factor) is not None
+        assert len(factors) == 1
+        assert len(starts) == 1
+        assert compare_factors(inst.secret_factor, F) is not None
 
         perm = select_pivot(S, k, RankDefOptions())
         section = S.permuted(perm).coeff_array(0, N)
@@ -758,6 +790,29 @@ class TestSpectralFactor:
         C = S.coeff_array(0, N)
         extrapolated = fullrank._relative_residual(C, starts[0])
         assert extrapolated * 10.0 <= fullrank._relative_residual(C, single)
+
+    def test_projector_spectrum_refactors_every_step(self, monkeypatch):
+        # On a projector spectrum ||J^+|| reaches 3e9 / ||J||, so every step
+        # of the regularized start's polish moves J beyond what a chord step
+        # tolerates, and each one factors J afresh.
+        steps, factors = [], []
+        step, factor = fullrank._gauss_newton_step, fullrank._JacobianFactor
+
+        def counted(C, A, kept):
+            steps.append(kept)
+            return step(C, A, kept)
+
+        def factored(A):
+            factors.append(factor(A))
+            return factors[-1]
+
+        monkeypatch.setattr("parafact.fullrank._gauss_newton_step", counted)
+        monkeypatch.setattr("parafact.fullrank._JacobianFactor", factored)
+        row = gen_lossless(4, 8, 3).row
+        _, report = spectral_factor(deficiency_matrix(row), rank=3)
+        assert report.path == "regularized"
+        assert len(steps) >= 3
+        assert steps == factors
 
     def test_detected_rank_is_automatic(self):
         rng = np.random.default_rng(71)

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .laurent import LaurentMatrix
+from .laurent import _MAX_DENSE_COEFFS, LaurentMatrix
 
 __all__ = [
     "matrix_to_text",
@@ -77,21 +77,8 @@ def _as_finite(value, what: str) -> float:
 def _block_from_cells(block: list, cols: int, p: int) -> np.ndarray:
     """The complex coefficient block of power p from its rows of [re, im] cells.
 
-    The well-formed case is checked in one pass over the flattened numbers,
-    and the block is their float array viewed as complex, which keeps every
-    value, signed zeros included, as complex(re, im) does.  Anything else
-    goes through the cell-by-cell check, which raises the error that names
-    the first bad row, cell or number.
+    Raises the error that names the first bad row, cell or number.
     """
-    cells = [cell for row in block if type(row) is list and len(row) == cols for cell in row]
-    flat = [x for cell in cells if type(cell) is list and len(cell) == 2 for x in cell]
-    if len(flat) == 2 * len(block) * cols and all(type(x) in (float, int) for x in flat):
-        try:
-            values = np.array(flat, dtype=float)
-        except OverflowError:
-            values = None
-        if values is not None and np.isfinite(values).all():
-            return values.view(complex).reshape(len(block), cols)
     C = np.zeros((len(block), cols), dtype=complex)
     for i, row in enumerate(block):
         _require(isinstance(row, list) and len(row) == cols,
@@ -106,30 +93,99 @@ def _block_from_cells(block: list, cols: int, p: int) -> np.ndarray:
     return C
 
 
+def _matrix_from_terms(items, rows: int, cols: int) -> LaurentMatrix | None:
+    """The matrix of well-formed terms, checked and converted in one pass.
+
+    Every number of every block goes into one float array, viewed as
+    complex, which keeps every value, signed zeros included, as
+    complex(re, im) does; the dense store is built once from it.  Returns
+    None when anything is malformed, including a power span whose store
+    would pass laurent._MAX_DENSE_COEFFS (checked before it is allocated),
+    so that the term-by-term path raises the error that names it.
+    """
+    if type(items) is not list:
+        return None
+    powers, flat = [], []
+    for item in items:
+        if type(item) is not dict or item.keys() != {"power", "matrix"}:
+            return None
+        p, block = item["power"], item["matrix"]
+        if type(p) is not int or (powers and p <= powers[-1]):
+            return None
+        if type(block) is not list or len(block) != rows:
+            return None
+        cells = [cell for row in block if type(row) is list and len(row) == cols for cell in row]
+        size = len(flat) + 2 * rows * cols
+        flat += [x for cell in cells if type(cell) is list and len(cell) == 2 for x in cell]
+        if len(flat) != size:
+            return None
+        powers.append(p)
+    if not set(map(type, flat)) <= {float, int}:
+        return None
+    lo = powers[0] if powers else 0
+    span = powers[-1] - lo + 1 if powers else 0
+    if span * rows * cols > _MAX_DENSE_COEFFS:
+        return None
+    try:
+        values = np.array(flat, dtype=float)
+    except OverflowError:
+        return None
+    if not np.isfinite(values).all():
+        return None
+    C = np.zeros((span, rows, cols), dtype=complex)
+    C[np.array(powers, dtype=int) - lo] = values.view(complex).reshape(-1, rows, cols)
+    return LaurentMatrix.from_coeffs(C, lo)
+
+
+def _matrix_term_by_term(items, rows: int, cols: int) -> LaurentMatrix:
+    """The matrix of the terms, checked term by term; raises on the first bad one."""
+    _require(isinstance(items, list), "terms must be an array")
+    terms = {}
+    last_power = None
+    for item in items:
+        _require(isinstance(item, dict), "each term must be an object")
+        _require(set(item) == {"power", "matrix"},
+                 "each term needs exactly power and matrix")
+        p = _as_int(item["power"], "power")
+        _require(last_power is None or p > last_power,
+                 "powers must be strictly increasing")
+        last_power = p
+        block = item["matrix"]
+        _require(isinstance(block, list) and len(block) == rows,
+                 "matrix for power %d must have %d rows" % (p, rows))
+        terms[p] = _block_from_cells(block, cols, p)
+    return LaurentMatrix(rows, cols, terms)
+
+
 def matrix_to_text(M: LaurentMatrix, metadata: dict | None = None) -> str:
-    """Serialize a Laurent matrix to canonical matrix-file text."""
+    """Serialize a Laurent matrix to canonical matrix-file text.
+
+    Each row of a coefficient block is formatted by one "%.17g" template,
+    which prints a float as _fmt does: the block has 0.0 added first, so a
+    negative zero prints as 0, and a non-finite coefficient raises _fmt's
+    error.
+    """
     lines = ["{"]
     lines.append('  "rows": %d,' % M.rows)
     lines.append('  "cols": %d,' % M.cols)
-    powers = sorted(M.terms)
-    if not powers:
+    if M.is_zero:
         body = '  "terms": []'
     else:
         lines.append('  "terms": [')
-        for idx, p in enumerate(powers):
-            C = np.asarray(M.coeff(p))
+        C = (M.coeff_array(M.lo, M.hi) + 0.0).view(float)
+        finite = np.isfinite(C)
+        if not finite.all():
+            _fmt(C.flat[np.argmin(finite)])
+        row = "        [" + ", ".join(["[%.17g, %.17g]"] * M.cols) + "]"
+        live = np.flatnonzero(C.any(axis=(1, 2))).tolist()
+        blocks = C.tolist()
+        for idx, n in enumerate(live):
             lines.append("    {")
-            lines.append('      "power": %d,' % p)
+            lines.append('      "power": %d,' % (M.lo + n))
             lines.append('      "matrix": [')
-            for i in range(M.rows):
-                cells = ", ".join(
-                    "[%s, %s]" % (_fmt(C[i, j].real), _fmt(C[i, j].imag))
-                    for j in range(M.cols)
-                )
-                comma = "," if i + 1 < M.rows else ""
-                lines.append("        [%s]%s" % (cells, comma))
+            lines.append(",\n".join(row % tuple(r) for r in blocks[n]))
             lines.append("      ]")
-            lines.append("    }" + ("," if idx + 1 < len(powers) else ""))
+            lines.append("    }" + ("," if idx + 1 < len(live) else ""))
         body = "  ]"
     lines.append(body + ("," if metadata else ""))
     if metadata:
@@ -170,22 +226,9 @@ def matrix_from_text(text: str) -> tuple[LaurentMatrix, dict]:
     rows = _as_int(doc["rows"], "rows")
     cols = _as_int(doc["cols"], "cols")
     _require(rows >= 1 and cols >= 1, "rows and cols must be positive")
-    _require(isinstance(doc["terms"], list), "terms must be an array")
-    terms = {}
-    last_power = None
-    for item in doc["terms"]:
-        _require(isinstance(item, dict), "each term must be an object")
-        _require(set(item) == {"power", "matrix"},
-                 "each term needs exactly power and matrix")
-        p = _as_int(item["power"], "power")
-        _require(last_power is None or p > last_power,
-                 "powers must be strictly increasing")
-        last_power = p
-        block = item["matrix"]
-        _require(isinstance(block, list) and len(block) == rows,
-                 "matrix for power %d must have %d rows" % (p, rows))
-        terms[p] = _block_from_cells(block, cols, p)
-    M = LaurentMatrix(rows, cols, terms)
+    M = _matrix_from_terms(doc["terms"], rows, cols)
+    if M is None:
+        M = _matrix_term_by_term(doc["terms"], rows, cols)
     metadata = {}
     if "metadata" in doc:
         meta = doc["metadata"]

@@ -853,7 +853,8 @@ def _outer_tall_factor(S: LaurentMatrix, perm: tuple, k: int, opts: RankDefOptio
         # Reflections are unimodular on the circle, so the gate's scale
         # holds for every pass.
         radius = _DEFLATION_RADIUS
-        gate = _RANK_TOL * max(_operator_scale(G), 1e-300)
+        scale = _operator_scale(G)
+        gate = _RANK_TOL * max(scale, 1e-300)
         while True:
             points = find_rank_drop_points(G, opts)
             if anchors:
@@ -881,7 +882,7 @@ def _outer_tall_factor(S: LaurentMatrix, perm: tuple, k: int, opts: RankDefOptio
                     continue
                 if len(zero_ops) >= cap:
                     raise over_cap()
-                G, ops = fix_rank_drop(G, a, opts)
+                G, ops = fix_rank_drop(G, a, opts, scale)
                 zero_ops.extend(ops)
                 progressed = True
             if not progressed:

@@ -210,9 +210,13 @@ def reflect_column_zero(F: LaurentMatrix, a: complex, null_basis: np.ndarray):
     unitary_with_first_column; for nu > 1 the basis is completed by the
     trailing right singular vectors of its adjoint.
 
-    Only interior points are accepted: the division runs the top-down
-    recurrence of divide_linear on the whole column block at once, which is
-    stable for |a| < 1, and ValueError is raised for |a| >= 1.
+    The rotation is one batched product of the coefficient stack by U, plus
+    0.0 so that a negative zero reads as the Laurent product F @ U stores
+    it.  The division runs the top-down recurrence of divide_linear,
+    q_{i-1} = c_i + q_i a, in Python complex arithmetic on every entry of
+    the column block at once, so each product rounds as laurent._cmul
+    rounds it.  That recurrence is stable for |a| < 1 only, and ValueError
+    is raised for |a| >= 1.
 
     Returns (reflected matrix, applied unitary, worst division remainder),
     the remainder being the max-abs coefficient of (z - a) q - c over the
@@ -221,23 +225,24 @@ def reflect_column_zero(F: LaurentMatrix, a: complex, null_basis: np.ndarray):
     a = complex(a)
     if not abs(a) < 1.0:
         raise ValueError("reflect_column_zero needs |a| < 1, got %s" % a)
+    if (F.lo or 0) < 0:
+        raise ValueError("reflect_column_zero expects an analytic matrix")
     B = np.asarray(null_basis, dtype=complex).reshape(F.cols, -1)
     nu = B.shape[1]
     if nu == 1:
         U = unitary_with_first_column(B[:, 0])
     else:
         U = np.hstack([B, np.linalg.svd(B.conj().T)[2][nu:].conj().T])
-    G = F @ LaurentMatrix.constant(U)
-    if (G.lo or 0) < 0:
-        raise ValueError("reflect_column_zero expects an analytic matrix")
-    d = G.hi or 0
-    C = G.coeff_array(0, d)
-    c = C[:, :, :nu].copy()
+    d = F.hi or 0
+    C = np.matmul(F.coeff_array(0, d), U) + 0.0
+    c = C[:, :, :nu]
     # q has powers 0..d-1, padded with a zero row at power d so that
     # (z - a) q and (1 - conj(a) z) q are plain shifted differences.
-    q = np.zeros_like(c)
-    for i in range(d, 0, -1):
-        q[i - 1] = c[i] + _cmul(q[i], a)
+    rows = c.reshape(d + 1, -1).tolist()
+    qs = [[0j] * len(rows[0])]
+    for ci in rows[:0:-1]:
+        qs.append([x + y * a for x, y in zip(ci, qs[-1])])
+    q = np.array(qs[::-1], dtype=complex).reshape(c.shape)
     resid = -a * q - c
     resid[1:] += q[:-1]
     worst = float(np.max(np.abs(resid)))
@@ -459,7 +464,12 @@ class _NoRankDrop(ValueError):
     """fix_rank_drop was given a point where F does not drop rank."""
 
 
-def fix_rank_drop(F: LaurentMatrix, a: complex, opts: RankDefOptions | None = None):
+def fix_rank_drop(
+    F: LaurentMatrix,
+    a: complex,
+    opts: RankDefOptions | None = None,
+    scale: float | None = None,
+):
     """Reflect one interior rank-drop point across the unit circle.
 
     Every right singular direction of F(a) whose singular value is at most
@@ -469,12 +479,19 @@ def fix_rank_drop(F: LaurentMatrix, a: complex, opts: RankDefOptions | None = No
     (z - a) and multiplied by (1 - conj(a) z).  The product F F~ is
     preserved; the zero moves to 1/conj(a) with its whole null space.
 
+    scale is the operator scale of the gate, _operator_scale(F), taken
+    from F when it is not given.  A clearing loop passes the scale of the
+    factor it started from: reflections and constant unitary rotations have
+    unit modulus on the circle, so they move the sampled largest singular
+    value by rounding only.
+
     Returns (fixed factor, ops): one BlaschkeOp per reflected column
     0..nu-1, all sharing a and the applied unitary.
     """
     opts = opts or RankDefOptions()
     a = complex(a)
-    scale = _operator_scale(F)
+    if scale is None:
+        scale = _operator_scale(F)
     _, sv, vh = np.linalg.svd(F.eval(a))
     nu = int(np.sum(sv <= _RANK_TOL * max(scale, 1e-300)))
     if not nu:
@@ -499,21 +516,27 @@ def clear_rank_drops(F: LaurentMatrix, opts: RankDefOptions | None = None):
     """Reflect every interior rank drop of a tall analytic F across the circle.
 
     Passes of find_rank_drop_points, each point fixed by fix_rank_drop,
-    until a pass reports none.  A point that no longer passes the rank gate
-    is skipped: near a multiple zero the finder can report a second point,
-    which an earlier fix of the same pass has already cleared.  Raises
-    NumericalFailureError when a pass fixes no point, or when drops remain
-    after 4 k max(N, 1) + 16 reflected columns.
+    until a pass reports none.  The gate's operator scale is taken once,
+    from the input, when the first pass reports a drop, and every fix uses
+    it: the reflections are unimodular on the circle (see fix_rank_drop).
+    A point that no longer passes the rank gate is skipped: near a multiple
+    zero the finder can report a second point, which an earlier fix of the
+    same pass has already cleared.  Raises NumericalFailureError when a
+    pass fixes no point, or when drops remain after 4 k max(N, 1) + 16
+    reflected columns.
     """
     opts = opts or RankDefOptions()
     budget = cap = 4 * F.cols * max(F.hi or 0, 1) + 16
+    scale = None
     while drops := find_rank_drop_points(F, opts):
         if budget <= 0:
             raise NumericalFailureError("rank drops left after a budget of %d" % cap)
+        if scale is None:
+            scale = _operator_scale(F)
         skipped = []
         for a in drops:
             try:
-                F, ops = fix_rank_drop(F, a, opts)
+                F, ops = fix_rank_drop(F, a, opts, scale)
             except _NoRankDrop as exc:
                 skipped.append(exc)
                 continue

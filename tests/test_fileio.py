@@ -1,11 +1,15 @@
 """Matrix and report files: canonical round trips and rejection of bad input."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 from parafact.fileio import (
+    _as_finite,
+    _as_int,
+    _require,
     matrix_from_text,
     matrix_to_text,
     read_matrix,
@@ -136,6 +140,175 @@ class TestMatrixFiles:
     def test_unknown_metadata_is_not_written(self):
         with pytest.raises(ValueError):
             matrix_to_text(LaurentMatrix.zeros(1, 1), metadata={"owner": "x"})
+
+
+def _fmt_reference(x):
+    if not math.isfinite(x):
+        raise ValueError("cannot serialize non-finite number %r" % x)
+    x = float(x)
+    if x == 0.0:
+        return "0"
+    return format(x, ".17g")
+
+
+def matrix_terms_to_text_reference(M):
+    """The writer as it was, cell by cell through _fmt, without metadata."""
+    lines = ["{", '  "rows": %d,' % M.rows, '  "cols": %d,' % M.cols]
+    powers = sorted(M.terms)
+    if not powers:
+        body = '  "terms": []'
+    else:
+        lines.append('  "terms": [')
+        for idx, p in enumerate(powers):
+            C = np.asarray(M.coeff(p))
+            lines.append("    {")
+            lines.append('      "power": %d,' % p)
+            lines.append('      "matrix": [')
+            for i in range(M.rows):
+                cells = ", ".join(
+                    "[%s, %s]" % (_fmt_reference(C[i, j].real), _fmt_reference(C[i, j].imag))
+                    for j in range(M.cols)
+                )
+                comma = "," if i + 1 < M.rows else ""
+                lines.append("        [%s]%s" % (cells, comma))
+            lines.append("      ]")
+            lines.append("    }" + ("," if idx + 1 < len(powers) else ""))
+        body = "  ]"
+    lines.append(body)
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def _block_reference(block, cols, p):
+    cells = [cell for row in block if type(row) is list and len(row) == cols for cell in row]
+    flat = [x for cell in cells if type(cell) is list and len(cell) == 2 for x in cell]
+    if len(flat) == 2 * len(block) * cols and all(type(x) in (float, int) for x in flat):
+        try:
+            values = np.array(flat, dtype=float)
+        except OverflowError:
+            values = None
+        if values is not None and np.isfinite(values).all():
+            return values.view(complex).reshape(len(block), cols)
+    C = np.zeros((len(block), cols), dtype=complex)
+    for i, row in enumerate(block):
+        _require(isinstance(row, list) and len(row) == cols,
+                 "row %d of power %d must have %d entries" % (i, p, cols))
+        for j, cell in enumerate(row):
+            _require(isinstance(cell, list) and len(cell) == 2,
+                     "entry (%d, %d) of power %d must be [re, im]" % (i, j, p))
+            C[i, j] = complex(
+                _as_finite(cell[0], "re at (%d, %d), power %d" % (i, j, p)),
+                _as_finite(cell[1], "im at (%d, %d), power %d" % (i, j, p)),
+            )
+    return C
+
+
+def matrix_terms_from_text_reference(text):
+    """The reader as it was, block by block, without metadata."""
+    doc = json.loads(text)
+    rows = _as_int(doc["rows"], "rows")
+    cols = _as_int(doc["cols"], "cols")
+    _require(isinstance(doc["terms"], list), "terms must be an array")
+    terms = {}
+    last_power = None
+    for item in doc["terms"]:
+        _require(isinstance(item, dict), "each term must be an object")
+        _require(set(item) == {"power", "matrix"},
+                 "each term needs exactly power and matrix")
+        p = _as_int(item["power"], "power")
+        _require(last_power is None or p > last_power,
+                 "powers must be strictly increasing")
+        last_power = p
+        block = item["matrix"]
+        _require(isinstance(block, list) and len(block) == rows,
+                 "matrix for power %d must have %d rows" % (p, rows))
+        terms[p] = _block_reference(block, cols, p)
+    return LaurentMatrix(rows, cols, terms)
+
+
+# Finite doubles at the edges of the format: the largest, the smallest
+# normal and subnormal, signed zeros, and values whose 17-digit forms
+# switch between fixed and exponent notation.
+EDGE_VALUES = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+    1.7976931348623157e308, -1.7976931348623157e308, 1e16, 1e17, 123456789012345678.0,
+    1e-4, 1e-5, 0.1, 1.0 / 3.0, -2.5, 1.0, 2.0**-1074 * 3,
+]
+
+
+def _edge_matrix(seed, rows, cols, lo, hi):
+    """Random coefficients with edge values planted and some exact zeros,
+    a whole zero power inside the span included."""
+    rng = np.random.default_rng(seed)
+    count = hi - lo + 1
+    bits = rng.integers(0, 2**64, size=(count, rows, 2 * cols), dtype=np.uint64)
+    values = bits.view(float)
+    values[~np.isfinite(values)] = 0.0
+    edge = rng.random(values.shape) < 0.3
+    values[edge] = rng.choice(EDGE_VALUES, size=int(edge.sum()))
+    values *= rng.random(values.shape) > 0.1
+    if count > 2:
+        values[count // 2] = 0.0
+    return LaurentMatrix.from_coeffs(np.ascontiguousarray(values).view(complex), lo)
+
+
+@pytest.mark.parametrize(
+    "seed,rows,cols,lo,hi",
+    [(0, 1, 1, 0, 40), (1, 6, 6, 0, 3), (2, 8, 4, -4, 4), (3, 2, 3, -1, 2), (4, 3, 1, 5, 5)],
+)
+def test_writer_and_reader_match_the_cell_by_cell_references(seed, rows, cols, lo, hi):
+    M = _edge_matrix(seed, rows, cols, lo, hi)
+    text = matrix_to_text(M)
+    assert text == matrix_terms_to_text_reference(M)
+    got, _ = matrix_from_text(text)
+    want = matrix_terms_from_text_reference(text)
+    assert (got.lo, got.hi) == (want.lo, want.hi)
+    assert got.coeff_array(got.lo, got.hi).tobytes() == want.coeff_array(want.lo, want.hi).tobytes()
+    # Coefficients as the file holds them: negative zeros read as +0.0.
+    loose = json.loads(text)
+    loose["terms"][0]["matrix"][0][0] = [-0.0, 0]
+    compact = json.dumps(loose)
+    got, _ = matrix_from_text(compact)
+    want = matrix_terms_from_text_reference(compact)
+    assert got.coeff_array(got.lo, got.hi).tobytes() == want.coeff_array(want.lo, want.hi).tobytes()
+
+
+def test_row_template_prints_every_double_as_fmt():
+    rng = np.random.default_rng(8)
+    values = rng.integers(0, 2**64, size=20000, dtype=np.uint64).view(float)
+    values = np.concatenate([values[np.isfinite(values)], EDGE_VALUES])
+    for x in values.tolist():
+        assert "%.17g" % (x + 0.0) == _fmt_reference(x)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"rows": 1, "cols": 1, "terms": {}}',
+        '{"rows": 1, "cols": 1, "terms": [[]]}',
+        '{"rows": 1, "cols": 1, "terms": [{"power": 0, "matrix": [[[1, 0]]], "x": 1}]}',
+        '{"rows": 1, "cols": 1, "terms": [{"power": true, "matrix": [[[1, 0]]]}]}',
+        '{"rows": 1, "cols": 1, "terms": [{"power": 0.0, "matrix": [[[1, 0]]]}]}',
+        '{"rows": 1, "cols": 1, "terms": [{"power": 0, "matrix": [[[1, 0]]]},'
+        ' {"power": 0, "matrix": [[[1, 0]]]}]}',
+        '{"rows": 2, "cols": 1, "terms": [{"power": 0, "matrix": [[[1, 0]]]}]}',
+        '{"rows": 1, "cols": 2, "terms": [{"power": 0, "matrix": [[[1, 0], [2]]]}]}',
+        '{"rows": 1, "cols": 2, "terms": [{"power": 0, "matrix": [[[1, 0], 2]]}]}',
+        '{"rows": 1, "cols": 1, "terms": [{"power": 0, "matrix": [[[1, 0]]]},'
+        ' {"power": 3, "matrix": [[["1", 0]]]}]}',
+        '{"rows": 1, "cols": 1, "terms": [{"power": 0, "matrix": [[[1, null]]]}]}',
+        '{"rows": 1, "cols": 1, "terms": [{"power": 0, "matrix": [[[1e999, 0]]]}]}',
+        '{"rows": 1, "cols": 1, "terms": [{"power": 0, "matrix": [[[1, 0]]]},'
+        ' {"power": 16777216, "matrix": [[[1, 0]]]}]}',
+        '{"rows": 1, "cols": 1, "terms": [{"power": 0, "matrix": [[[%d, 0]]]}]}' % 10**400,
+    ],
+)
+def test_reader_raises_the_reference_error(text):
+    with pytest.raises((ValueError, OverflowError)) as want:
+        matrix_terms_from_text_reference(text)
+    with pytest.raises(type(want.value)) as got:
+        matrix_from_text(text)
+    assert str(got.value) == str(want.value)
 
 
 class TestReportFiles:

@@ -1,5 +1,5 @@
-"""Property tests for rank estimation, pivot selection, drop finding and
-completion.
+"""Property tests for rank estimation, pivot selection, drop finding,
+column reflection, linear division and completion.
 
 Spectra are built as A A~ from a random m x k analytic A, so their rank on
 the circle is k by construction, and planted rank drops are known exactly.
@@ -23,8 +23,11 @@ from parafact.rankdef import (
     spectral_factor,
     verify_factorization,
 )
+from parafact.roots import divide_linear, reflect_column_zero
 
 SETTINGS = settings(max_examples=40, derandomize=True, database=None, deadline=None)
+
+U_ROUND = np.finfo(float).eps / 2
 
 
 @st.composite
@@ -179,6 +182,114 @@ def test_constant_factor_has_no_drops():
     rng = np.random.default_rng(6)
     F = LaurentMatrix.constant(rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2)))
     assert find_rank_drop_points(F) == []
+
+
+@st.composite
+def column_zeros(draw):
+    """(F, a, basis): a random m x k factor of order N whose first nu
+    columns, after a random constant unitary, vanish at an interior a with
+    |a| <= 0.9; and the nu-column null basis of F(a)."""
+    m = draw(st.integers(1, 5))
+    k = draw(st.integers(1, m))
+    N = draw(st.integers(1, 5))
+    nu = draw(st.integers(1, k))
+    a = complex(draw(st.floats(0.0, 0.9)) * np.exp(1j * draw(st.floats(0.0, 2.0 * np.pi))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = LaurentMatrix.from_coeffs(
+        rng.standard_normal((N, m, k)) + 1j * rng.standard_normal((N, m, k))
+    )
+    zero = LaurentPoly({0: -a, 1: 1.0})
+    plant = LaurentMatrix.diagonal([zero] * nu + [LaurentPoly.one()] * (k - nu))
+    Q, R = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+    F = base @ plant @ LaurentMatrix.constant(Q * (np.diag(R) / np.abs(np.diag(R))))
+    return F, a, np.linalg.svd(F.eval(a))[2][-nu:].conj().T
+
+
+def reflection_error_bound(F, a, rem):
+    """A bound on ||G(z) - F(z) U D(z)||_2 on the unit circle, where G, U
+    and rem are reflect_column_zero's result and D(z) = diag(b(z) I_nu, I),
+    b(z) = (1 - conj(a) z)/(z - a), |b(z)| = 1 on the circle.
+
+    With c = max |F_n|, u the unit roundoff and Q = sqrt(k) c / (1 - |a|),
+    which bounds the quotient coefficients, each coefficient of each entry
+    of the error carries at most
+      2 (k + 2) u sqrt(k) c        the rotation C_n U (a length-k inner product),
+      rem + 4 u (2 Q + sqrt(k) c)  the exact remainder against the measured one,
+      8 u Q                        the product by (1 - conj(a) z),
+    because G's first nu columns are b(z) (C(z) U + rotation error - r(z))
+    plus the last product's rounding, and |b(z)| = 1 on the circle.  The
+    d + 1 powers and the m k entries then give the bound in the 2-norm.
+    """
+    m, k = F.shape
+    c = F.max_abs
+    Q = np.sqrt(k) * c / (1.0 - abs(a))
+    e = 2 * (k + 2) * U_ROUND * np.sqrt(k) * c + rem + 4 * U_ROUND * (2 * Q + np.sqrt(k) * c)
+    e += 8 * U_ROUND * Q
+    return np.sqrt(m * k) * ((F.hi or 0) + 1) * e
+
+
+@SETTINGS
+@given(column_zeros())
+def test_reflection_keeps_the_circle_singular_values_and_moves_the_zero(case):
+    # This is the fact a clearing loop's single gate rests on: by Weyl's
+    # inequality each singular value of G(z) is within the bound of F(z)'s,
+    # and G G~ within 2 sigma_max(F(z)) bound + bound^2 of F F~.
+    F, a, basis = case
+    nu = basis.shape[1]
+    G, U, rem = reflect_column_zero(F, a, basis)
+    k = F.cols
+    assert np.max(np.abs(U.conj().T @ U - np.eye(k))) <= 10 * k * U_ROUND
+    bound = reflection_error_bound(F, a, rem)
+    zs = np.exp(2j * np.pi * np.arange(16) / 16)
+    for Fz, Gz in zip(F.eval(zs), G.eval(zs)):
+        sf = np.linalg.svd(Fz, compute_uv=False)
+        sg = np.linalg.svd(Gz, compute_uv=False)
+        assert np.max(np.abs(sg - sf)) <= bound
+        gram = np.linalg.norm(Gz @ Gz.conj().T - Fz @ Fz.conj().T, 2)
+        assert gram <= 2 * sf[0] * bound + bound**2
+    # The first nu columns are (1 - conj(a) z) q(z), so they vanish at
+    # 1/conj(a): sum_n G_n conj(a)^(d - n), which telescopes to zero, is
+    # left with the rounding of the last product (8 u Q / (1 - |a|)) and
+    # of its own Horner evaluation.
+    d = F.hi
+    C = G.coeff_array(0, d)[:, :, :nu]
+    w = a.conjugate()
+    at_mirror = np.zeros(C.shape[1:], dtype=complex)
+    for Cn in C:
+        at_mirror = at_mirror * w + Cn
+    weights = np.abs(w) ** np.arange(d, -1, -1)
+    Q = np.sqrt(k) * F.max_abs / (1.0 - abs(a))
+    horner = 8 * (d + 1) * U_ROUND * np.tensordot(weights, np.abs(C), axes=1)
+    assert np.all(np.abs(at_mirror) <= 8 * U_ROUND * Q / (1.0 - abs(a)) + horner)
+
+
+@SETTINGS
+@given(
+    st.integers(1, 8),
+    st.floats(0.0, 3.0),
+    st.floats(0.0, 2.0 * np.pi),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_linear_division_leaves_its_remainder(d, r, theta, exact, seed):
+    # p = (z - a) q + r0.  Inside the closed disk the top-down recurrence
+    # leaves the constant r0 as its remainder; outside it the bottom-up one
+    # divides exact multiples.  Each of the d steps rounds a product and a
+    # sum of terms below (d + 1) max(|p|, |q|) (1 + |a|), and the error
+    # carried between steps is scaled by |a| or 1/|a|, at most one.
+    rng = np.random.default_rng(seed)
+    a = complex(r * np.exp(1j * theta))
+    q = LaurentPoly.from_coeffs(rng.standard_normal(d) + 1j * rng.standard_normal(d))
+    r0 = 0j if exact or r > 1.0 else complex(rng.standard_normal(), rng.standard_normal())
+    p = LaurentPoly({0: -a, 1: 1.0}) * q + r0
+    got, rem = divide_linear(p, a)
+    size = (d + 1) * max(p.max_abs, q.max_abs) * (1.0 + abs(a))
+    tol = 8 * (d + 2) * U_ROUND * size
+    assert (got - q).max_abs <= tol
+    assert abs(rem - abs(r0)) <= (2.0 + abs(a)) * tol
+    left = p - LaurentPoly({0: -a, 1: 1.0}) * got
+    where = 0 if abs(a) <= 1.0 else d
+    assert all(abs(c) <= (2.0 + abs(a)) * tol for n, c in left.terms.items() if n != where)
 
 
 @SETTINGS

@@ -419,6 +419,29 @@ class TestRankDropPoints:
         assert calls == [(m, k)]
         assert compare_factors(inst.secret_factor, factor) is not None
 
+    def test_rational_drop_clearing_takes_one_scale_per_call(self, monkeypatch):
+        # _outer_tall_factor clears the numerator and then the polynomial
+        # factor: two scales, each handed to every fix of its call.
+        scales, passed = [], []
+
+        def measured(G):
+            scales.append(_operator_scale(G))
+            return scales[-1]
+
+        def fix(G, a, opts=None, scale=None):
+            passed.append(scale)
+            return fix_rank_drop(G, a, opts, scale)
+
+        monkeypatch.setattr("parafact.rankdef._operator_scale", measured)
+        monkeypatch.setattr("parafact.rankdef.fix_rank_drop", fix)
+        inst = gen_spectrum(6, 3, 3, 0, interior_zero_free=True)
+        S = inst.spectrum.trim(0.0)
+        opts = RankDefOptions()
+        _, _, zero = _outer_tall_factor(S, select_pivot(S, 3, opts), 3, opts)
+        assert len(scales) == 2
+        assert len(passed) >= 2 and set(passed) <= set(scales)
+        assert len(passed) <= len(zero)
+
     def test_clear_rank_drops_reflects_a_simple_and_a_double_zero(self):
         m, N = 3, 2
         a, b = 0.4 + 0.3j, -0.5 + 0.2j
@@ -446,7 +469,7 @@ class TestRankDropPoints:
         # A fix that reflects nothing leaves the drop for every pass, so the
         # 4 k max(N, 1) + 16 = 20 reflected columns run out.
         F = LaurentMatrix.from_entries([[LaurentPoly({0: -0.5, 1: 1.0})]])
-        monkeypatch.setattr("parafact.roots.fix_rank_drop", lambda G, a, opts: (G, (None,)))
+        monkeypatch.setattr("parafact.roots.fix_rank_drop", lambda G, a, opts, scale: (G, (None,)))
         with pytest.raises(NumericalFailureError, match="budget of 20"):
             clear_rank_drops(F)
 

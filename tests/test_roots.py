@@ -3,11 +3,21 @@
 import numpy as np
 import pytest
 
-from parafact.laurent import LaurentMatrix, LaurentPoly
+from parafact import roots
+from parafact.errors import NumericalFailureError
+from parafact.instances import gen_spectrum
+from parafact.laurent import LaurentMatrix, LaurentPoly, _cmul
 from parafact.roots import (
+    _RANK_TOL,
+    RankDefOptions,
+    _NoRankDrop,
+    _operator_scale,
+    clear_rank_drops,
     cluster_points,
     divide_linear,
     divide_out,
+    find_rank_drop_points,
+    fix_rank_drop,
     laurent_roots,
     poly_roots,
     reflect_column_zero,
@@ -167,8 +177,164 @@ def test_reflect_column_zero_matches_per_entry_reference():
     assert abs(rem - ref_rem) <= 1e-14 * F.max_abs
 
 
+def _reflect_block_reference(F, a, null_basis):
+    """The block reflection as it was computed before the batched rotation
+    and the scalar division: a Laurent product by the constant unitary, and
+    the recurrence on whole arrays with _cmul products."""
+    a = complex(a)
+    B = np.asarray(null_basis, dtype=complex).reshape(F.cols, -1)
+    nu = B.shape[1]
+    if nu == 1:
+        U = unitary_with_first_column(B[:, 0])
+    else:
+        U = np.hstack([B, np.linalg.svd(B.conj().T)[2][nu:].conj().T])
+    G = F @ LaurentMatrix.constant(U)
+    d = G.hi or 0
+    C = G.coeff_array(0, d)
+    c = C[:, :, :nu].copy()
+    q = np.zeros_like(c)
+    for i in range(d, 0, -1):
+        q[i - 1] = c[i] + _cmul(q[i], a)
+    resid = -a * q - c
+    resid[1:] += q[:-1]
+    worst = float(np.max(np.abs(resid)))
+    C[:, :, :nu] = q
+    C[1:, :, :nu] -= _cmul(q[:-1], a.conjugate())
+    return LaurentMatrix.from_coeffs(C), U, worst
+
+
+def _block_drop(rng, m, k, N, nu, a, scale):
+    """A random m x k factor of order N whose first nu columns vanish at a,
+    rotated by a random unitary, with about a third of the coefficients of
+    its base exactly zero, times scale; and the null basis of F(a)."""
+    base = rng.standard_normal((N, m, k)) + 1j * rng.standard_normal((N, m, k))
+    base[rng.random(base.shape) < 0.3] = 0.0
+    zero = LaurentPoly({0: -a, 1: 1.0})
+    plant = LaurentMatrix.diagonal([zero] * nu + [LaurentPoly.one()] * (k - nu))
+    Q, R = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+    U = Q * (np.diag(R) / np.abs(np.diag(R)))
+    F = LaurentMatrix.from_coeffs(base * scale) @ plant @ LaurentMatrix.constant(U)
+    return F, np.linalg.svd(F.eval(a))[2][-nu:].conj().T
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+@pytest.mark.parametrize("draw", range(20))
+def test_reflect_column_zero_matches_the_block_reference(draw, scale):
+    # Nullities above one, exact zeros in the coefficients and at the point,
+    # and three scales: every coefficient, the unitary and the remainder
+    # equal the reference's in every bit, signed zeros included.
+    rng = np.random.default_rng(4700 + draw)
+    m = int(rng.integers(1, 7))
+    k = int(rng.integers(1, m + 1))
+    N = int(rng.integers(1, 9))
+    nu = int(rng.integers(1, k + 1))
+    r = (0.0, 0.3, 0.85)[draw % 3]
+    a = complex(r * np.exp(1j * rng.uniform(0, 2 * np.pi))) if draw % 2 else complex(r)
+    F, basis = _block_drop(rng, m, k, N, nu, a, scale)
+    G, U, rem = reflect_column_zero(F, a, basis)
+    ref, ref_U, ref_rem = _reflect_block_reference(F, a, basis)
+    assert U.tobytes() == ref_U.tobytes()
+    assert (G.lo, G.hi) == (ref.lo, ref.hi)
+    assert G.coeff_array(0, N).tobytes() == ref.coeff_array(0, N).tobytes()
+    assert rem == ref_rem
+
+
 @pytest.mark.parametrize("a", [1.0, -1j, 0.6 + 0.8j, 2.0 - 0.5j])
 def test_reflect_column_zero_rejects_points_off_the_open_disk(a):
     F = LaurentMatrix(2, 1, {0: np.array([[-a], [1.0]]), 1: np.array([[1.0], [0.5]])})
     with pytest.raises(ValueError):
         reflect_column_zero(F, a, np.array([1.0 + 0j]))
+
+
+def _fix_rank_drop_reference(F, a, opts=None):
+    """fix_rank_drop as it was, with the gate's scale taken from F itself
+    and the reflection of _reflect_block_reference."""
+    opts = opts or RankDefOptions()
+    a = complex(a)
+    scale = _operator_scale(F)
+    _, sv, vh = np.linalg.svd(F.eval(a))
+    nu = int(np.sum(sv <= _RANK_TOL * max(scale, 1e-300)))
+    if not nu:
+        raise _NoRankDrop("no drop at %s" % a)
+    G, _, rem = _reflect_block_reference(F, a, vh[-nu:].conj().T)
+    if rem > 10.0 * max(opts.tol, _RANK_TOL) * max(F.max_abs, 1e-300):
+        raise NumericalFailureError("remainder %.3e" % rem)
+    return G.as_analytic(0.0), nu
+
+
+def _clear_rank_drops_reference(F):
+    """clear_rank_drops as it was: one scale per fix, taken from the factor
+    the fix is given."""
+    opts = RankDefOptions()
+    budget = 4 * F.cols * max(F.hi or 0, 1) + 16
+    while drops := find_rank_drop_points(F, opts):
+        assert budget > 0
+        skipped = 0
+        for a in drops:
+            try:
+                F, nu = _fix_rank_drop_reference(F, a, opts)
+            except _NoRankDrop:
+                skipped += 1
+                continue
+            budget -= nu
+            if budget <= 0:
+                break
+        assert skipped < len(drops)
+    return F
+
+
+@pytest.mark.parametrize("seed", [3, 17, 29])
+@pytest.mark.parametrize("shape", [(1, 1, 24), (1, 1, 40), (4, 4, 4), (3, 3, 8), (6, 6, 3)])
+def test_generated_factor_matches_the_per_fix_reference(shape, seed):
+    # The square bench shapes reflect 7 to 20 zeros each.  One gate per
+    # clearing loop, the batched rotation and the scalar division must
+    # leave every bit of the generated secret factor as it was.
+    m, k, N = shape
+    gen = np.random.default_rng(seed)
+    A = LaurentMatrix.from_coeffs(
+        [
+            (gen.standard_normal((m, k)) + 1j * gen.standard_normal((m, k))) / np.sqrt(2.0)
+            for _ in range(N + 1)
+        ]
+    )
+    want = _clear_rank_drops_reference(A)
+    want = (want * (1.0 / want.max_abs)).as_analytic(0.0)
+    got = gen_spectrum(m, k, N, seed, interior_zero_free=True).secret_factor
+    assert got.coeff_array(0, N).tobytes() == want.coeff_array(0, N).tobytes()
+
+
+def test_clear_rank_drops_gates_every_fix_by_the_scale_of_its_input(monkeypatch):
+    F = gen_spectrum(3, 3, 8, 11).secret_factor
+    want = _operator_scale(F)
+    scales = []
+
+    def recorded(G, a, opts=None, scale=None):
+        scales.append(scale)
+        return fix_rank_drop(G, a, opts, scale)
+
+    monkeypatch.setattr(roots, "fix_rank_drop", recorded)
+    clear_rank_drops(F)
+    assert len(scales) >= 2
+    assert all(s == want for s in scales)
+
+
+def test_fix_rank_drop_gates_by_the_given_scale():
+    # Two columns vanish at a and a third at a + 1e-5, so F(a) has a third
+    # small singular value above the default gate: a scale that lifts the
+    # gate above it reflects three columns, at a remainder the loose tol
+    # accepts.
+    rng = np.random.default_rng(12)
+    a = 0.2 - 0.3j
+    base = LaurentMatrix.from_coeffs(
+        rng.standard_normal((3, 5, 4)) + 1j * rng.standard_normal((3, 5, 4))
+    )
+    zeros = [a, a, a + 1e-5]
+    F = base @ LaurentMatrix.diagonal(
+        [LaurentPoly({0: -w, 1: 1.0}) for w in zeros] + [LaurentPoly.one()]
+    )
+    opts = RankDefOptions(tol=1e-3)
+    sv = np.linalg.svd(F.eval(a), compute_uv=False)
+    assert np.sum(sv <= _RANK_TOL * _operator_scale(F)) == 2
+    assert len(fix_rank_drop(F, a, opts)[1]) == 2
+    lifted = 1.01 * sv[-3] / _RANK_TOL
+    assert len(fix_rank_drop(F, a, opts, lifted)[1]) == 3

@@ -272,7 +272,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="seed for sampling choices")
     p.add_argument("--out", help="path for the factor matrix file")
     p.add_argument("--report", help="path for the verdict report file")
-    p.set_defaults(func=cmd_factor, echo=_echo_factor)
+    p.set_defaults(echo=_echo_factor)
 
     p = sub.add_parser(
         "complete", help="extend a unit-norm analytic row to a paraunitary matrix"
@@ -281,7 +281,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-9, help="relative residual target")
     p.add_argument("--out", help="path for the completed matrix file")
     p.add_argument("--report", help="path for the verdict report file")
-    p.set_defaults(func=cmd_complete, echo=_echo_complete)
+    p.set_defaults(echo=_echo_complete)
 
     p = sub.add_parser(
         "verify", help="check a spectrum/factor pair or a paraunitary matrix"
@@ -296,7 +296,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--paraunitary", metavar="MATRIX", help="candidate matrix file")
     p.add_argument("--tol", type=float, default=1e-9, help="verification tolerance")
     p.add_argument("--report", help="path for the verdict report file")
-    p.set_defaults(func=cmd_verify, echo=_echo_verify)
+    p.set_defaults(echo=_echo_verify)
 
     p = sub.add_parser("random", help="generate a seeded spectrum or lossless row")
     p.add_argument("--m", type=int, required=True, help="matrix size")
@@ -314,11 +314,11 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="generate a unit-norm row instead of a spectrum",
     )
-    p.set_defaults(func=cmd_random, echo=_echo_random)
+    p.set_defaults(echo=_echo_random)
 
     p = sub.add_parser("info", help="print a structural summary of a matrix file")
     p.add_argument("input", help="matrix file")
-    p.set_defaults(func=cmd_info, echo=_echo_info)
+    p.set_defaults(echo=_echo_info)
 
     return parser
 
@@ -330,7 +330,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return args.func(args)
+        # Looked up at call time, so that a wrapped or patched cmd_* runs.
+        return globals()["cmd_" + args.command](args)
     except (NumericalFailureError, IndeterminateError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         _error_report(args, EXIT_NUMERICAL, exc)

@@ -64,7 +64,10 @@ def _as_int(value, what: str) -> int:
 def _as_finite(value, what: str) -> float:
     _require(isinstance(value, (int, float)) and not isinstance(value, bool),
              "%s must be a number, got %r" % (what, value))
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the double range
+        value = math.inf if value > 0 else -math.inf
     _require(math.isfinite(value), "%s must be finite, got %r" % (what, value))
     return value
 

@@ -473,7 +473,7 @@ def factor_positive_definite(S: LaurentMatrix, tol: float = 1e-9) -> AnalyticPol
         # outer factor.  One more Gauss-Newton step takes it to 5.4e-15.
         best_A, best_rel = polish_coefficients(C, best_A, 0.3 * tol, min_steps=1)
 
-    F = clear_rank_drops(LaurentMatrix.from_coeffs(best_A), RankDefOptions(tol=tol))
+    F, _ = clear_rank_drops(LaurentMatrix.from_coeffs(best_A), RankDefOptions(tol=tol))
     factor = canonicalize(F).factor
 
     final = (factor @ factor.adjoint() - S).max_abs / scale

@@ -95,7 +95,7 @@ def gen_spectrum(
         ]
     )
     if interior_zero_free:
-        A = clear_rank_drops(A)
+        A, _ = clear_rank_drops(A)
     A = (A * (1.0 / A.max_abs)).as_analytic(0.0)
     S = (A @ A.adjoint()).trim(0.0)
     return Instance(secret_factor=A, spectrum=S, seed=int(seed), params=(m, k, N))

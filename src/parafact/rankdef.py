@@ -29,13 +29,15 @@ as the fallback:
    rows by the adjoint factor, giving a rational tall factor whose columns
    share monic denominators;
 4. remove denominator zeros inside the disk by unit-modulus rational
-   (Blaschke) column multipliers, cancel residual common factors, and divide
-   out what remains, leaving a polynomial factor;
-5. locate interior points where the polynomial factor drops column rank
-   (finite eigenvalues of one block-companion pencil of a random k x m
-   compression, polished against the factor itself, plus the origin as an
-   unpolished candidate) and reflect each across the circle with its whole
-   null space in one step;
+   (Blaschke) column multipliers, cancel residual common factors, and
+   write the columns over one shared, outer denominator;
+5. reflect the interior rank drops of the numerator across the circle
+   (roots.clear_rank_drops: the finder's points, each reflected with its
+   whole null space in one step), divide out the shared denominator,
+   leaving a polynomial factor, and clear that factor the same way.  The
+   numerator is cleared first because the division is exact only then:
+   each denominator root r must be a zero of the whole numerator, and the
+   reflection of the drop at 1/conj(r) is what plants it;
 6. restore the original row order and refine the coefficients with the
    same Gauss-Newton polish, which removes the error accumulated by
    determinant windows, deflation divisions and Blaschke operations; after
@@ -43,10 +45,9 @@ as the fallback:
 
 Every path ends by rotating to the canonical representative.  For k = m the
 head factor is the whole factor: the full-rank factorization has cleared
-its interior rank drops with the finder and reflection of step 5
-(roots.clear_rank_drops), so it has no poles and no interior rank drops,
-and it goes straight to the polish of step 6.  The report names the path
-taken: "full-rank", "regularized" or "rational".
+its interior rank drops with the clearer of step 5, so it has no poles and
+no interior rank drops, and it goes straight to the polish of step 6.  The
+report names the path taken: "full-rank", "regularized" or "rational".
 
 Every transformation of the fallback multiplies columns by unit-modulus
 scalars or the whole factor by constant unitaries, so F F~ is preserved
@@ -83,17 +84,15 @@ from .laurent import (
     _order_grid_count,
     laurent_from_unit_samples,
 )
+# fix_rank_drop is re-exported: the package root and bench/tracing.py
+# take it from this module.
 from .roots import (
     _DEFLATION_RADIUS,
-    _MULTI_ROOT_RADIUS,
     _RANK_TOL,
-    _TAG_COMPRESS,
     BlaschkeOp,
     RankDefOptions,
-    _operator_scale,
-    _refine_drop_points,
     _rng,
-    _smallest_svs,
+    clear_rank_drops,
     divide_linear,
     divide_out,
     find_rank_drop_points,
@@ -818,96 +817,18 @@ def _outer_tall_factor(S: LaurentMatrix, perm: tuple, k: int, opts: RankDefOptio
     tail = tail_quotient(Sp.submatrix(range(k, m), range(k)), head_factor)
     R = stack_rational_factor(head_factor, tail)
     R, pole_ops = remove_inner_poles(R)
-
-    cap = 2 * N * m + 16
-    zero_ops = []
-
-    def over_cap():
-        report = FactorReport(
-            detected_rank=k,
-            pivot=perm,
-            pole_ops=pole_ops,
-            zero_ops=tuple(zero_ops),
-            rng_seed=opts.rng_seed,
-            path="rational",
-        )
-        return NumericalFailureError(
-            "interior zero removal did not terminate within %d steps" % cap,
-            report=report,
-        )
-
-    def clear_drops(G, anchors=()):
-        # One find pass can report a point whose nullity exceeds one (the
-        # drops of the rational stage typically have nullity k - 1); each
-        # fix reflects the point's whole null space, so one reporting pass
-        # and one confirming pass normally suffice.  Fixes within one pass leave the other
-        # reported points' rank drops intact, but the singular value is
-        # re-checked anyway and healed points skipped.
-        #
-        # Anchors are structurally required drop locations (reflections of
-        # outer denominator roots) that the detector can miss when the zero
-        # is needle sharp.  Each round they are polished against the current
-        # matrix and join the candidate list whenever the matrix confirms a
-        # drop there.
-        #
-        # Reflections are unimodular on the circle, so the gate's scale
-        # holds for every pass.
-        radius = _DEFLATION_RADIUS
-        scale = _operator_scale(G)
-        gate = _RANK_TOL * max(scale, 1e-300)
-        while True:
-            points = find_rank_drop_points(G, opts)
-            if anchors:
-                landed = _refine_drop_points(G, anchors)
-                for b, sv in zip(landed, _smallest_svs(G, landed)):
-                    if sv > gate or abs(b) >= 1.0 - radius:
-                        continue
-                    if all(abs(b - a) > 10.0 * radius for a in points):
-                        points.append(complex(b))
-            if not points:
-                return G
-            progressed = False
-            for a in points:
-                # A fix moves the surviving zeros slightly, and a division at
-                # a stale estimate runs off the true zero and commits the gap
-                # into the coefficients, so every point after the pass's
-                # first fix is polished again against the current matrix.
-                # The points before it were polished against this very G.
-                if progressed:
-                    b = complex(_refine_drop_points(G, [a])[0])
-                    if abs(b) < 1.0 - radius:
-                        a = b
-                sv = np.linalg.svd(G.eval(a), compute_uv=False)
-                if sv[-1] > gate:
-                    continue
-                if len(zero_ops) >= cap:
-                    raise over_cap()
-                G, ops = fix_rank_drop(G, a, opts, scale)
-                zero_ops.extend(ops)
-                progressed = True
-            if not progressed:
-                raise over_cap()
-
-    # Interior rank drops must be cleared while the factor is still rational:
-    # the outer denominators divide the numerator exactly only once the
-    # columns have full rank everywhere inside the circle.  The per-column
-    # denominators are outer here, so the numerator matrix has the same
-    # interior drop points as the rational factor itself.
-    #
-    # Every root r of the shared denominator must be a zero of the whole
-    # numerator for the division to come out polynomial.  Fixing an interior
-    # drop at the reflected point 1/conj(r) multiplies the deficient column
-    # by (1 - z/r), which plants exactly the zero at r that the division
-    # needs, so those reflections are handed to the clearing loop as anchor
-    # candidates alongside whatever the detector reports.
+    # The numerator is cleared before the division: each root r of the
+    # shared denominator lies outside the disk and must be a zero of the
+    # whole numerator for the quotient to be polynomial, and the reflection
+    # of the numerator's drop at 1/conj(r) plants exactly that zero.  The
+    # denominator is outer, so the numerator has the rational factor's
+    # interior drops.  The polynomial factor goes through the clearer too,
+    # as a guard; after the numerator's clearing it costs one finder pass.
     num, shared_den = _common_denominator(R)
-    anchors = tuple(
-        1.0 / np.conj(r) for r in laurent_roots(shared_den) if abs(r) > 1.0
-    )
-    num = clear_drops(num, anchors)
-    R = RationalMatrix(num, [shared_den] * R.cols)
-    F = finalize_polynomial(R, N, opts)
-    F = clear_drops(F).submatrix(np.argsort(perm), range(k))
+    num, num_ops = clear_rank_drops(num, opts)
+    F = finalize_polynomial(RationalMatrix(num, [shared_den] * R.cols), N, opts)
+    F, poly_ops = clear_rank_drops(F, opts)
+    F = F.submatrix(np.argsort(perm), range(k))
     # Drop clearing divides at noise-limited points of multiple zeros, which
     # can leave the factor 1e-9 off the outer one along directions the
     # residual barely sees: a residual already below the target says
@@ -915,7 +836,7 @@ def _outer_tall_factor(S: LaurentMatrix, perm: tuple, k: int, opts: RankDefOptio
     A, _ = polish_coefficients(
         S.coeff_array(0, N), F.coeff_array(0, N), _FINAL_POLISH, min_steps=1
     )
-    return A, pole_ops, tuple(zero_ops)
+    return A, pole_ops, num_ops + poly_ops
 
 
 def spectral_factor(
@@ -972,7 +893,14 @@ def spectral_factor(
         A = _regularized_start(S, perm, k, opts)
         if A is None:
             path = "rational"
-            A, pole_ops, zero_ops = _outer_tall_factor(S, perm, k, opts)
+            try:
+                A, pole_ops, zero_ops = _outer_tall_factor(S, perm, k, opts)
+            except NumericalFailureError as exc:
+                if exc.report is None:
+                    exc.report = FactorReport(
+                        detected_rank=k, pivot=perm, rng_seed=opts.rng_seed, path=path
+                    )
+                raise
     factor = canonicalize(LaurentMatrix.from_coeffs(A)).factor
 
     product = factor @ factor.adjoint()

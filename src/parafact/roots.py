@@ -524,13 +524,18 @@ def clear_rank_drops(F: LaurentMatrix, opts: RankDefOptions | None = None):
     same pass has already cleared.  Raises NumericalFailureError when a
     pass fixes no point, or when drops remain after 4 k max(N, 1) + 16
     reflected columns.
+
+    Returns (F, ops): the cleared factor and the BlaschkeOps of every fix,
+    in the order applied (one per reflected column, see fix_rank_drop);
+    ops is () when F had no interior rank drop.
     """
     opts = opts or RankDefOptions()
-    budget = cap = 4 * F.cols * max(F.hi or 0, 1) + 16
+    budget = 4 * F.cols * max(F.hi or 0, 1) + 16
     scale = None
+    applied = []
     while drops := find_rank_drop_points(F, opts):
-        if budget <= 0:
-            raise NumericalFailureError("rank drops left after a budget of %d" % cap)
+        if len(applied) >= budget:
+            raise NumericalFailureError("rank drops left after a budget of %d" % budget)
         if scale is None:
             scale = _operator_scale(F)
         skipped = []
@@ -540,11 +545,11 @@ def clear_rank_drops(F: LaurentMatrix, opts: RankDefOptions | None = None):
             except _NoRankDrop as exc:
                 skipped.append(exc)
                 continue
-            budget -= len(ops)
-            if budget <= 0:
+            applied.extend(ops)
+            if len(applied) >= budget:
                 break
         if len(skipped) == len(drops):
             raise NumericalFailureError(
                 "no reported point of a pass drops rank: %s" % skipped[0]
             )
-    return F
+    return F, tuple(applied)

@@ -103,6 +103,23 @@ class TestFactor:
         assert report["error"]["type"] == "ValueError"
         assert "span 1000000000000" in report["error"]["message"]
 
+    def test_integer_beyond_the_double_range_exits_2_with_an_error_report(self, tmp_path):
+        # 10**400 is a valid JSON integer but no double: invalid input (2),
+        # not a failed check (1).
+        huge = tmp_path / "huge.json"
+        huge.write_text(
+            '{"rows": 1, "cols": 1, "terms": [{"power": 0, "matrix": [[[%d, 0]]]}]}'
+            % 10**400
+        )
+        assert run("info", huge) == 2
+        assert run("verify", "--paraunitary", huge) == 2
+        rep = tmp_path / "rep.json"
+        assert run("factor", huge, "--report", rep) == 2
+        report = assert_round_trip(rep)
+        assert report["exit_code"] == 2
+        assert report["error"]["type"] == "ValueError"
+        assert report["error"]["message"] == "re at (0, 0), power 0 must be finite, got inf"
+
 
 class TestComplete:
     def test_passing_instance_exits_0(self, lossless, tmp_path):
@@ -179,6 +196,17 @@ class TestVerify:
 def test_bad_arguments_exit_2():
     assert run("factor") == 2
     assert run("verify") == 2
+
+
+def test_commands_are_looked_up_at_call_time(monkeypatch, spectrum):
+    # The parser is built once; a cmd_* wrapped after that, as a tracer
+    # wraps it, must still be the one that runs.
+    s, _ = spectrum
+    assert run("info", s) == 0
+    seen = []
+    monkeypatch.setattr("parafact.cli.cmd_info", lambda args: seen.append(args.input) or 0)
+    assert run("info", s) == 0
+    assert seen == [str(s)]
 
 
 def test_parser_reuse_matches_fresh_interpreters(tmp_path, monkeypatch, capsys):

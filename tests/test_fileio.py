@@ -104,7 +104,8 @@ class TestMatrixFiles:
             (1e308, None),
             (True, (ValueError, "im at (1, 0), power 3 must be a number, got True")),
             (False, (ValueError, "im at (1, 0), power 3 must be a number, got False")),
-            (10**400, (OverflowError, "int too large to convert to float")),
+            (10**400, (ValueError, "im at (1, 0), power 3 must be finite, got inf")),
+            (-(10**400), (ValueError, "im at (1, 0), power 3 must be finite, got -inf")),
             (float("nan"), (ValueError, "im at (1, 0), power 3 must be finite, got nan")),
             (float("-inf"), (ValueError, "im at (1, 0), power 3 must be finite, got -inf")),
             ("1", (ValueError, "im at (1, 0), power 3 must be a number, got '1'")),
@@ -304,7 +305,7 @@ def test_row_template_prints_every_double_as_fmt():
     ],
 )
 def test_reader_raises_the_reference_error(text):
-    with pytest.raises((ValueError, OverflowError)) as want:
+    with pytest.raises(ValueError) as want:
         matrix_terms_from_text_reference(text)
     with pytest.raises(type(want.value)) as got:
         matrix_from_text(text)

@@ -252,6 +252,19 @@ class TestPeelCompletion:
         assert W is not None
         assert np.max(np.abs(W - np.eye(3))) < 1e-9
 
+    def test_rational_fallback_matches_the_lower_block_at_seed_34(self):
+        # Drop clearing with a one-start re-polish per point and reflected
+        # denominator roots as extra candidates left this row 5e-8 off the
+        # lower block; roots.clear_rank_drops on the numerator does not.
+        row = gen_lossless(4, 8, 34).row
+        U, _ = complete_to_paraunitary(row)
+        lower = U.submatrix(range(1, 4), range(4)).transpose()
+        factor, report = spectral_factor(deficiency_matrix(row), rank=3)
+        assert report.path == "rational"
+        W = compare_factors(factor, lower, RankDefOptions(tol=1e-9))
+        assert W is not None
+        assert np.max(np.abs(W - np.eye(3))) < 1e-9
+
 
 class TestFormerCompletionFailures:
     """Rows on which completion through spectral_factor raised."""

@@ -22,16 +22,12 @@ from parafact.laurent import LaurentMatrix, LaurentPoly, _order_grid_count
 from parafact.paraunitary import deficiency_matrix
 from parafact.rankdef import (
     _DEFLATION_RADIUS,
-    _MULTI_ROOT_RADIUS,
     _RANK_TOL,
-    _TAG_COMPRESS,
     _TAG_PIVOT,
     _TAG_RANK,
     _circle_samples,
-    _operator_scale,
     _outer_tall_factor,
     _pivot_heads,
-    _refine_drop_points,
     _rng,
     RankDefOptions,
     check_rank_identity,
@@ -46,7 +42,14 @@ from parafact.rankdef import (
     tail_quotient,
     verify_factorization,
 )
-from parafact.roots import _screened_starts, clear_rank_drops
+from parafact.roots import (
+    _MULTI_ROOT_RADIUS,
+    _TAG_COMPRESS,
+    _operator_scale,
+    _refine_drop_points,
+    _screened_starts,
+    clear_rank_drops,
+)
 
 
 def circle_points(count=33):
@@ -421,8 +424,9 @@ class TestRankDropPoints:
 
     def test_rational_drop_clearing_takes_one_scale_per_call(self, monkeypatch):
         # _outer_tall_factor clears the numerator and then the polynomial
-        # factor: two scales, each handed to every fix of its call.
-        scales, passed = [], []
+        # factor.  A call takes one scale, when its first pass reports a
+        # drop, and hands it to every fix; here only the numerator has drops.
+        scales, passed, cleared = [], [], []
 
         def measured(G):
             scales.append(_operator_scale(G))
@@ -432,13 +436,20 @@ class TestRankDropPoints:
             passed.append(scale)
             return fix_rank_drop(G, a, opts, scale)
 
-        monkeypatch.setattr("parafact.rankdef._operator_scale", measured)
-        monkeypatch.setattr("parafact.rankdef.fix_rank_drop", fix)
+        def clear(G, opts=None):
+            G, ops = clear_rank_drops(G, opts)
+            cleared.append(ops)
+            return G, ops
+
+        monkeypatch.setattr("parafact.roots._operator_scale", measured)
+        monkeypatch.setattr("parafact.roots.fix_rank_drop", fix)
+        monkeypatch.setattr("parafact.rankdef.clear_rank_drops", clear)
         inst = gen_spectrum(6, 3, 3, 0, interior_zero_free=True)
         S = inst.spectrum.trim(0.0)
         opts = RankDefOptions()
         _, _, zero = _outer_tall_factor(S, select_pivot(S, 3, opts), 3, opts)
-        assert len(scales) == 2
+        assert [len(ops) > 0 for ops in cleared] == [True, False]
+        assert len(scales) == 1
         assert len(passed) >= 2 and set(passed) <= set(scales)
         assert len(passed) <= len(zero)
 
@@ -459,7 +470,7 @@ class TestRankDropPoints:
         assert min(abs(w - a) for w in found) < 1e-8
         assert min(abs(w - b) for w in found) < 1e-6
 
-        G = clear_rank_drops(planted)
+        G, _ = clear_rank_drops(planted)
         assert find_rank_drop_points(G) == []
         S = planted @ planted.adjoint()
         assert (G @ G.adjoint() - S).max_abs <= 1e-13 * S.max_abs
@@ -481,7 +492,7 @@ class TestRankDropPoints:
         # point, which the first point's fix has already cleared.
         zeros = [-0.5 + 0.2j] + [0.1 + 0.55j] * 2 + [0.4 - 0.3j] * 3
         F = planted_factor(np.random.default_rng(90 + seed), *shape, zeros)
-        G = clear_rank_drops(F)
+        G, _ = clear_rank_drops(F)
         assert find_rank_drop_points(G) == []
         S = F @ F.adjoint()
         assert (G @ G.adjoint() - S).max_abs <= 1e-7 * S.max_abs
@@ -880,6 +891,22 @@ class TestSpectralFactor:
         S = (S + LaurentMatrix.identity(2)).trim(0.0)
         with pytest.raises(NumericalFailureError):
             spectral_factor(S, RankDefOptions(tol=1e-18))
+
+    @pytest.mark.parametrize("stage", ["tail_quotient", "clear_rank_drops"])
+    def test_fallback_failure_names_its_path_and_pivot(self, stage, monkeypatch):
+        def failing(*args, **kwargs):
+            raise NumericalFailureError("injected")
+
+        monkeypatch.setattr("parafact.rankdef._regularized_start", lambda *args: None)
+        monkeypatch.setattr("parafact.rankdef." + stage, failing)
+        S = gen_spectrum(4, 2, 4, 0, interior_zero_free=True).spectrum.trim(0.0)
+        opts = RankDefOptions(rng_seed=5)
+        with pytest.raises(NumericalFailureError, match="injected") as info:
+            spectral_factor(S, opts)
+        report = info.value.report
+        assert report.path == "rational"
+        assert report.pivot == select_pivot(S, 2, opts)
+        assert report.detected_rank == 2 and report.rng_seed == 5
 
     def test_report_records_operations(self):
         rng = np.random.default_rng(74)

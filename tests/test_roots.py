@@ -313,9 +313,38 @@ def test_clear_rank_drops_gates_every_fix_by_the_scale_of_its_input(monkeypatch)
         return fix_rank_drop(G, a, opts, scale)
 
     monkeypatch.setattr(roots, "fix_rank_drop", recorded)
-    clear_rank_drops(F)
-    assert len(scales) >= 2
+    _, ops = clear_rank_drops(F)
+    assert len(scales) >= 2 and len(ops) >= len(scales)
     assert all(s == want for s in scales)
+
+
+def test_clear_rank_drops_returns_the_ops_of_every_fix(monkeypatch):
+    # A simple zero at a and a double one at b: three column zeros inside
+    # the disk, each reflected by one zero-removal op, in the order of the
+    # fixes; the cleared factor is outer and clears with no op.
+    a, b = 0.4 + 0.3j, -0.5 + 0.2j
+    outer = gen_spectrum(3, 3, 2, 7, interior_zero_free=True).secret_factor
+    F = outer @ LaurentMatrix.diagonal(
+        [LaurentPoly({0: -a, 1: 1.0}), LaurentPoly({0: b * b, 1: -2 * b, 2: 1.0}),
+         LaurentPoly.one()]
+    )
+    fixes = []
+
+    def recorded(G, w, opts=None, scale=None):
+        G, ops = fix_rank_drop(G, w, opts, scale)
+        fixes.extend(ops)
+        return G, ops
+
+    monkeypatch.setattr(roots, "fix_rank_drop", recorded)
+    G, ops = clear_rank_drops(F)
+    assert len(ops) == len(fixes) == 3
+    assert all(op is fixed for op, fixed in zip(ops, fixes))
+    assert all(op.direction == "zero-removal" and abs(op.a) < 1.0 for op in ops)
+    assert all(min(abs(op.a - a), abs(op.a - b)) < 1e-6 for op in ops)
+    assert sum(abs(op.a - a) < 1e-6 for op in ops) == 1
+    H, again = clear_rank_drops(G)
+    assert again == ()
+    assert H.coeff_array(0, H.hi).tobytes() == G.coeff_array(0, G.hi).tobytes()
 
 
 def test_fix_rank_drop_gates_by_the_given_scale():

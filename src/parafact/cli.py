@@ -53,13 +53,14 @@ EXIT_NUMERICAL = 3
 
 def _finish(args, checks: dict, code=None, error=None) -> int:
     """Write the report when requested, each Check serialized once, and return
-    the exit code: pass or fail by the checks unless a code is given."""
+    the exit code: pass or fail by the checks unless a code is given.  Only
+    factor, complete and verify take --report, and each sets its echo."""
     if code is None:
         code = EXIT_PASS if all(c.passed for c in checks.values()) else EXIT_FAIL
     if getattr(args, "report", None):
         report = {
             "command": getattr(args, "command", ""),
-            "options": args.echo(args) if hasattr(args, "echo") else {},
+            "options": args.echo(args),
             "verdicts": {name: c.to_dict() for name, c in checks.items()},
             "exit_code": code,
         }
@@ -171,18 +172,6 @@ def cmd_verify(args) -> int:
     return _finish(args, report.verdicts)
 
 
-def _echo_random(args) -> dict:
-    return {
-        "m": args.m,
-        "k": args.k,
-        "order": args.order,
-        "seed": args.seed,
-        "out": args.out,
-        "factor_out": args.factor_out,
-        "lossless": args.lossless,
-    }
-
-
 def cmd_random(args) -> int:
     if args.lossless:
         if args.k is not None:
@@ -232,10 +221,6 @@ def cmd_random(args) -> int:
         )
         print("wrote %s" % args.factor_out)
     return EXIT_PASS
-
-
-def _echo_info(args) -> dict:
-    return {"input": args.input}
 
 
 def cmd_info(args) -> int:
@@ -314,11 +299,9 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="generate a unit-norm row instead of a spectrum",
     )
-    p.set_defaults(echo=_echo_random)
 
     p = sub.add_parser("info", help="print a structural summary of a matrix file")
     p.add_argument("input", help="matrix file")
-    p.set_defaults(echo=_echo_info)
 
     return parser
 

@@ -11,14 +11,17 @@ rows converge to the factor coefficients), doubling the section until its
 estimate meets the tolerance or stops converging geometrically.  A start
 that still misses the tolerance is refined by polish_coefficients: damped
 Gauss-Newton least squares on the quadratic coefficient equations
-sum_q A_{n+q} A_q^H = C_n, with one step past the first iterate that meets
-the target.  A polish factors the Jacobian once, as LAPACK xGELSY does, and
-takes its later steps as chord steps on that factorization while a bound on
-their first-order contraction stays below _CHORD_CONTRACTION; past it, it
-factors again.  Should that polish stall, as at a multiple circle zero of
-det S, the doubling restarts with a polish after every section.  Interior
-rank drops, which Bauer and the polish leave near circle zeros of det S,
-are finally reflected across the circle by roots.clear_rank_drops.
+sum_q A_{n+q} A_q^H = C_n.  A polish factors the Jacobian once, as LAPACK
+xGELSY does, and takes its later steps as chord steps on that factorization
+while a bound on their first-order contraction stays below
+_CHORD_CONTRACTION; past it, it factors again.  Every call site stops by
+one rule: a start already at the target takes no step, and a polish that
+had to step takes exactly one chord step past the first iterate that meets
+it.  Should that polish stall, as at a multiple circle zero of det S, the
+doubling restarts with a polish after every section.  Interior rank drops,
+which Bauer and the polish leave near circle zeros of det S, are then
+reflected across the circle by roots.clear_rank_drops, and the factor ends
+in a polish to _FINAL_POLISH and canonicalize.
 The rank-deficient pipeline uses both halves on its tall factor: Bauer
 sections of the regularized spectra S + delta I and S + 2 delta I start it,
 and the same polish finishes it, as it finishes the rational fallback.
@@ -62,7 +65,8 @@ _POLISH_GROWTH = 10.0
 _POLISH_STALLS = 3
 _POLISH_MAX_ITERS = 30
 _POLISH_HALVINGS = 10
-# Residual target of the polish that ends scalar_factor and spectral_factor.
+# Residual target of the final polish, which ends factor_positive_definite,
+# the tall factors of spectral_factor and the paraunitary completion.
 _FINAL_POLISH = 1e-15
 # A chord step contracts the error by kappa to first order, where a
 # Gauss-Newton step contracts it by a term quadratic in the error.  The
@@ -87,9 +91,8 @@ def scalar_factor(f: LaurentPoly, tol: float = 1e-9) -> LaurentPoly:
     """Outer spectral factor of a scalar symbol: q analytic with q q~ = f.
 
     f must be para-Hermitian and nonnegative on the unit circle.  q is the
-    1 x 1 factor_positive_definite factor of f, polished to _FINAL_POLISH
-    because a factor that meets tol in q q~ can still be far from the outer
-    one, and normalized so q(0) is real positive, which pins the
+    1 x 1 factor_positive_definite factor of f, so it is polished to
+    _FINAL_POLISH and canonical: q(0) is real positive, which pins the
     unit-modulus phase freedom.
 
     Raises ValueError for a nonpositive tol or a symbol that is not
@@ -101,10 +104,7 @@ def scalar_factor(f: LaurentPoly, tol: float = 1e-9) -> LaurentPoly:
     f = f.trim(1e-14)
     if f.is_zero:
         return LaurentPoly.zero()
-    q = factor_positive_definite(LaurentMatrix.from_entries([[f]]), tol).entry(0, 0)
-    C, A = f.coeff_array(0, f.hi), q.coeff_array(0, f.hi)
-    A, _ = polish_coefficients(C[:, None, None], A[:, None, None], _FINAL_POLISH)
-    return canonicalize(LaurentMatrix.from_coeffs(A)).factor.entry(0, 0)
+    return factor_positive_definite(LaurentMatrix.from_entries([[f]]), tol).entry(0, 0)
 
 
 def _screen_definite(S: LaurentMatrix, tol: float) -> None:
@@ -318,9 +318,7 @@ def _gauss_newton_step(C: np.ndarray, A: np.ndarray, factor: _JacobianFactor) ->
     return (x[:U] + 1j * x[U:]).reshape(A.shape)
 
 
-def polish_coefficients(
-    C: np.ndarray, A: np.ndarray, target: float, min_steps: int = 0
-):
+def polish_coefficients(C: np.ndarray, A: np.ndarray, target: float):
     """Gauss-Newton refinement of factor coefficients A against C_0..C_N.
 
     A is (N+1, m, k) and C is (N+1, m, m); the unknowns are the real and
@@ -336,19 +334,30 @@ def polish_coefficients(
     most _CHORD_CONTRACTION; otherwise it factors J(A) and keeps that.
     A full step may raise the max-abs residual (relative to max |C_n|) up
     to _POLISH_GROWTH times the best one so far; beyond that it is halved.
-    Stops when the residual reaches target after at least min_steps steps,
-    when no halving is accepted, or when progress stalls.  Returns
-    (A, relative_residual) for the best iterate, which is the start when
-    nothing improves.
+
+    One stopping rule serves every caller.  A start already at target
+    takes no step.  Otherwise the polish steps until an iterate meets
+    target and then takes exactly one more step, a chord step on the kept
+    factorization, because the first iterate at the target can still be
+    far from the factor: polished toward 3e-10, (1,1,40) seed 1189 first
+    meets it at residual 1.1e-11, 7.9e-9 off the outer factor, and the step
+    past takes it to 1.6e-13 and 1.1e-10.  The polish also stops when no
+    halving is accepted, when progress stalls short of the target, or after
+    _POLISH_MAX_ITERS steps in all.  Returns (A, relative_residual) for the
+    best iterate, which is the start when nothing improves.
     """
     best, best_rel = A, _relative_residual(C, A)
     stalls = 0
     factor = None
-    for step_count in range(_POLISH_MAX_ITERS):
-        reached = best_rel <= target and step_count >= min_steps
-        if reached or stalls >= _POLISH_STALLS:
+    past = False
+    for _ in range(_POLISH_MAX_ITERS):
+        if best_rel <= target:
+            if factor is None or past:
+                break
+            past = True
+        elif stalls >= _POLISH_STALLS:
             break
-        if factor is None or factor.contraction(A) > _CHORD_CONTRACTION:
+        elif factor is None or factor.contraction(A) > _CHORD_CONTRACTION:
             factor = _JacobianFactor(A)
         step = _gauss_newton_step(C, A, factor)
         for _ in range(_POLISH_HALVINGS):
@@ -390,44 +399,18 @@ def canonicalize(F: LaurentMatrix) -> CanonicalForm:
     return CanonicalForm(factor=factor, applied_unitary=applied)
 
 
-def factor_positive_definite(S: LaurentMatrix, tol: float = 1e-9) -> AnalyticPolyMatrix:
-    """Canonical analytic spectral factor of a full-rank definite spectrum.
+def _bauer_estimate(C: np.ndarray, tol: float) -> np.ndarray:
+    """Factor coefficients (N+1, k, k) of C_0..C_N within tol, from Bauer sections.
 
-    Postconditions: S+ is analytic of the same order as S, S+ S+~ matches S
-    within tol relative to the largest coefficient, find_rank_drop_points
-    reports no rank drop of S+ in the open unit disk, and S+ is the
-    canonical representative of its right-unitary class.
-
-    For every k, Bauer's section is doubled from max(_BAUER_BLOCKS, 2N + 2)
-    block rows until the best estimate meets 0.3 * tol, the cap is reached,
-    or a doubling gains no more than the one before it.  Only a best
-    estimate still above tol is polished toward 0.3 * tol.  If that polish
-    stalls above tol, the doubling restarts from the first section, now
-    polishing after every section and going one doubling further.  A factor
-    that needed polishing takes one more Gauss-Newton step once it meets
-    tol, because the first iterate at the target can still be far from
-    the outer factor.
+    The section is doubled from max(_BAUER_BLOCKS, 2N + 2) block rows until
+    the best estimate meets 0.3 * tol, the cap is reached, or a doubling
+    gains no more than the one before it.  Only a best estimate still above
+    tol is polished toward 0.3 * tol.  If that polish stalls above tol, the
+    doubling restarts from the first section, now polishing after every
+    section and going one doubling further.  Raises NumericalFailureError
+    when the residual still exceeds tol.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    S = S.trim(0.0)
-    if S.is_zero:
-        raise NotFactorableError("zero spectrum has no full-rank factor")
-    _screen_definite(S, tol)
-    k = S.rows
-    N = S.hi
-    scale = S.max_abs
-
-    if N == 0:
-        C0 = S.coeff(0)
-        C0 = 0.5 * (C0 + C0.conj().T)
-        w, V = np.linalg.eigh(C0)
-        if w[0] <= tol * w[-1]:
-            raise NotFactorableError("constant spectrum is numerically singular")
-        F = LaurentMatrix.constant(V @ np.diag(np.sqrt(np.maximum(w, 0.0))))
-        return canonicalize(F).factor
-
-    C = S.coeff_array(0, N)
+    N, k = C.shape[0] - 1, C.shape[1]
     L = max(_BAUER_BLOCKS, 2 * N + 2)
     best_A = _bauer_last_row(C, k, N, L)
     best_rel, last_gain = _relative_residual(C, best_A), 0.0
@@ -443,8 +426,7 @@ def factor_positive_definite(S: LaurentMatrix, tol: float = 1e-9) -> AnalyticPol
         if gain <= last_gain:
             break
         last_gain = gain
-    polished = best_rel > tol
-    if polished:
+    if best_rel > tol:
         best_A, best_rel = polish_coefficients(C, best_A, 0.3 * tol)
     if best_rel > tol:
         # At a multiple circle zero of det S Gauss-Newton converges only
@@ -466,15 +448,45 @@ def factor_positive_definite(S: LaurentMatrix, tol: float = 1e-9) -> AnalyticPol
             "factorization residual %.3e exceeds tol %.3e" % (best_rel, tol),
             residual=best_rel,
         )
-    if polished:
-        # The polish stops at its first iterate at or below the target,
-        # whose forward error can still be far above the rounding floor:
-        # (1,1,40) seed 1189 stops at residual 7.1e-16 but 4.1e-13 off the
-        # outer factor.  One more Gauss-Newton step takes it to 5.4e-15.
-        best_A, best_rel = polish_coefficients(C, best_A, 0.3 * tol, min_steps=1)
+    return best_A
 
-    F, _ = clear_rank_drops(LaurentMatrix.from_coeffs(best_A), RankDefOptions(tol=tol))
-    factor = canonicalize(F).factor
+
+def factor_positive_definite(S: LaurentMatrix, tol: float = 1e-9) -> AnalyticPolyMatrix:
+    """Canonical analytic spectral factor of a full-rank definite spectrum.
+
+    Postconditions: S+ is analytic of the same order as S, S+ S+~ matches S
+    within tol relative to the largest coefficient, find_rank_drop_points
+    reports no rank drop of S+ in the open unit disk, its coefficients are
+    polished to _FINAL_POLISH, and S+ is the canonical representative of
+    its right-unitary class.
+
+    A constant spectrum starts from its eigenvalue square root.  For N >= 1,
+    _bauer_estimate gives a factor within tol, and clear_rank_drops
+    reflects its interior rank drops across the circle.  Either start then
+    takes the final polish to _FINAL_POLISH, because a factor that meets
+    tol can still be far from the outer one, and is rotated by canonicalize.
+    """
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    S = S.trim(0.0)
+    if S.is_zero:
+        raise NotFactorableError("zero spectrum has no full-rank factor")
+    _screen_definite(S, tol)
+    N = S.hi
+    scale = S.max_abs
+
+    C = S.coeff_array(0, N)
+    if N == 0:
+        C0 = 0.5 * (C[0] + C[0].conj().T)
+        w, V = np.linalg.eigh(C0)
+        if w[0] <= tol * w[-1]:
+            raise NotFactorableError("constant spectrum is numerically singular")
+        A = (V @ np.diag(np.sqrt(np.maximum(w, 0.0))))[None]
+    else:
+        F = LaurentMatrix.from_coeffs(_bauer_estimate(C, tol))
+        A = clear_rank_drops(F, RankDefOptions(tol=tol))[0].coeff_array(0, N)
+    A, _ = polish_coefficients(C, A, _FINAL_POLISH)
+    factor = canonicalize(LaurentMatrix.from_coeffs(A)).factor
 
     final = (factor @ factor.adjoint() - S).max_abs / scale
     if final > 10.0 * tol:

@@ -243,7 +243,8 @@ def complete_to_paraunitary(
     Returns (U, report): U is m x m analytic of length N with its first
     row equal to the input row coefficient for coefficient, U U~ = I
     within tol, and det U = c z^N with |c| = 1.  The added rows are the peeled
-    ones polished against I - row^T (row^T)~ and canonicalized: its canonical
+    ones, polished to _FINAL_POLISH against I - row^T (row^T)~ (a peel
+    already at that target takes no step) and canonicalized: its canonical
     factor, transposed, unique up to a constant unitary mixing of rows 2..m.
     For m = 1 the row is its own completion.  Only opts.tol is read.
 
@@ -259,7 +260,7 @@ def complete_to_paraunitary(
         H = blocks[0].coeff_array(0, row.length)[:, 0]
         C = -_conv_coeffs(H[:, :, None])
         C[0] += np.eye(m)
-        A, _ = polish_coefficients(C, _peel_completion(H), _FINAL_POLISH, min_steps=1)
+        A, _ = polish_coefficients(C, _peel_completion(H), _FINAL_POLISH)
         lower = canonicalize(LaurentMatrix.from_coeffs(A)).factor
         blocks.append(lower.transpose())
     U = LaurentMatrix.vstack(blocks).as_analytic(0.0)

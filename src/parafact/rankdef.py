@@ -18,7 +18,8 @@ sections, of S + delta I and S + 2 delta I, give the Richardson start
 2 B(delta) - B(2 delta), which cancels that term.  Its first k columns,
 back in the original row order, are refined by the Gauss-Newton polish
 that the full-rank factorization also uses (fullrank.polish_coefficients)
-to the final target and one step past it.
+to the final target, which by its one stopping rule takes one step past
+the first iterate that meets it.
 The start is accepted only when the polish reaches that target and the
 result has no interior rank drop; a residual within tol is not enough,
 since on projector spectra the polish can stall near 1e-10 at a factor that
@@ -33,21 +34,23 @@ as the fallback:
    write the columns over one shared, outer denominator;
 5. reflect the interior rank drops of the numerator across the circle
    (roots.clear_rank_drops: the finder's points, each reflected with its
-   whole null space in one step), divide out the shared denominator,
-   leaving a polynomial factor, and clear that factor the same way.  The
-   numerator is cleared first because the division is exact only then:
-   each denominator root r must be a zero of the whole numerator, and the
-   reflection of the drop at 1/conj(r) is what plants it;
+   whole null space in one step) and divide out the shared denominator,
+   leaving a polynomial factor.  The numerator is cleared first because
+   the division is exact only then: each denominator root r must be a zero
+   of the whole numerator, and the reflection of the drop at 1/conj(r) is
+   what plants it;
 6. restore the original row order and refine the coefficients with the
    same Gauss-Newton polish, which removes the error accumulated by
-   determinant windows, deflation divisions and Blaschke operations; after
-   step 5 it takes at least one step, whatever the residual.
+   determinant windows, deflation divisions and Blaschke operations.  Its
+   target is _FINAL_POLISH, or half the start's residual when that is
+   lower, because a residual at the floor does not bound what the
+   reflections leave: the polish steps either way.
 
-Every path ends by rotating to the canonical representative.  For k = m the
-head factor is the whole factor: the full-rank factorization has cleared
-its interior rank drops with the clearer of step 5, so it has no poles and
-no interior rank drops, and it goes straight to the polish of step 6.  The
-report names the path taken: "full-rank", "regularized" or "rational".
+Every path ends in that polish and a rotation to the canonical
+representative.  For k = m the head factor is the whole factor, and
+factor_positive_definite has already done both, after clearing its
+interior rank drops with the clearer of step 5.  The report names the path
+taken: "full-rank", "regularized" or "rational".
 
 Every transformation of the fallback multiplies columns by unit-modulus
 scalars or the whole factor by constant unitaries, so F F~ is preserved
@@ -71,6 +74,7 @@ from .errors import (
 from .fullrank import (
     _FINAL_POLISH,
     _bauer_last_row,
+    _relative_residual,
     _screen_definite,
     canonicalize,
     factor_positive_definite,
@@ -775,12 +779,11 @@ def _regularized_start(S: LaurentMatrix, perm: tuple, k: int, opts: RankDefOptio
     Bauer sections B(delta) of S + delta I and B(2 delta) of S + 2 delta I,
     delta = _REGULARIZATION max |C_n|, are factored in the pivot's row
     order.  The first k columns of 2 B(delta) - B(2 delta), read back in
-    the original row order, are polished to _FINAL_POLISH in at least two
-    steps, so that the second, a chord step on the first one's Jacobian
-    factorization, goes past it.  None, which sends spectral_factor to the rational
-    construction, means the polish missed that target, the result has an
-    interior rank drop, or the section or the drop finder raised
-    NumericalFailureError.
+    the original row order, are polished to _FINAL_POLISH; the polish's
+    rule takes one chord step past the first iterate that meets it.  None,
+    which sends spectral_factor to the rational construction, means the
+    polish missed that target, the result has an interior rank drop, or
+    the section or the drop finder raised NumericalFailureError.
     """
     m, N = S.rows, S.hi
     C = S.coeff_array(0, N)
@@ -795,7 +798,7 @@ def _regularized_start(S: LaurentMatrix, perm: tuple, k: int, opts: RankDefOptio
         except NumericalFailureError:
             return None
     B = (2.0 * sections[0] - sections[1])[:, np.argsort(perm), :k]
-    A, rel = polish_coefficients(C, B, _FINAL_POLISH, min_steps=2)
+    A, rel = polish_coefficients(C, B, _FINAL_POLISH)
     if rel > _FINAL_POLISH:
         return None
     try:
@@ -821,22 +824,19 @@ def _outer_tall_factor(S: LaurentMatrix, perm: tuple, k: int, opts: RankDefOptio
     # shared denominator lies outside the disk and must be a zero of the
     # whole numerator for the quotient to be polynomial, and the reflection
     # of the numerator's drop at 1/conj(r) plants exactly that zero.  The
-    # denominator is outer, so the numerator has the rational factor's
-    # interior drops.  The polynomial factor goes through the clearer too,
-    # as a guard; after the numerator's clearing it costs one finder pass.
+    # denominator has no zero in the closed disk, so the polynomial factor
+    # has the cleared numerator's rank at every point the finder searches.
     num, shared_den = _common_denominator(R)
-    num, num_ops = clear_rank_drops(num, opts)
+    num, zero_ops = clear_rank_drops(num, opts)
     F = finalize_polynomial(RationalMatrix(num, [shared_den] * R.cols), N, opts)
-    F, poly_ops = clear_rank_drops(F, opts)
     F = F.submatrix(np.argsort(perm), range(k))
-    # Drop clearing divides at noise-limited points of multiple zeros, which
-    # can leave the factor 1e-9 off the outer one along directions the
-    # residual barely sees: a residual already below the target says
-    # nothing about that, so the polish always takes one step.
-    A, _ = polish_coefficients(
-        S.coeff_array(0, N), F.coeff_array(0, N), _FINAL_POLISH, min_steps=1
-    )
-    return A, pole_ops, num_ops + poly_ops
+    # Reflections at the noise-limited points of multiple zeros can leave
+    # the factor 1e-8 off the outer one at a residual below _FINAL_POLISH,
+    # so the polish asks for half the start's residual there, and steps.
+    C, A = S.coeff_array(0, N), F.coeff_array(0, N)
+    target = min(_FINAL_POLISH, 0.5 * _relative_residual(C, A))
+    A, _ = polish_coefficients(C, A, target)
+    return A, pole_ops, zero_ops
 
 
 def spectral_factor(
@@ -852,12 +852,13 @@ def spectral_factor(
     records the detected rank, pivot, every Blaschke operation, the final
     residual, and named verdicts.
 
-    For k = m the head factor is already outer and goes to the final
-    polish.  For k < m the regularized start of S + delta I is tried first
-    and kept when its polish reaches the final target with no interior rank
-    drop; otherwise the rational construction runs (head factor, tail
-    quotient, pole removal, drop clearing, final polish).  report.path
-    names which of the three ran.
+    For k = m the head factor is the factor: factor_positive_definite has
+    already cleared, polished and canonicalized it.  For k < m the
+    regularized start of S + delta I is tried first and kept when its
+    polish reaches the final target with no interior rank drop; otherwise
+    the rational construction runs (head factor, tail quotient, pole
+    removal, drop clearing, final polish).  report.path names which of the
+    three ran.
 
     rank overrides the sampled rank estimate when given.  Raises
     ValueError / NotFactorableError on bad input, DegenerateInputError when
@@ -870,7 +871,6 @@ def spectral_factor(
         raise ValueError("spectrum is identically zero")
     _screen_definite(S, opts.tol)
     m = S.rows
-    N = S.hi
     scale = S.max_abs
 
     k = rank if rank is not None else estimate_rank(S, opts)
@@ -882,12 +882,10 @@ def spectral_factor(
     pole_ops = zero_ops = ()
     if k == m:
         # The pivot is the identity, and factor_positive_definite has
-        # already cleared the factor's interior rank drops with the same
-        # finder that verification runs.
+        # already cleared the factor's interior rank drops, with the same
+        # finder that verification runs, polished it and canonicalized it.
         path = "full-rank"
-        A, _ = polish_coefficients(
-            S.coeff_array(0, N), _head_factor(S, opts).coeff_array(0, N), _FINAL_POLISH
-        )
+        factor = _head_factor(S, opts)
     else:
         path = "regularized"
         A = _regularized_start(S, perm, k, opts)
@@ -901,7 +899,7 @@ def spectral_factor(
                         detected_rank=k, pivot=perm, rng_seed=opts.rng_seed, path=path
                     )
                 raise
-    factor = canonicalize(LaurentMatrix.from_coeffs(A)).factor
+        factor = canonicalize(LaurentMatrix.from_coeffs(A)).factor
 
     product = factor @ factor.adjoint()
     residual = (product - S).max_abs / scale

@@ -12,6 +12,7 @@ from scipy.linalg import cholesky_banded
 
 from parafact.errors import NotFactorableError
 from parafact.fullrank import (
+    _FINAL_POLISH,
     _JacobianFactor,
     _bauer_last_row,
     _coeff_jacobian,
@@ -133,15 +134,50 @@ class TestFactorPositiveDefinite:
         with pytest.raises(ValueError):
             factor_positive_definite(S, tol=0.0)
 
+    # factor_positive_definite ends in the final polish and canonicalize,
+    # so a k = m spectral_factor takes its factor as it is, and
+    # scalar_factor is its 1 x 1 case.
+    def test_full_rank_factor_is_finished_once(self, monkeypatch):
+        calls = []
+
+        def counted(name, f):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return f(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(
+            "parafact.rankdef.factor_positive_definite",
+            counted("factor", factor_positive_definite),
+        )
+        for module in ("fullrank", "rankdef"):
+            monkeypatch.setattr(
+                "parafact.%s.canonicalize" % module, counted("canonicalize", canonicalize)
+            )
+        inst = gen_spectrum(3, 3, 8, 0, interior_zero_free=True)
+        G, report = spectral_factor(inst.spectrum)
+        assert report.path == "full-rank" and report.passed
+        assert calls == ["factor", "canonicalize"]
+        assert compare_factors(inst.secret_factor, G) is not None
+
+        f = gen_spectrum(1, 1, 24, 0, interior_zero_free=True).spectrum.entry(0, 0)
+        q = scalar_factor(f)
+        p = factor_positive_definite(LaurentMatrix.from_entries([[f]])).entry(0, 0)
+        assert q.coeff_array(0, 24).tobytes() == p.coeff_array(0, 24).tobytes()
+
     # Bauer's estimate converges geometrically in the section size, so the
     # doubling reaches the tolerance without a Gauss-Newton step; only (4,4,4)
-    # seed 3 stops at 4.1e-11 at the L = 1024 cap and takes two: one to meet
-    # the target and one more past it.  They come from two polish calls, and
-    # each call factors the Jacobian at its own start.
+    # seed 3 stops at 4.1e-11 at the L = 1024 cap and is polished toward
+    # 0.3 tol in two steps: one to meet the target and one past it.  The
+    # final polish to 1e-15 takes no step from a start already below it,
+    # and otherwise the same two, all on one Jacobian factorization.
+    FINAL_STEPS = {((4, 4, 4), 2): 0, ((4, 4, 4), 3): 0, ((6, 6, 3), 0): 0}
+
     @pytest.mark.parametrize("shape", [(4, 4, 4), (6, 6, 3)])
     @pytest.mark.parametrize("seed", range(4))
     def test_bauer_doubling_leaves_the_polish_no_steps(self, shape, seed, monkeypatch):
-        steps, factors = [], []
+        steps, factors, polishes = [], [], []
 
         def counted(C, A, factor):
             steps.append(A.shape)
@@ -151,13 +187,22 @@ class TestFactorPositiveDefinite:
             factors.append(A.shape)
             return _JacobianFactor(A)
 
+        def recorded(C, A, target):
+            before = len(steps)
+            out = polish_coefficients(C, A, target)
+            polishes.append((target, len(steps) - before))
+            return out
+
         monkeypatch.setattr("parafact.fullrank._gauss_newton_step", counted)
         monkeypatch.setattr("parafact.fullrank._JacobianFactor", factored)
+        monkeypatch.setattr("parafact.fullrank.polish_coefficients", recorded)
         S = gen_spectrum(*shape, seed).spectrum
         F = factor_positive_definite(S, 1e-11)
-        polished = int((shape, seed) == ((4, 4, 4), 3))
-        assert len(steps) == 2 * polished
-        assert len(factors) == 2 * polished
+        bauer = [n for target, n in polishes if target != _FINAL_POLISH]
+        final = [n for target, n in polishes if target == _FINAL_POLISH]
+        assert bauer == ([2] if (shape, seed) == ((4, 4, 4), 3) else [])
+        assert final == [self.FINAL_STEPS.get((shape, seed), 2)]
+        assert len(factors) == sum(n > 0 for _, n in polishes)
         assert (F @ F.adjoint() - S).max_abs <= 1e-11 * S.max_abs
 
     # A det zero on the circle makes Bauer converge algebraically, gaining
@@ -479,18 +524,37 @@ class TestPolishCoefficients:
         F = LaurentMatrix(4, 2, dict(enumerate(A)))
         assert compare_factors(inst.secret_factor, F) is not None
 
-    def test_min_steps_steps_past_a_met_target(self):
-        inst = gen_spectrum(4, 2, 4, 3, interior_zero_free=True)
-        C = coefficient_stack(inst.spectrum, 4)
-        secret = coefficient_stack(inst.secret_factor, 4)
-        noise = random_coefficients(np.random.default_rng(1), secret.shape)
-        start = secret + 1e-9 * noise
+    def test_polish_steps_once_past_the_first_iterate_at_the_target(self, monkeypatch):
+        # A start at the target comes back as it is.  A start above it
+        # stops one step after the first iterate that meets it, and that
+        # step is a chord step even where a zero chord bound makes every
+        # other step factor J afresh.
+        steps, factors = [], []
+
+        def counted(C, A, factor):
+            steps.append((_relative_residual(C, A), factor))
+            return _gauss_newton_step(C, A, factor)
+
+        def factored(A):
+            factors.append(_JacobianFactor(A))
+            return factors[-1]
+
+        monkeypatch.setattr("parafact.fullrank._gauss_newton_step", counted)
+        monkeypatch.setattr("parafact.fullrank._JacobianFactor", factored)
+        monkeypatch.setattr("parafact.fullrank._CHORD_CONTRACTION", 0.0)
+        C, start = polish_start("head")
         rel0 = _relative_residual(C, start)
-        assert 1e-11 < rel0 < 1e-6
-        A, rel = polish_coefficients(C, start, 1e-6)
-        assert rel == rel0 and np.array_equal(A, start)
-        A, rel = polish_coefficients(C, start, 1e-6, min_steps=1)
-        assert rel < 1e-3 * rel0
+        A, rel = polish_coefficients(C, start, rel0)
+        assert rel == rel0 and A.tobytes() == start.tobytes()
+        assert steps == [] and factors == []
+
+        A, rel = polish_coefficients(C, start, 1e-15)
+        assert rel <= 1e-15 and rel == _relative_residual(C, A)
+        met = [r <= 1e-15 for r, _ in steps]
+        assert met == [False] * (len(steps) - 1) + [True]
+        assert len(steps) >= 3
+        assert [kept for _, kept in steps[:-1]] == factors
+        assert steps[-1][1] is factors[-1]
 
     def test_never_returns_worse_than_the_start(self):
         inst = gen_spectrum(3, 3, 2, 1)
@@ -550,7 +614,8 @@ class TestPolishCoefficients:
 
     def test_far_start_refactors_every_step(self, monkeypatch):
         # 1e-3 off the tall factor the first steps move J by far more than a
-        # chord step tolerates, so each of them factors J afresh.
+        # chord step tolerates, so each of them factors J afresh; the step
+        # past the target is a chord step on the last factorization.
         steps, factors = [], []
 
         def counted(C, A, factor):
@@ -564,10 +629,11 @@ class TestPolishCoefficients:
         monkeypatch.setattr("parafact.fullrank._gauss_newton_step", counted)
         monkeypatch.setattr("parafact.fullrank._JacobianFactor", factored)
         C, A = polish_start("tall")
-        _, rel = polish_coefficients(C, A, 1e-15, min_steps=2)
+        _, rel = polish_coefficients(C, A, 1e-15)
         assert rel <= 1e-15
         assert len(steps) >= 3
-        assert steps == factors
+        assert steps[:-1] == factors
+        assert steps[-1] is factors[-1]
 
 
 class TestCanonicalize:

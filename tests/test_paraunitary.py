@@ -265,6 +265,20 @@ class TestPeelCompletion:
         assert W is not None
         assert np.max(np.abs(W - np.eye(3))) < 1e-9
 
+    @pytest.mark.parametrize("m, N, seed", [(4, 8, 39), (4, 8, 41), (6, 6, 36)])
+    def test_rational_fallback_steps_from_a_start_at_the_floor(self, m, N, seed):
+        # The fallback's factor reaches its final polish below 1e-15 here,
+        # yet up to 1e-8 off the lower block (seed 41) along directions the
+        # residual barely sees; the polish must still step.
+        row = gen_lossless(m, N, seed).row
+        U, _ = complete_to_paraunitary(row)
+        lower = U.submatrix(range(1, m), range(m)).transpose()
+        factor, report = spectral_factor(deficiency_matrix(row), rank=m - 1)
+        assert report.path == "rational"
+        W = compare_factors(factor, lower, RankDefOptions(tol=1e-9))
+        assert W is not None
+        assert np.max(np.abs(W - np.eye(m - 1))) < 1e-9
+
 
 class TestFormerCompletionFailures:
     """Rows on which completion through spectral_factor raised."""

@@ -393,12 +393,12 @@ class TestRankDropPoints:
 
     # On these instances every drop of the rational stage has nullity
     # k - 1 and is reflected whole, so drop clearing takes one reporting and
-    # one confirming pass there, and one pass on the polynomial factor: three
-    # on the (m, k) tall factor.  The k x k head factor makes its own single
-    # pass inside factor_positive_definite.  The regularized start that
-    # spectral_factor takes instead makes one pass, its acceptance check.
+    # one confirming pass on the numerator: two on the (m, k) tall factor.
+    # The k x k head factor makes its own single pass inside
+    # factor_positive_definite.  The regularized start that spectral_factor
+    # takes instead makes one pass, its acceptance check.
     @pytest.mark.parametrize("m,k,N", [(6, 3, 3), (8, 4, 4), (6, 4, 6)])
-    def test_drop_clearing_takes_three_finder_passes(self, m, k, N, monkeypatch):
+    def test_drop_clearing_takes_two_finder_passes(self, m, k, N, monkeypatch):
         calls = []
 
         def counted(F, opts=None):
@@ -412,9 +412,9 @@ class TestRankDropPoints:
         opts = RankDefOptions()
         calls.clear()
         _outer_tall_factor(S, select_pivot(S, k, opts), k, opts)
-        assert calls.count((m, k)) == 3
+        assert calls.count((m, k)) == 2
         assert calls.count((k, k)) == 1
-        assert len(calls) == 4
+        assert len(calls) == 3
 
         calls.clear()
         factor, report = spectral_factor(S)
@@ -423,9 +423,9 @@ class TestRankDropPoints:
         assert compare_factors(inst.secret_factor, factor) is not None
 
     def test_rational_drop_clearing_takes_one_scale_per_call(self, monkeypatch):
-        # _outer_tall_factor clears the numerator and then the polynomial
-        # factor.  A call takes one scale, when its first pass reports a
-        # drop, and hands it to every fix; here only the numerator has drops.
+        # _outer_tall_factor clears the numerator, in one call that reflects.
+        # A call takes one scale, when its first pass reports a drop, and
+        # hands it to every fix.
         scales, passed, cleared = [], [], []
 
         def measured(G):
@@ -448,7 +448,7 @@ class TestRankDropPoints:
         S = inst.spectrum.trim(0.0)
         opts = RankDefOptions()
         _, _, zero = _outer_tall_factor(S, select_pivot(S, 3, opts), 3, opts)
-        assert [len(ops) > 0 for ops in cleared] == [True, False]
+        assert [len(ops) > 0 for ops in cleared] == [True]
         assert len(scales) == 1
         assert len(passed) >= 2 and set(passed) <= set(scales)
         assert len(passed) <= len(zero)
@@ -799,9 +799,9 @@ class TestSpectralFactor:
             factors.append(A.shape)
             return factor(A)
 
-        def recorded(C, A, target, min_steps=0):
+        def recorded(C, A, target):
             starts.append(A)
-            return polish(C, A, target, min_steps)
+            return polish(C, A, target)
 
         monkeypatch.setattr("parafact.fullrank._gauss_newton_step", counted)
         monkeypatch.setattr("parafact.fullrank._JacobianFactor", factored)
@@ -827,8 +827,9 @@ class TestSpectralFactor:
 
     def test_projector_spectrum_refactors_every_step(self, monkeypatch):
         # On a projector spectrum ||J^+|| reaches 3e9 / ||J||, so every step
-        # of the regularized start's polish moves J beyond what a chord step
-        # tolerates, and each one factors J afresh.
+        # of the regularized start's polish up to its target moves J beyond
+        # what a chord step tolerates, and each one factors J afresh; the
+        # step past the target is a chord step on the last factorization.
         steps, factors = [], []
         step, factor = fullrank._gauss_newton_step, fullrank._JacobianFactor
 
@@ -846,7 +847,8 @@ class TestSpectralFactor:
         _, report = spectral_factor(deficiency_matrix(row), rank=3)
         assert report.path == "regularized"
         assert len(steps) >= 3
-        assert steps == factors
+        assert steps[:-1] == factors
+        assert steps[-1] is factors[-1]
 
     def test_detected_rank_is_automatic(self):
         rng = np.random.default_rng(71)

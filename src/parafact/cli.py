@@ -12,7 +12,9 @@ measured values.  Exit codes are uniform across subcommands:
 Reports carry a command echo, an options echo, the named verdicts, and the
 exit code; the exit code is zero exactly when every verdict passes.  The
 completion report records the determinant monomial through the degree,
-det_phase_modulus, and det_phase_angle verdicts.
+det_phase_modulus, and det_phase_angle verdicts.  An error raised inside a
+command still writes the requested report, with an error block; an argument
+the parser refuses (--seed x, --tol inf) exits 2 before any file is written.
 """
 
 from __future__ import annotations
@@ -178,48 +180,26 @@ def cmd_random(args) -> int:
             raise ValueError("--k does not apply to lossless rows")
         inst = gen_lossless(args.m, args.order, args.seed)
         name = "lossless-row-m%d-n%d-s%d" % (args.m, args.order, args.seed)
-        write_matrix(
-            args.out,
-            inst.row.as_matrix(),
-            metadata={"name": name, "seed": args.seed, "generator": "lossless-row"},
+        files = [
+            (args.out, inst.row.as_matrix(), name, "lossless-row"),
+            (args.factor_out, inst.secret_paraunitary, name + "-completion",
+             "lossless-completion"),
+        ]
+    else:
+        k = args.m if args.k is None else args.k
+        # With --factor-out the instance is generated zero-free inside the
+        # disk, so the emitted factor is the one the verifier accepts.
+        inst = gen_spectrum(
+            args.m, k, args.order, args.seed, interior_zero_free=bool(args.factor_out)
         )
-        print("wrote %s" % args.out)
-        if args.factor_out:
-            write_matrix(
-                args.factor_out,
-                inst.secret_paraunitary,
-                metadata={
-                    "name": name + "-completion",
-                    "seed": args.seed,
-                    "generator": "lossless-completion",
-                },
-            )
-            print("wrote %s" % args.factor_out)
-        return EXIT_PASS
-    k = args.m if args.k is None else args.k
-    # With --factor-out the instance is generated zero-free inside the disk,
-    # so the emitted factor is the one the verifier accepts.
-    inst = gen_spectrum(
-        args.m, k, args.order, args.seed, interior_zero_free=bool(args.factor_out)
-    )
-    name = "spectrum-m%d-k%d-n%d-s%d" % (args.m, k, args.order, args.seed)
-    write_matrix(
-        args.out,
-        inst.spectrum,
-        metadata={"name": name, "seed": args.seed, "generator": "spectrum"},
-    )
-    print("wrote %s" % args.out)
-    if args.factor_out:
-        write_matrix(
-            args.factor_out,
-            inst.secret_factor,
-            metadata={
-                "name": name + "-factor",
-                "seed": args.seed,
-                "generator": "spectrum-factor",
-            },
-        )
-        print("wrote %s" % args.factor_out)
+        name = "spectrum-m%d-k%d-n%d-s%d" % (args.m, k, args.order, args.seed)
+        files = [
+            (args.out, inst.spectrum, name, "spectrum"),
+            (args.factor_out, inst.secret_factor, name + "-factor", "spectrum-factor"),
+        ]
+    for path, M, label, generator in files[: 2 if args.factor_out else 1]:
+        write_matrix(path, M, metadata={"name": label, "seed": args.seed, "generator": generator})
+        print("wrote %s" % path)
     return EXIT_PASS
 
 
@@ -238,6 +218,17 @@ def cmd_info(args) -> int:
     return EXIT_PASS
 
 
+def _finite_float(text: str) -> float:
+    """The --tol type: the parser refuses a value that is not a finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError("invalid finite float value: %r" % text)
+    return value
+
+
 @functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it as it was."""
@@ -250,7 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("factor", help="factor a para-Hermitian spectrum file")
     p.add_argument("input", help="spectrum matrix file")
-    p.add_argument("--tol", type=float, default=1e-9, help="relative residual target")
+    p.add_argument("--tol", type=_finite_float, default=1e-9, help="relative residual target")
     p.add_argument(
         "--rank", default="auto", help="'auto' or the almost-everywhere rank"
     )
@@ -263,7 +254,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "complete", help="extend a unit-norm analytic row to a paraunitary matrix"
     )
     p.add_argument("input", help="single-row matrix file")
-    p.add_argument("--tol", type=float, default=1e-9, help="relative residual target")
+    p.add_argument("--tol", type=_finite_float, default=1e-9, help="relative residual target")
     p.add_argument("--out", help="path for the completed matrix file")
     p.add_argument("--report", help="path for the verdict report file")
     p.set_defaults(echo=_echo_complete)
@@ -279,7 +270,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="spectrum file and candidate factor file",
     )
     group.add_argument("--paraunitary", metavar="MATRIX", help="candidate matrix file")
-    p.add_argument("--tol", type=float, default=1e-9, help="verification tolerance")
+    p.add_argument("--tol", type=_finite_float, default=1e-9, help="verification tolerance")
     p.add_argument("--report", help="path for the verdict report file")
     p.set_defaults(echo=_echo_verify)
 

@@ -9,7 +9,9 @@ options it ran with, a map of named checks, and the exit code.
 Numbers are emitted as decimals with 17 significant digits, which is enough
 to round-trip any binary64 value exactly, so a parse followed by a write
 reproduces a canonically formatted file byte for byte.  Parsing accepts any
-valid JSON layout of the same structure.
+valid JSON layout of the same structure.  The terms are read in one pass; on
+any fault they are walked again in file order, so the error names the first
+malformed term whatever its kind.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import math
 
 import numpy as np
 
-from .laurent import _MAX_DENSE_COEFFS, LaurentMatrix
+from .laurent import LaurentMatrix, _check_dense_span
 
 __all__ = [
     "matrix_to_text",
@@ -77,73 +79,22 @@ def _as_finite(value, what: str) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _block_from_cells(block: list, cols: int, p: int) -> np.ndarray:
-    """The complex coefficient block of power p from its rows of [re, im] cells.
-
-    Raises the error that names the first bad row, cell or number.
-    """
-    C = np.zeros((len(block), cols), dtype=complex)
+def _block_from_cells(block: list, cols: int, p: int) -> None:
+    """Raise the error that names the first bad row, cell or number of the
+    coefficient block of power p."""
     for i, row in enumerate(block):
         _require(isinstance(row, list) and len(row) == cols,
                  "row %d of power %d must have %d entries" % (i, p, cols))
         for j, cell in enumerate(row):
             _require(isinstance(cell, list) and len(cell) == 2,
                      "entry (%d, %d) of power %d must be [re, im]" % (i, j, p))
-            C[i, j] = complex(
-                _as_finite(cell[0], "re at (%d, %d), power %d" % (i, j, p)),
-                _as_finite(cell[1], "im at (%d, %d), power %d" % (i, j, p)),
-            )
-    return C
+            _as_finite(cell[0], "re at (%d, %d), power %d" % (i, j, p))
+            _as_finite(cell[1], "im at (%d, %d), power %d" % (i, j, p))
 
 
-def _matrix_from_terms(items, rows: int, cols: int) -> LaurentMatrix | None:
-    """The matrix of well-formed terms, checked and converted in one pass.
-
-    Every number of every block goes into one float array, viewed as
-    complex, which keeps every value, signed zeros included, as
-    complex(re, im) does; the dense store is built once from it.  Returns
-    None when anything is malformed, including a power span whose store
-    would pass laurent._MAX_DENSE_COEFFS (checked before it is allocated),
-    so that the term-by-term path raises the error that names it.
-    """
-    if type(items) is not list:
-        return None
-    powers, flat = [], []
-    for item in items:
-        if type(item) is not dict or item.keys() != {"power", "matrix"}:
-            return None
-        p, block = item["power"], item["matrix"]
-        if type(p) is not int or (powers and p <= powers[-1]):
-            return None
-        if type(block) is not list or len(block) != rows:
-            return None
-        cells = [cell for row in block if type(row) is list and len(row) == cols for cell in row]
-        size = len(flat) + 2 * rows * cols
-        flat += [x for cell in cells if type(cell) is list and len(cell) == 2 for x in cell]
-        if len(flat) != size:
-            return None
-        powers.append(p)
-    if not set(map(type, flat)) <= {float, int}:
-        return None
-    lo = powers[0] if powers else 0
-    span = powers[-1] - lo + 1 if powers else 0
-    if span * rows * cols > _MAX_DENSE_COEFFS:
-        return None
-    try:
-        values = np.array(flat, dtype=float)
-    except OverflowError:
-        return None
-    if not np.isfinite(values).all():
-        return None
-    C = np.zeros((span, rows, cols), dtype=complex)
-    C[np.array(powers, dtype=int) - lo] = values.view(complex).reshape(-1, rows, cols)
-    return LaurentMatrix.from_coeffs(C, lo)
-
-
-def _matrix_term_by_term(items, rows: int, cols: int) -> LaurentMatrix:
-    """The matrix of the terms, checked term by term; raises on the first bad one."""
+def _raise_term_fault(items, rows: int, cols: int) -> None:
+    """Raise the error that names the first malformed term, in file order."""
     _require(isinstance(items, list), "terms must be an array")
-    terms = {}
     last_power = None
     for item in items:
         _require(isinstance(item, dict), "each term must be an object")
@@ -156,8 +107,64 @@ def _matrix_term_by_term(items, rows: int, cols: int) -> LaurentMatrix:
         block = item["matrix"]
         _require(isinstance(block, list) and len(block) == rows,
                  "matrix for power %d must have %d rows" % (p, rows))
-        terms[p] = _block_from_cells(block, cols, p)
-    return LaurentMatrix(rows, cols, terms)
+        _block_from_cells(block, cols, p)
+
+
+def _matrix_from_terms(items, rows: int, cols: int) -> LaurentMatrix:
+    """The matrix of the terms, checked and converted in one pass.
+
+    Every number of every block goes into one float array, viewed as
+    complex, which keeps every value, signed zeros included, as
+    complex(re, im) does; the dense store is built once from it.  Any fault
+    sends the terms to _raise_term_fault, which names the first malformed
+    term in file order.  Well-formed terms whose power span would pass
+    laurent._MAX_DENSE_COEFFS are refused before the store is allocated.
+    """
+    powers, flat = [], []
+    # Terms that are not an array read as one malformed term.
+    for item in items if type(items) is list else [None]:
+        if type(item) is not dict or item.keys() != {"power", "matrix"}:
+            break
+        p, block = item["power"], item["matrix"]
+        if type(p) is not int or (powers and p <= powers[-1]):
+            break
+        if type(block) is not list or len(block) != rows:
+            break
+        size = len(flat) + 2 * rows * cols
+        flat += [x for row in block if type(row) is list and len(row) == cols
+                 for cell in row if type(cell) is list and len(cell) == 2 for x in cell]
+        if len(flat) != size:
+            break
+        powers.append(p)
+    else:
+        try:
+            values = np.array(flat, dtype=float) if set(map(type, flat)) <= {float, int} else None
+        except OverflowError:  # an integer beyond the double range
+            values = None
+        if values is not None and np.isfinite(values).all():
+            lo, hi = (powers[0], powers[-1]) if powers else (0, -1)
+            _check_dense_span(hi - lo, (rows, cols))
+            C = np.zeros((hi - lo + 1, rows, cols), dtype=complex)
+            C[np.array(powers, dtype=int) - lo] = values.view(complex).reshape(-1, rows, cols)
+            return LaurentMatrix.from_coeffs(C, lo)
+    _raise_term_fault(items, rows, cols)
+
+
+def _checked_metadata(meta) -> dict:
+    """The known metadata fields of meta, in canonical order, each checked."""
+    _require(isinstance(meta, dict), "metadata must be an object")
+    unknown = set(meta) - set(_METADATA_FIELDS)
+    _require(not unknown, "unknown metadata fields: %s" % sorted(unknown))
+    out = {}
+    for key, kind in _METADATA_FIELDS.items():
+        if key not in meta:
+            continue
+        if kind is int:
+            out[key] = _as_int(meta[key], "metadata %s" % key)
+        else:
+            _require(isinstance(meta[key], str), "metadata %s must be a string" % key)
+            out[key] = meta[key]
+    return out
 
 
 def matrix_to_text(M: LaurentMatrix, metadata: dict | None = None) -> str:
@@ -192,20 +199,7 @@ def matrix_to_text(M: LaurentMatrix, metadata: dict | None = None) -> str:
         body = "  ]"
     lines.append(body + ("," if metadata else ""))
     if metadata:
-        unknown = set(metadata) - set(_METADATA_FIELDS)
-        _require(not unknown, "unknown metadata fields: %s" % sorted(unknown))
-        parts = []
-        for key in ("name", "seed", "generator"):
-            if key not in metadata:
-                continue
-            value = metadata[key]
-            if _METADATA_FIELDS[key] is int:
-                parts.append('"%s": %d' % (key, _as_int(value, "metadata %s" % key)))
-            else:
-                _require(isinstance(value, str),
-                         "metadata %s must be a string" % key)
-                parts.append('"%s": %s' % (key, json.dumps(value)))
-        lines.append('  "metadata": {%s}' % ", ".join(parts))
+        lines.append('  "metadata": %s' % json.dumps(_checked_metadata(metadata)))
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -230,24 +224,7 @@ def matrix_from_text(text: str) -> tuple[LaurentMatrix, dict]:
     cols = _as_int(doc["cols"], "cols")
     _require(rows >= 1 and cols >= 1, "rows and cols must be positive")
     M = _matrix_from_terms(doc["terms"], rows, cols)
-    if M is None:
-        M = _matrix_term_by_term(doc["terms"], rows, cols)
-    metadata = {}
-    if "metadata" in doc:
-        meta = doc["metadata"]
-        _require(isinstance(meta, dict), "metadata must be an object")
-        unknown = set(meta) - set(_METADATA_FIELDS)
-        _require(not unknown, "unknown metadata fields: %s" % sorted(unknown))
-        for key, kind in _METADATA_FIELDS.items():
-            if key not in meta:
-                continue
-            if kind is int:
-                metadata[key] = _as_int(meta[key], "metadata %s" % key)
-            else:
-                _require(isinstance(meta[key], str),
-                         "metadata %s must be a string" % key)
-                metadata[key] = meta[key]
-    return M, metadata
+    return M, _checked_metadata(doc.get("metadata", {}))
 
 
 def write_matrix(path, M: LaurentMatrix, metadata: dict | None = None) -> None:
@@ -280,6 +257,8 @@ def _validate_report(doc: dict) -> dict:
         _require(isinstance(key, str), "option names must be strings")
         ok = value is None or isinstance(value, (str, bool, int, float))
         _require(ok, "option %s must be a scalar" % key)
+        if isinstance(value, float):
+            _as_finite(value, "option %s" % key)
     _require(isinstance(doc["verdicts"], dict), "verdicts must be an object")
     verdicts = {}
     for name, check in doc["verdicts"].items():
@@ -307,8 +286,18 @@ def _validate_report(doc: dict) -> dict:
                  "error needs exactly type and message")
         _require(all(isinstance(v, str) for v in error.values()),
                  "error type and message must be strings")
-        out["error"] = dict(error)
+        out["error"] = {"type": error["type"], "message": error["message"]}
     return out
+
+
+def _value_text(value) -> str:
+    """A report value: floats by _fmt, objects on one line, all else by json.dumps."""
+    if isinstance(value, float):
+        return _fmt(value)
+    if isinstance(value, dict):
+        items = ("%s: %s" % (json.dumps(k), _value_text(v)) for k, v in value.items())
+        return "{%s}" % ", ".join(items)
+    return json.dumps(value)
 
 
 def report_to_text(report: dict) -> str:
@@ -319,48 +308,13 @@ def report_to_text(report: dict) -> str:
     code; the exit code must be 0 exactly when every verdict passes.
     """
     report = _validate_report(report)
-    lines = ["{"]
-    lines.append('  "command": %s,' % json.dumps(report["command"]))
-    opts = report["options"]
-    if opts:
-        lines.append('  "options": {')
-        keys = list(opts)
-        for idx, key in enumerate(keys):
-            value = opts[key]
-            if isinstance(value, bool):
-                text = "true" if value else "false"
-            elif value is None:
-                text = "null"
-            elif isinstance(value, str):
-                text = json.dumps(value)
-            elif isinstance(value, int):
-                text = "%d" % value
-            else:
-                text = _fmt(value)
-            comma = "," if idx + 1 < len(keys) else ""
-            lines.append('    %s: %s%s' % (json.dumps(key), text, comma))
-        lines.append("  },")
-    else:
-        lines.append('  "options": {},')
-    verdicts = report["verdicts"]
-    if verdicts:
-        lines.append('  "verdicts": {')
-        names = list(verdicts)
-        for idx, name in enumerate(names):
-            v = verdicts[name]
-            comma = "," if idx + 1 < len(names) else ""
-            lines.append(
-                '    %s: {"pass": %s, "measured": %s, "threshold": %s}%s'
-                % (json.dumps(name), "true" if v["pass"] else "false",
-                   _fmt(v["measured"]), _fmt(v["threshold"]), comma)
-            )
-        lines.append("  },")
-    else:
-        lines.append('  "verdicts": {},')
+    lines = ["{", '  "command": %s,' % json.dumps(report["command"])]
+    for key in ("options", "verdicts"):
+        entries = ["    %s: %s" % (json.dumps(k), _value_text(v)) for k, v in report[key].items()]
+        body = "\n%s\n  " % ",\n".join(entries) if entries else ""
+        lines.append('  "%s": {%s},' % (key, body))
     if "error" in report:
-        error = report["error"]
-        lines.append('  "error": {"type": %s, "message": %s},'
-                     % (json.dumps(error["type"]), json.dumps(error["message"])))
+        lines.append('  "error": %s,' % _value_text(report["error"]))
     lines.append('  "exit_code": %d' % report["exit_code"])
     lines.append("}")
     return "\n".join(lines) + "\n"

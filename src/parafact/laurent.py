@@ -22,6 +22,7 @@ complex arithmetic does, coefficient by coefficient in ascending powers.
 
 from __future__ import annotations
 
+import math
 from types import MappingProxyType
 
 import numpy as np
@@ -38,6 +39,17 @@ __all__ = [
 # ask for any memory; a dict of terms may span at most 2^24 coefficients
 # (256 MiB), far above the k N powers of any factor the library builds.
 _MAX_DENSE_COEFFS = 2**24
+
+
+def _check_dense_span(span: int, shape) -> None:
+    """Raise ValueError, naming the span, when a dense store of powers lo..lo+span
+    of coefficients of the given shape would pass _MAX_DENSE_COEFFS."""
+    if (span + 1) * math.prod(shape) > _MAX_DENSE_COEFFS:
+        what = "a %d x %d matrix" % shape if shape else "a scalar"
+        raise ValueError(
+            "power span %d of %s needs more than %d coefficients"
+            % (span, what, _MAX_DENSE_COEFFS)
+        )
 
 
 def _next_pow2(n: int) -> int:
@@ -105,21 +117,12 @@ class _Laurent:
         self._coeffs = C
 
     def _store_terms(self, terms, shape) -> None:
-        """Keep a dict mapping each power to a coefficient of the given shape.
-
-        Raises ValueError, naming the span, when the dense store of the
-        powers from the lowest to the highest would exceed _MAX_DENSE_COEFFS
-        coefficients.
-        """
+        """Keep a dict mapping each power to a coefficient of the given shape,
+        within the bound of _check_dense_span."""
         terms = {int(n): np.asarray(c, dtype=complex) for n, c in (terms or {}).items()}
         lo = min(terms, default=0)
         span = max(terms, default=lo - 1) - lo
-        if (span + 1) * int(np.prod(shape)) > _MAX_DENSE_COEFFS:
-            what = "a %d x %d matrix" % shape if shape else "a scalar"
-            raise ValueError(
-                "power span %d of %s needs more than %d coefficients"
-                % (span, what, _MAX_DENSE_COEFFS)
-            )
+        _check_dense_span(span, shape)
         C = np.zeros((span + 1,) + shape, dtype=complex)
         for n, c in terms.items():
             if c.shape != shape:

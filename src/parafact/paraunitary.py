@@ -47,9 +47,9 @@ class LosslessRow:
             e if isinstance(e, LaurentPoly) else LaurentPoly.constant(e)
             for e in entries
         )
-        if not entries:
-            raise ValueError("a lossless row needs at least one entry")
-        hi = max((e.hi for e in entries if not e.is_zero), default=0)
+        if all(e.is_zero for e in entries):
+            raise ValueError("a lossless row needs at least one nonzero entry")
+        hi = max(e.hi for e in entries if not e.is_zero)
         if length is None:
             length = hi
         if length < 0:

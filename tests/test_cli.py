@@ -193,9 +193,59 @@ class TestVerify:
         assert all(math.isfinite(v["measured"]) for v in report["verdicts"].values())
 
 
+class TestRandom:
+    def test_files_carry_their_metadata_and_are_announced_in_order(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        assert run("random", "--m", 3, "--k", 2, "--order", 2, "--seed", 4,
+                   "--out", "s.json", "--factor-out", "f.json") == 0
+        assert run("random", "--m", 2, "--order", 1, "--seed", 0, "--out", "t.json") == 0
+        assert run("random", "--lossless", "--m", 3, "--order", 2, "--seed", 5,
+                   "--out", "r.json", "--factor-out", "u.json") == 0
+        out = capsys.readouterr().out
+        assert out == "wrote s.json\nwrote f.json\nwrote t.json\nwrote r.json\nwrote u.json\n"
+        names = ("s.json", "f.json", "t.json", "r.json", "u.json")
+        assert {name: read_matrix(name)[1] for name in names} == {
+            "s.json": {"name": "spectrum-m3-k2-n2-s4", "seed": 4, "generator": "spectrum"},
+            "f.json": {"name": "spectrum-m3-k2-n2-s4-factor", "seed": 4,
+                       "generator": "spectrum-factor"},
+            "t.json": {"name": "spectrum-m2-k2-n1-s0", "seed": 0, "generator": "spectrum"},
+            "r.json": {"name": "lossless-row-m3-n2-s5", "seed": 5,
+                       "generator": "lossless-row"},
+            "u.json": {"name": "lossless-row-m3-n2-s5-completion", "seed": 5,
+                       "generator": "lossless-completion"},
+        }
+
+    def test_rank_of_a_lossless_row_exits_2(self, tmp_path):
+        row = tmp_path / "r.json"
+        assert run("random", "--lossless", "--m", 3, "--k", 2, "--order", 2,
+                   "--seed", 4, "--out", row) == 2
+        assert not row.exists()
+
+
 def test_bad_arguments_exit_2():
     assert run("factor") == 2
     assert run("verify") == 2
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("command", ["factor", "complete", "verify"])
+def test_non_finite_tol_exits_2_before_any_file_is_written(
+    command, value, spectrum, lossless, tmp_path
+):
+    # Refused by the parser, as --seed x is: no output and no report.
+    s, f = spectrum
+    row, _ = lossless
+    out, rep = tmp_path / "out.json", tmp_path / "rep.json"
+    argv = {
+        "factor": ["factor", s, "--out", out],
+        "complete": ["complete", row, "--out", out],
+        "verify": ["verify", "--factor", s, f],
+    }[command]
+    assert run(*argv, "--tol", value, "--report", rep) == 2
+    assert not out.exists() and not rep.exists()
 
 
 def test_commands_are_looked_up_at_call_time(monkeypatch, spectrum):

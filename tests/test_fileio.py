@@ -88,6 +88,8 @@ class TestMatrixFiles:
             ' {"power": 0, "matrix": [[[1, 0]]]}]}',
             '{"rows": 1, "cols": 1, "terms": [], "metadata": {"owner": "x"}}',
             '{"rows": 1, "cols": 1, "terms": [], "metadata": {"seed": "7"}}',
+            # A row count or width no block can have is refused, not allocated.
+            '{"rows": 1, "cols": 1000000000000, "terms": [{"power": 0, "matrix": [[[1, 0]]]}]}',
         ],
     )
     def test_malformed_text_is_rejected(self, text):
@@ -302,6 +304,13 @@ def test_row_template_prints_every_double_as_fmt():
         '{"rows": 1, "cols": 1, "terms": [{"power": 0, "matrix": [[[1, 0]]]},'
         ' {"power": 16777216, "matrix": [[[1, 0]]]}]}',
         '{"rows": 1, "cols": 1, "terms": [{"power": 0, "matrix": [[[%d, 0]]]}]}' % 10**400,
+        # The first fault in file order wins, whatever its kind.
+        '{"rows": 1, "cols": 1, "terms": [{"power": 0, "matrix": [[[1e999, 0]]]},'
+        ' {"power": 1}]}',
+        '{"rows": 1, "cols": 1, "terms": [{"power": 0, "matrix": [[[%d, 0]]]},'
+        ' {"power": 1, "matrix": [[1, 0]]}]}' % 10**400,
+        '{"rows": 1, "cols": 1, "terms": [{"power": 0, "matrix": [[[1, 0]]]},'
+        ' {"power": 1, "matrix": [[[0, NaN]]]}, {"power": 0, "matrix": [[[1, 0]]]}]}',
     ],
 )
 def test_reader_raises_the_reference_error(text):
@@ -332,6 +341,7 @@ class TestReportFiles:
             lambda r: r["verdicts"]["residual"].pop("threshold"),
             lambda r: r["verdicts"]["residual"].update(measured=float("inf")),
             lambda r: r["verdicts"]["residual"].update({"pass": 1}),
+            lambda r: r["options"].update(tol=float("inf")),
         ],
     )
     def test_malformed_report_is_rejected(self, mutate):

@@ -47,6 +47,8 @@ class TestLosslessRow:
             LosslessRow([LaurentPoly({0: 1.0, 2: 1.0})], length=1)
         with pytest.raises(ValueError):
             LosslessRow([LaurentPoly({0: 1.0})], length=3)
+        with pytest.raises(ValueError, match="needs at least one nonzero entry"):
+            LosslessRow([0, 0])
 
     def test_constant_entries_promote(self):
         row = LosslessRow([1.0, 0.0])

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .laurent import LaurentMatrix, _check_dense_span
+from .laurent import _MAX_DENSE_COEFFS, LaurentMatrix, _check_dense_span
 
 __all__ = [
     "matrix_to_text",
@@ -117,8 +117,10 @@ def _matrix_from_terms(items, rows: int, cols: int) -> LaurentMatrix:
     complex, which keeps every value, signed zeros included, as
     complex(re, im) does; the dense store is built once from it.  Any fault
     sends the terms to _raise_term_fault, which names the first malformed
-    term in file order.  Well-formed terms whose power span would pass
-    laurent._MAX_DENSE_COEFFS are refused before the store is allocated.
+    term in file order.  Well-formed terms of a matrix with more than
+    laurent._MAX_DENSE_COEFFS entries, or whose power span would pass that
+    bound, are refused before the store is allocated; every command sizes
+    its arrays by rows and cols, so the first holds for empty terms too.
     """
     powers, flat = [], []
     # Terms that are not an array read as one malformed term.
@@ -143,6 +145,9 @@ def _matrix_from_terms(items, rows: int, cols: int) -> LaurentMatrix:
             values = None
         if values is not None and np.isfinite(values).all():
             lo, hi = (powers[0], powers[-1]) if powers else (0, -1)
+            if rows * cols > _MAX_DENSE_COEFFS:
+                raise ValueError("a %d x %d matrix has more than %d entries"
+                                 % (rows, cols, _MAX_DENSE_COEFFS))
             _check_dense_span(hi - lo, (rows, cols))
             C = np.zeros((hi - lo + 1, rows, cols), dtype=complex)
             C[np.array(powers, dtype=int) - lo] = values.view(complex).reshape(-1, rows, cols)
@@ -208,8 +213,9 @@ def matrix_from_text(text: str) -> tuple[LaurentMatrix, dict]:
     """Parse matrix-file text; returns (matrix, metadata dict).
 
     Raises ValueError on anything malformed: wrong types, non-finite
-    numbers, shape mismatches, powers out of order, or a power span whose
-    dense store LaurentMatrix refuses (laurent._MAX_DENSE_COEFFS).
+    numbers, shape mismatches, powers out of order, or a matrix size or
+    power span whose dense store LaurentMatrix refuses
+    (laurent._MAX_DENSE_COEFFS).
     """
     try:
         doc = json.loads(text)

@@ -6,10 +6,15 @@ det S+(z) != 0 for |z| < 1, normalized to a canonical representative of the
 right-unitary equivalence class.
 
 Every size k >= 1 and order N >= 1, scalar and diagonal S included, takes
-one path: Bauer's method (Cholesky of a block Toeplitz section, whose deep
-rows converge to the factor coefficients), doubling the section until its
-estimate meets the tolerance or stops converging geometrically.  A start
-that still misses the tolerance is refined by polish_coefficients: damped
+one path: Bauer's method, whose estimate is the last block row of the
+Cholesky factor of the block Toeplitz section T[i, j] = C_{i-j}; its
+blocks converge to the factor coefficients as the section grows.  Cut into
+blocks of N k rows the section is block tridiagonal, so cyclic reduction
+(Meini) doubles it for one Cholesky of an N k x N k matrix per step, and
+the ladder runs until its estimate reaches the rounding floor, takes one
+step past it, and stops; at a circle zero of det S, where the gain per
+step stays near 4, it stops once the gain fails to grow.  A start that
+still misses the tolerance is refined by polish_coefficients: damped
 Gauss-Newton least squares on the quadratic coefficient equations
 sum_q A_{n+q} A_q^H = C_n.  A polish factors the Jacobian once, as LAPACK
 xGELSY does, and takes its later steps as chord steps on that factorization
@@ -17,14 +22,16 @@ while a bound on their first-order contraction stays below
 _CHORD_CONTRACTION; past it, it factors again.  Every call site stops by
 one rule: a start already at the target takes no step, and a polish that
 had to step takes exactly one chord step past the first iterate that meets
-it.  Should that polish stall, as at a multiple circle zero of det S, the
-doubling restarts with a polish after every section.  Interior rank drops,
-which Bauer and the polish leave near circle zeros of det S, are then
-reflected across the circle by roots.clear_rank_drops, and the factor ends
-in a polish to _FINAL_POLISH and canonicalize.
-The rank-deficient pipeline uses both halves on its tall factor: Bauer
-sections of the regularized spectra S + delta I and S + 2 delta I start it,
-and the same polish finishes it, as it finishes the rational fallback.
+it.  Should that polish stall, as at a multiple circle zero of det S, banded
+Bauer sections are doubled again from 32 block rows with a polish after
+every section.  Interior rank drops, which Bauer and the polish leave near
+circle zeros of det S, are then reflected across the circle by
+roots.clear_rank_drops, and the factor ends in a polish to _FINAL_POLISH
+(from the ladder's floor it usually takes no step) and canonicalize.
+The rank-deficient pipeline uses both halves on its tall factor: banded
+Bauer sections of the regularized spectra S + delta I and S + 2 delta I
+start it, and the same polish finishes it, as it finishes the rational
+fallback.
 """
 
 from __future__ import annotations
@@ -49,18 +56,25 @@ __all__ = [
 
 # Relative screen for "full rank at z = 0" inside canonicalize.
 _RANK0_TOL = 1e-12
-# Bauer's Toeplitz section has at least this many block rows (and at least
-# 2 * order + 2); it is doubled up to _BAUER_DOUBLINGS times while its
-# estimate misses the polish target.  Off circle zeros of det S each
-# doubling's gain is about the square of the last; a circle zero pins it
-# near 4, so the doubling stops once a gain fails to grow.
+# The cyclic-reduction ladder's step j gives the section of N 2^j + 1 block
+# rows.  Off circle zeros of det S its error squares with each step; at a
+# simple circle zero the residual falls only by 4 per step, the square of
+# the doubled section size, and from a residual of at most 1 it reaches the
+# rounding unit u = 2^-53 after log_4(1 / u) = 26.5 steps.  A ladder
+# slower than that cannot reach the floor and is left to the polish, so
+# the ladder stops after _LADDER_STEPS = 27 steps.
+_LADDER_STEPS = 27
+# The recovery loop at multiple circle zeros polishes Bauer sections of at
+# least this many block rows (and at least 2 * order + 2), doubled up to
+# _BAUER_DOUBLINGS + 1 times.
 _BAUER_BLOCKS = 32
 _BAUER_DOUBLINGS = 5
 # A Gauss-Newton step that is large along ill-conditioned directions
 # overshoots by its quadratic term, which the next step removes; so a step
 # may raise the residual up to _POLISH_GROWTH times the best one before it
 # is halved.  The polish stops after _POLISH_STALLS consecutive steps that
-# fail to halve the best residual, and in any case after _POLISH_MAX_ITERS.
+# fail to halve the best residual, and in any case after _POLISH_MAX_ITERS;
+# the cyclic-reduction ladder after as many steps whose gain fails to grow.
 _POLISH_GROWTH = 10.0
 _POLISH_STALLS = 3
 _POLISH_MAX_ITERS = 30
@@ -399,34 +413,114 @@ def canonicalize(F: LaurentMatrix) -> CanonicalForm:
     return CanonicalForm(factor=factor, applied_unitary=applied)
 
 
+def _reblocked_section(C: np.ndarray):
+    """Blocks D, E of the Toeplitz section T[i, j] = C_{i-j} reblocked by N.
+
+    In blocks of n = N k rows T is block tridiagonal and Toeplitz: D on the
+    diagonal, E below it and E^H above it, where D[a, b] = C_{a-b} (with
+    C_{-d} = C_d^H) and E[a, b] = C_{N+a-b} for a <= b, zero for a > b.
+    """
+    N, k = C.shape[0] - 1, C.shape[1]
+    a = np.arange(N)
+    d = a[:, None] - a
+    signed = np.concatenate([C[:0:-1].conj().swapaxes(1, 2), C])
+    D = signed[d + N]
+    E = np.where((d <= 0)[:, :, None, None], C[np.minimum(N + d, N)], 0.0)
+    return tuple(M.swapaxes(1, 2).reshape(N * k, N * k) for M in (D, E))
+
+
+def _cholesky(M: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of a Hermitian M from its lower triangle (xPOTRF).
+
+    Raises LinAlgError when M is not positive definite.
+    """
+    L, info = lapack.zpotrf(M, lower=True, clean=True)
+    if info:
+        raise scipy.linalg.LinAlgError("matrix is not positive definite")
+    return L
+
+
+def _deep_row(C: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Factor coefficients (N+1, k, k) from the last pivot X of a reblocked section.
+
+    The section of L = N M + 1 block rows is M reblocked rows and one last
+    row [0 ... 0 b C_0], b = [C_N ... C_1].  Its Cholesky factor keeps the
+    band, so the last row is b L_X^-H = (A_N ... A_1) over the last
+    reblocked pivot X = L_X L_X^H, and A_0 = chol(C_0 - b X^-1 b^H).
+    Raises LinAlgError when X or that complement is not positive definite.
+    """
+    N, k = C.shape[0] - 1, C.shape[1]
+    b = C[:0:-1].swapaxes(0, 1).reshape(k, N * k)
+    Y = blas.ztrsm(1.0, _cholesky(X), b.conj().T, lower=True)
+    A = np.empty((N + 1, k, k), dtype=complex)
+    A[1:] = Y.conj().T.reshape(k, N, k).swapaxes(0, 1)[::-1]
+    A[0] = _cholesky(C[0] - Y.conj().T @ Y)
+    return A
+
+
+def _cyclic_reduction(C: np.ndarray):
+    """Deep-row estimates of sections of L = N 2^j + 1 block rows, j = 0, 1, ...
+
+    The pivots of the reblocked section obey X_1 = D, X_(i+1) = D - E
+    X_i^-1 E^H, the fixed-point form of X + W^H X^-1 W = D with W = E^H.
+    Meini's cyclic reduction takes X_(2^j) to X_(2^(j+1)) in one Cholesky
+    of Q: with Q = X = D and W = E^H at the start, X -= W^H Q^-1 W,
+    Q <- Q - W Q^-1 W^H - W^H Q^-1 W and W <- W Q^-1 W.  After j steps X
+    is the last pivot of 2^j reblocked rows, so _deep_row reads the section
+    of N 2^j + 1 block rows.  Yields the estimate of each step; stops when
+    Q or the deep row is no longer positive definite.
+    """
+    Q, E = _reblocked_section(C)
+    X, W = Q, E.conj().T
+    n = W.shape[0]
+    while True:
+        try:
+            yield _deep_row(C, X)
+            L_Q = _cholesky(Q)
+        except scipy.linalg.LinAlgError:
+            return
+        # G = L_Q^-1 W and H = L_Q^-1 W^H, in one solve.
+        GH = blas.ztrsm(1.0, L_Q, np.hstack([W, W.conj().T]), lower=True)
+        G, H = GH[:, :n], GH[:, n:]
+        GG = G.conj().T @ G
+        X = X - GG
+        Q = Q - H.conj().T @ H - GG
+        W = H.conj().T @ G
+
+
 def _bauer_estimate(C: np.ndarray, tol: float) -> np.ndarray:
     """Factor coefficients (N+1, k, k) of C_0..C_N within tol, from Bauer sections.
 
-    The section is doubled from max(_BAUER_BLOCKS, 2N + 2) block rows until
-    the best estimate meets 0.3 * tol, the cap is reached, or a doubling
-    gains no more than the one before it.  Only a best estimate still above
-    tol is polished toward 0.3 * tol.  If that polish stalls above tol, the
-    doubling restarts from the first section, now polishing after every
-    section and going one doubling further.  Raises NumericalFailureError
-    when the residual still exceeds tol.
+    The cyclic-reduction ladder gives the sections of N 2^j + 1 block rows.
+    Once its best estimate is at most _FINAL_POLISH it takes exactly one
+    step more and keeps that estimate, the step past of polish_coefficients'
+    rule.  It also stops after _POLISH_STALLS consecutive steps whose gain
+    fails to grow, when a section is no longer positive definite, or after
+    _LADDER_STEPS steps.  Only a best estimate still above tol is polished
+    toward 0.3 * tol.  If that polish stalls above tol, banded sections of
+    _BAUER_BLOCKS block rows and up are polished one after another.  Raises
+    NumericalFailureError when the residual still exceeds tol.
     """
     N, k = C.shape[0] - 1, C.shape[1]
-    L = max(_BAUER_BLOCKS, 2 * N + 2)
-    best_A = _bauer_last_row(C, k, N, L)
-    best_rel, last_gain = _relative_residual(C, best_A), 0.0
-    for _ in range(_BAUER_DOUBLINGS):
-        if best_rel <= 0.3 * tol:
-            break
-        L *= 2
-        A = _bauer_last_row(C, k, N, L)
+    ladder = _cyclic_reduction(C)
+    best_A = next(ladder, None)
+    best_rel = np.inf if best_A is None else _relative_residual(C, best_A)
+    last_gain, stalls, past = 0.0, 0, False
+    for _, A in zip(range(_LADDER_STEPS), ladder):
         rel = _relative_residual(C, A)
+        if past:
+            best_A, best_rel = A, rel
+            break
         gain = best_rel / max(rel, 1e-300)
         if rel < best_rel:
             best_A, best_rel = A, rel
-        if gain <= last_gain:
-            break
+        stalls = stalls + 1 if gain <= last_gain else 0
         last_gain = gain
-    if best_rel > tol:
+        if best_rel <= _FINAL_POLISH:
+            past = True
+        elif stalls >= _POLISH_STALLS:
+            break
+    if best_rel > tol and best_A is not None:
         best_A, best_rel = polish_coefficients(C, best_A, 0.3 * tol)
     if best_rel > tol:
         # At a multiple circle zero of det S Gauss-Newton converges only

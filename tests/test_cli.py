@@ -103,6 +103,15 @@ class TestFactor:
         assert report["error"]["type"] == "ValueError"
         assert "span 1000000000000" in report["error"]["message"]
 
+    def test_dimensions_beyond_the_dense_bound_exit_2(self, tmp_path, capsys):
+        big = tmp_path / "big.json"
+        big.write_text('{"rows": 1000000000000, "cols": 1000000000000, "terms": []}')
+        assert run("info", big) == 2
+        assert "a 1000000000000 x 1000000000000 matrix has more than" in capsys.readouterr().err
+        rep = tmp_path / "rep.json"
+        assert run("factor", big, "--report", rep) == 2
+        assert assert_round_trip(rep)["error"]["type"] == "ValueError"
+
     def test_integer_beyond_the_double_range_exits_2_with_an_error_report(self, tmp_path):
         # 10**400 is a valid JSON integer but no double: invalid input (2),
         # not a failed check (1).

@@ -96,6 +96,18 @@ class TestMatrixFiles:
         with pytest.raises(ValueError):
             matrix_from_text(text)
 
+    # With no terms the reader builds an empty store, but every command
+    # sizes its arrays by rows and cols, so a matrix with more entries than
+    # the dense store may hold is refused as the file's fault.
+    @pytest.mark.parametrize("size", [10**12, 10**5])
+    def test_dimensions_beyond_the_dense_bound_are_refused(self, size):
+        text = '{"rows": %d, "cols": %d, "terms": []}' % (size, size)
+        message = "a %d x %d matrix has more than 16777216 entries" % (size, size)
+        with pytest.raises(ValueError, match=message):
+            matrix_from_text(text)
+        M, _ = matrix_from_text('{"rows": 4096, "cols": 4096, "terms": []}')
+        assert M.is_zero and M.shape == (4096, 4096)
+
     @pytest.mark.parametrize(
         "value,expected",
         [

@@ -13,10 +13,12 @@ from scipy.linalg import cholesky_banded
 from parafact.errors import NotFactorableError
 from parafact.fullrank import (
     _FINAL_POLISH,
+    _LADDER_STEPS,
     _JacobianFactor,
     _bauer_last_row,
     _coeff_jacobian,
     _conv_coeffs,
+    _cyclic_reduction,
     _gauss_newton_step,
     _relative_residual,
     canonicalize,
@@ -166,14 +168,11 @@ class TestFactorPositiveDefinite:
         p = factor_positive_definite(LaurentMatrix.from_entries([[f]])).entry(0, 0)
         assert q.coeff_array(0, 24).tobytes() == p.coeff_array(0, 24).tobytes()
 
-    # Bauer's estimate converges geometrically in the section size, so the
-    # doubling reaches the tolerance without a Gauss-Newton step; only (4,4,4)
-    # seed 3 stops at 4.1e-11 at the L = 1024 cap and is polished toward
-    # 0.3 tol in two steps: one to meet the target and one past it.  The
-    # final polish to 1e-15 takes no step from a start already below it,
-    # and otherwise the same two, all on one Jacobian factorization.
-    FINAL_STEPS = {((4, 4, 4), 2): 0, ((4, 4, 4), 3): 0, ((6, 6, 3), 0): 0}
-
+    # Off circle zeros the cyclic-reduction ladder's error squares with
+    # each step, so it reaches the rounding floor in 7 to 10 steps and
+    # takes the one step past it: the 0.3 tol polish does not run, and the
+    # final polish starts below 1e-15 and takes no Gauss-Newton step and
+    # factors no Jacobian.
     @pytest.mark.parametrize("shape", [(4, 4, 4), (6, 6, 3)])
     @pytest.mark.parametrize("seed", range(4))
     def test_bauer_doubling_leaves_the_polish_no_steps(self, shape, seed, monkeypatch):
@@ -188,45 +187,78 @@ class TestFactorPositiveDefinite:
             return _JacobianFactor(A)
 
         def recorded(C, A, target):
-            before = len(steps)
-            out = polish_coefficients(C, A, target)
-            polishes.append((target, len(steps) - before))
-            return out
+            polishes.append(target)
+            return polish_coefficients(C, A, target)
 
         monkeypatch.setattr("parafact.fullrank._gauss_newton_step", counted)
         monkeypatch.setattr("parafact.fullrank._JacobianFactor", factored)
         monkeypatch.setattr("parafact.fullrank.polish_coefficients", recorded)
         S = gen_spectrum(*shape, seed).spectrum
         F = factor_positive_definite(S, 1e-11)
-        bauer = [n for target, n in polishes if target != _FINAL_POLISH]
-        final = [n for target, n in polishes if target == _FINAL_POLISH]
-        assert bauer == ([2] if (shape, seed) == ((4, 4, 4), 3) else [])
-        assert final == [self.FINAL_STEPS.get((shape, seed), 2)]
-        assert len(factors) == sum(n > 0 for _, n in polishes)
+        assert polishes == [_FINAL_POLISH]
+        assert steps == [] and factors == []
         assert (F @ F.adjoint() - S).max_abs <= 1e-11 * S.max_abs
 
-    # A det zero on the circle makes Bauer converge algebraically, gaining
-    # about 4 per doubling, so the gain stop ends the ladder before the cap
-    # of 1 + _BAUER_DOUBLINGS = 6 sections.
+    # A det zero on the circle makes the ladder converge algebraically: the
+    # residual falls by about 4 per step, the square of the doubled section.
+    # Where that gain settles onto 4 from above, it fails to grow on three
+    # consecutive steps and the ladder stops by the gain rule, far short of
+    # the floor, and a polish steps.  Where it climbs onto 4 from below, the
+    # ladder runs down to the floor and stops one step past it.  Either
+    # way it stops well before _LADDER_STEPS.
     @pytest.mark.parametrize(
-        "shape,seed,sections",
+        "shape,seed,ladder_steps",
         [
-            ((2, 2, 2), 0, 3), ((2, 2, 2), 1, 4), ((2, 2, 2), 2, 3),
-            ((3, 3, 3), 0, 4), ((3, 3, 3), 1, 3), ((3, 3, 3), 2, 4),
-            ((4, 4, 2), 0, 3), ((4, 4, 2), 1, 3), ((4, 4, 2), 2, 3),
+            ((2, 2, 2), 0, 17), ((2, 2, 2), 1, 6), ((2, 2, 2), 2, 23),
+            ((3, 3, 3), 0, 23), ((3, 3, 3), 1, 7), ((3, 3, 3), 2, 19),
+            ((4, 4, 2), 0, 8), ((4, 4, 2), 1, 9), ((4, 4, 2), 2, 5),
         ],
     )
-    def test_circle_zero_stops_the_doubling_early(self, shape, seed, sections, monkeypatch):
-        calls = []
+    def test_circle_zero_stops_the_doubling_early(self, shape, seed, ladder_steps, monkeypatch):
+        residuals, steps = [], []
 
-        def counted(C, k, N, L):
-            calls.append(L)
-            return _bauer_last_row(C, k, N, L)
+        def counted(C):
+            for A in _cyclic_reduction(C):
+                residuals.append(_relative_residual(C, A))
+                yield A
 
-        monkeypatch.setattr("parafact.fullrank._bauer_last_row", counted)
+        def stepped(C, A, factor):
+            steps.append(A.shape)
+            return _gauss_newton_step(C, A, factor)
+
+        monkeypatch.setattr("parafact.fullrank._cyclic_reduction", counted)
+        monkeypatch.setattr("parafact.fullrank._gauss_newton_step", stepped)
         F = circle_zero_factor(shape, seed)
         factor_positive_definite(F @ F.adjoint(), 1e-11)
-        assert calls == [32 * 2**i for i in range(sections)]
+        assert len(residuals) == ladder_steps + 1 < _LADDER_STEPS
+        if min(residuals) > _FINAL_POLISH:
+            gains = [a / b for a, b in zip(residuals[-5:], residuals[-4:])]
+            assert all(b <= a for a, b in zip(gains, gains[1:]))
+            assert 3.5 < gains[-1] < 4.5
+            assert steps
+        else:
+            assert min(residuals[:-1]) <= _FINAL_POLISH < min(residuals[:-2])
+
+    # A rank-deficient spectrum has singular sections from N + 1 block rows
+    # on, so the ladder yields no estimate; the banded sections, lifted by
+    # _bauer_last_row's retries, then factor it as they did before.
+    def test_empty_ladder_falls_to_the_banded_sections(self):
+        S = gen_spectrum(4, 2, 4, 0).spectrum
+        assert list(_cyclic_reduction(S.coeff_array(0, 4))) == []
+        F = factor_positive_definite(S)
+        assert (F @ F.adjoint() - S).max_abs <= 1e-9 * S.max_abs
+
+    # Step j of the ladder is the deep row of the section of N 2^j + 1
+    # block rows, which _bauer_last_row factors in band storage.  The two
+    # agree to 1.4e-15 relative on these shapes.
+    @pytest.mark.parametrize("shape", [(1, 1, 24), (3, 3, 8), (6, 6, 3)])
+    def test_ladder_step_is_the_doubled_section(self, shape):
+        S = gen_spectrum(*shape, 0).spectrum
+        m, N = S.rows, S.hi
+        C = S.coeff_array(0, N)
+        for j, A in zip(range(6), _cyclic_reduction(C)):
+            want = _bauer_last_row(C, m, N, N * 2**j + 1)
+            assert np.abs(A - want).max() <= 1e-14 * np.abs(want).max()
 
     # A residual-driven factor loses half its digits at a circle zero, for
     # matrices as for scalars: the forward error is about sqrt(eps).
@@ -273,15 +305,19 @@ class TestFactorPositiveDefinite:
         S = F @ F.adjoint()
         assert verify_factorization(S, spectral_factor(S)[0]).passed
 
-    # The polish stops at its first iterate below the target; the step past
-    # it brings (1,1,40) seed 1189 within 1e-9 of the secret.  (8,6,8)
-    # seeds 101 and 106, where the rational stage is fragile, take the
-    # regularized start.  Scalar spectra of order 80 and 120 take the same
-    # Bauer path as matrices.
+    # The ladder first meets _FINAL_POLISH on (1,1,40) seed 1189 at step 12,
+    # residual 9.2e-16; the step past it, to 1.2e-16, brings it within 1e-9
+    # of the secret.  (8,6,8) seeds 101 and 106, where the rational stage
+    # is fragile, take the regularized start.  Scalar spectra of order 80
+    # and 120 take the same Bauer path as matrices, and the ladder takes
+    # (4,4,16) and (2,2,64) to the floor with n = N k = 64 and 128
+    # reblocked rows.
     @pytest.mark.parametrize(
         "shape,seed",
         [((1, 1, 40), 1189), ((8, 6, 8), 101), ((8, 6, 8), 106)]
-        + [((1, 1, N), seed) for N in (80, 120) for seed in range(4)],
+        + [((1, 1, N), seed) for N in (80, 120) for seed in range(4)]
+        + [((4, 4, 16), seed) for seed in (11, 12, 13)]
+        + [((2, 2, 64), 11)],
     )
     def test_factor_matches_the_secret(self, shape, seed):
         inst = gen_spectrum(*shape, seed, interior_zero_free=True)

@@ -2,6 +2,7 @@
 
 Usage:
     PYTHONPATH=src python tools/cli_snapshot.py OUTDIR
+    PYTHONPATH=src python tools/cli_snapshot.py --compare OLD NEW
 
 Each spectrum runs `random --factor-out`, `factor --out --report` and
 `verify --factor --report`; each lossless row runs `random --lossless
@@ -9,17 +10,32 @@ Each spectrum runs `random --factor-out`, `factor --out --report` and
 --report`.  Every written file lands in OUTDIR, and each command's exit
 code, stdout and stderr in OUTDIR/streams.txt.  Two checkouts that compute
 the same results give snapshots with an empty `diff -r`.
+
+--compare reads two snapshots and prints one line per file: byte-identical
+files as such, and for a matrix file that differs its largest coefficient
+move relative to its largest old coefficient, plus whether compare_factors
+(a factor, *-f.json) or compare_completions (a completion, *-u.json)
+matches the pair at 1e-9.  It exits 1 when a file is missing on one side,
+an exit code or a verdict changed, or a factor or completion pair does not
+match, and 0 otherwise.
 """
 
 import contextlib
 import io
 import os
 import sys
+from pathlib import Path
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+import numpy as np  # noqa: E402
+
 from parafact.cli import main  # noqa: E402
+from parafact.errors import ParafactError  # noqa: E402
+from parafact.fileio import read_matrix, read_report  # noqa: E402
+from parafact.paraunitary import compare_completions  # noqa: E402
+from parafact.rankdef import RankDefOptions, compare_factors  # noqa: E402
 
 SPECTRA = ((1, 1, 24), (4, 4, 4), (4, 2, 4), (8, 4, 4))
 SPECTRUM_SEEDS = (0, 1, 2)
@@ -61,7 +77,60 @@ def main_snapshot(outdir: str) -> None:
                       % (" ".join(argv), code, out.getvalue(), err.getvalue()))
 
 
+def _outcomes(path: str, name: str):
+    """What must not change in a streams or report file: exit codes and verdicts."""
+    if name == "streams.txt":
+        with open(path, encoding="utf-8") as fh:
+            return [line for line in fh if line.startswith(("$ parafact", "exit "))]
+    report = read_report(path)
+    return report["exit_code"], {k: v["pass"] for k, v in report["verdicts"].items()}
+
+
+def _matrix_change(a: str, b: str, name: str):
+    """(largest relative coefficient move, match verdict or None) of two matrix files."""
+    old, new = read_matrix(a)[0], read_matrix(b)[0]
+    if old.shape != new.shape:
+        return np.inf, False
+    lo, hi = min(old.lo, new.lo), max(old.hi, new.hi)
+    A, B = old.coeff_array(lo, hi), new.coeff_array(lo, hi)
+    move = float(np.abs(A - B).max()) / max(float(np.abs(A).max()), 1e-300)
+    try:
+        if name.endswith("-f.json"):
+            return move, compare_factors(old, new, RankDefOptions(tol=1e-9)) is not None
+        if name.endswith("-u.json"):
+            return move, compare_completions(old, new, 1e-9) is not None
+    except ParafactError:
+        return move, False
+    return move, None
+
+
+def compare_snapshots(old: str, new: str) -> int:
+    """Print how each file of snapshot new differs from old; 1 on a changed outcome."""
+    changed = 0
+    for name in sorted(set(os.listdir(old)) | set(os.listdir(new))):
+        a, b = os.path.join(old, name), os.path.join(new, name)
+        if not (os.path.exists(a) and os.path.exists(b)):
+            line, bad = "only in %s" % (old if os.path.exists(a) else new), True
+        elif Path(a).read_bytes() == Path(b).read_bytes():
+            line, bad = "identical", False
+        elif name == "streams.txt" or name.endswith(("-fr.json", "-vr.json", "-cr.json")):
+            bad = _outcomes(a, name) != _outcomes(b, name)
+            line = "differs, exit codes and verdicts %s" % ("CHANGED" if bad else "equal")
+        else:
+            move, match = _matrix_change(a, b, name)
+            bad = match is False
+            line = "largest relative coefficient move %.2e" % move
+            if match is not None:
+                line += ", match at 1e-9" if match else ", NO MATCH at 1e-9"
+        changed += bad
+        print("%s: %s" % (name, line))
+    print("%d changed outcome(s)" % changed)
+    return 1 if changed else 0
+
+
 if __name__ == "__main__":
+    if len(sys.argv) == 4 and sys.argv[1] == "--compare":
+        sys.exit(compare_snapshots(sys.argv[2], sys.argv[3]))
     if len(sys.argv) != 2:
         sys.exit(__doc__)
     main_snapshot(sys.argv[1])

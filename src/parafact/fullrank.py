@@ -16,8 +16,11 @@ step past it, and stops; at a circle zero of det S, where the gain per
 step stays near 4, it stops once the gain fails to grow.  A start that
 still misses the tolerance is refined by polish_coefficients: damped
 Gauss-Newton least squares on the quadratic coefficient equations
-sum_q A_{n+q} A_q^H = C_n.  A polish factors the Jacobian once, as LAPACK
-xGELSY does, and takes its later steps as chord steps on that factorization
+sum_q A_{n+q} A_q^H = C_n.  A polish factors the Jacobian once, by a
+Cholesky factorization of its normal equations with the gauge null space
+filled in, or, where one refinement shows that solve off by more than a
+chord step may be, by the complete orthogonal factorization of LAPACK
+xGELSY.  It takes its later steps as chord steps on that factorization
 while a bound on their first-order contraction stays below
 _CHORD_CONTRACTION; past it, it factors again.  Every call site stops by
 one rule: a start already at the target takes no step, and a polish that
@@ -252,22 +255,71 @@ def _coeff_jacobian(A: np.ndarray) -> np.ndarray:
     return J
 
 
-class _JacobianFactor:
-    """Complete orthogonal factorization of the Jacobian J at A0, as xGELSY forms it.
+def _gauge_basis(A: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (2 U, k^2) of the gauge directions A X, X skew-Hermitian.
 
-    QR with column pivoting (xGEQP3) gives J P = Q [[R11, R12], [0, R22]];
-    the rank r counts the leading diagonal entries of R above numpy
-    lstsq's cutoff eps * max(J.shape) times |R[0, 0]|, and xTZRZF turns
-    the top r rows into [T 0] Z with T upper triangular.  solve applies
-    Q^T (xORMQR), T^-1 (xTRSM), Z^T (xORMRZ) and P.  Each routine gets the
-    workspace xGELSY passes it, because LAPACK's blocking, and so the
-    rounding, follows the workspace: the solution then equals
-    scipy.linalg.lstsq(J, b, cut, lapack_driver="gelsy") in every bit.
+    A -> A exp(X) leaves A A~ unchanged, so J (A X) = 0 for every A; X runs
+    over i E_jj and, for j < l, E_jl - E_lj and i (E_jl + E_lj), and each
+    A X is vectorized as the real unknowns of _coeff_jacobian.
+    """
+    k = A.shape[2]
+    j, l = np.triu_indices(k, 1)
+    X = np.zeros((k * k, k, k), dtype=complex)
+    X[np.arange(k), np.arange(k), np.arange(k)] = 1j
+    r = k + np.arange(j.size)
+    X[r, j, l], X[r, l, j] = 1.0, -1.0
+    r = r + j.size
+    X[r, j, l] = X[r, l, j] = 1j
+    G = (A[None] @ X[:, None]).reshape(k * k, -1)
+    return np.linalg.qr(np.concatenate([G.real, G.imag], axis=1).T)[0]
+
+
+class _JacobianFactor:
+    """Factorization of the Jacobian J at A0 for minimum-norm least-squares steps.
+
+    The Cholesky branch factors the gauge-augmented normal equations
+    M = J^T J + d Q Q^T (xSYRK, xPOTRF), where Q is _gauge_basis(A0) and d
+    the largest diagonal entry of J^T J.  J Q = 0 and J^T b is orthogonal
+    to Q, so M^-1 J^T b = J^+ b, the minimum-norm step, wherever the gauge
+    is J's only null space.  The first solve refines once against J,
+    dx = M^-1 J^T (b - J x), and keeps the branch only if ||dx|| <=
+    _CHORD_CONTRACTION ||x + dx||: the solve is then off the exact step by
+    no more than a chord step may be.  A normal-equations solve is off by
+    about u kappa(M) = u / s^2 relative, where s is the smallest non-gauge
+    singular value of J over its largest, so the check fails once s falls
+    below about sqrt(u / _CHORD_CONTRACTION) = 3e-8, as on most
+    ill-conditioned completion blocks.  It measures how far the solve is
+    from its own refinement, so where xPOTRF's rounding damps a near-null
+    direction the refinement is damped alike, and the check can pass with
+    that direction left out of the step.  Where it fails, or xPOTRF breaks
+    down, the xGELSY branch takes over for good.
+
+    The xGELSY branch is the complete orthogonal factorization LAPACK
+    xGELSY forms.  QR with column pivoting (xGEQP3) gives
+    J P = Q [[R11, R12], [0, R22]]; the rank r counts the leading diagonal
+    entries of R above numpy lstsq's cutoff eps * max(J.shape) times
+    |R[0, 0]|, and xTZRZF turns the top r rows into [T 0] Z with T upper
+    triangular.  solve applies Q^T (xORMQR), T^-1 (xTRSM), Z^T (xORMRZ) and
+    P.  Each routine gets the workspace xGELSY passes it, because LAPACK's
+    blocking, and so the rounding, follows the workspace: the solution then
+    equals scipy.linalg.lstsq(J, b, cut, lapack_driver="gelsy") in every
+    bit.
     """
 
     def __init__(self, A: np.ndarray):
         self.at = A
-        J = _coeff_jacobian(A)
+        self.J = _coeff_jacobian(A)
+        M = blas.dsyrk(1.0, self.J, trans=1, lower=1)
+        d = float(M.diagonal().max())
+        M = blas.dsyrk(d, _gauge_basis(A), beta=1.0, c=M, lower=1, overwrite_c=1)
+        self.chol, info = lapack.dpotrf(M, lower=1, clean=0, overwrite_a=1)
+        self.checked = False
+        self._pinv_norm = None
+        if info:
+            self._factor_gelsy()
+
+    def _factor_gelsy(self) -> None:
+        J, self.J, self.chol, self._pinv_norm = self.J, None, None, None
         m, n = J.shape
         mn = min(m, n)
         cut = np.finfo(float).eps * max(m, n)
@@ -280,10 +332,22 @@ class _JacobianFactor:
         self.work = work - 2 * mn
         # xGELSY skips this at full rank, where it leaves T = R11 and Z = I.
         self.rz, self.tau_z, _ = lapack.dtzrzf(self.qr[: self.rank], self.work)
-        self._pinv_norm = None
+
+    def _normal_solve(self, b: np.ndarray) -> np.ndarray:
+        return lapack.dpotrs(self.chol, self.J.T @ b, lower=1)[0]
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """Minimum-norm least-squares solution of J x = b, J cut to rank r."""
+        """Minimum-norm least-squares solution of J x = b (J cut to rank r by xGELSY)."""
+        if self.chol is not None:
+            x = self._normal_solve(b)
+            if self.checked:
+                return x
+            dx = self._normal_solve(b - self.J @ x)
+            x += dx
+            if np.linalg.norm(dx) <= _CHORD_CONTRACTION * np.linalg.norm(x):
+                self.checked = True
+                return x
+            self._factor_gelsy()
         r, n = self.rank, self.qr.shape[1]
         y = np.zeros((n, 1))
         if r:
@@ -295,22 +359,31 @@ class _JacobianFactor:
         return x
 
     def contraction(self, A: np.ndarray) -> float:
-        """Bound on kappa = ||J(A) - J(A0)||_2 ||J(A0)^+||_2, up to xTRCON's estimate.
+        """Bound on kappa = ||J(A) - J(A0)||_2 ||J(A0)^+||_2, up to xPOCON's or xTRCON's estimate.
 
         J is real-linear in A, so J(A) - J(A0) = J(E) with E = A - A0, and
         J(E) h = conv(h, E) + conv(E, h): for each power q, E_q enters each
         convolution once, through a block shift and a product with E_q, so
-        ||J(E)||_2 <= 2 sum_q ||E_q||_2 <= 2 sum_q ||E_q||_F.  The truncated
-        J(A0)^+ is P Z^T [T^-1; 0] Q^T, of norm ||T^-1||_2 <= sqrt(r)
-        ||T^-1||_1, and xTRCON estimates ||T^-1||_1 = 1 / (rcond ||T||_1).
+        ||J(E)||_2 <= 2 sum_q ||E_q||_2 <= 2 sum_q ||E_q||_F.  On the
+        Cholesky branch M has the eigenvalues sigma_i^2 of J off the gauge
+        and d on it, so ||J(A0)^+||_2^2 <= ||M^-1||_2 <= ||M^-1||_1 (M is
+        symmetric), which xPOCON estimates.  On the xGELSY branch the
+        truncated J(A0)^+ is P Z^T [T^-1; 0] Q^T, of norm ||T^-1||_2 <=
+        sqrt(r) ||T^-1||_1, and xTRCON estimates ||T^-1||_1 = 1 / (rcond
+        ||T||_1).
         """
         if self._pinv_norm is None:
-            T = self.rz[:, : self.rank]
-            # 1 / ||T^-1||_1 by the estimate; zero for a singular or empty T.
-            scale = 0.0
-            if self.rank:
-                scale = lapack.dtrcon(T)[0] * np.abs(np.triu(T)).sum(axis=0).max()
-            self._pinv_norm = np.sqrt(self.rank) / scale if scale > 0 else np.inf
+            if self.chol is not None:
+                # Given ||M||_1 = 1, xPOCON returns 1 / its estimate of ||M^-1||_1.
+                rcond = lapack.dpocon(self.chol, 1.0, uplo="L")[0]
+                self._pinv_norm = 1.0 / np.sqrt(rcond) if rcond > 0 else np.inf
+            else:
+                T = self.rz[:, : self.rank]
+                # 1 / ||T^-1||_1 by the estimate; zero for a singular or empty T.
+                scale = 0.0
+                if self.rank:
+                    scale = lapack.dtrcon(T)[0] * np.abs(np.triu(T)).sum(axis=0).max()
+                self._pinv_norm = np.sqrt(self.rank) / scale if scale > 0 else np.inf
         E = A - self.at
         moved = float(np.sqrt((E.real**2 + E.imag**2).sum(axis=(1, 2))).sum())
         return 2.0 * moved * self._pinv_norm
@@ -338,10 +411,12 @@ def polish_coefficients(C: np.ndarray, A: np.ndarray, target: float):
     A is (N+1, m, k) and C is (N+1, m, m); the unknowns are the real and
     imaginary parts of A, the equations sum_q A_{n+q} A_q^H = C_n.  Each
     step is the minimum-norm least-squares solution of the linearized
-    equations, by complete orthogonal factorization (_JacobianFactor, the
-    one LAPACK xGELSY forms) with numpy lstsq's rank cutoff
-    eps * max(J.shape), so it has no component along the right-unitary
-    gauge of A, the Jacobian's only null space.
+    equations, by _JacobianFactor: a Cholesky factorization of the
+    gauge-augmented normal equations, or the complete orthogonal
+    factorization of LAPACK xGELSY with numpy lstsq's rank cutoff
+    eps * max(J.shape) where the first solve's refinement rejects that.
+    Either way the step has no component along the right-unitary gauge of
+    A, the Jacobian's only null space.
     The first step factors J at the start.  A later step is a chord step
     that reuses the kept factorization of J(A0) at the iterate A, as long
     as its contraction bound kappa = ||J(A) - J(A0)|| ||J(A0)^+|| is at

@@ -19,7 +19,10 @@ sections, of S + delta I and S + 2 delta I, give the Richardson start
 back in the original row order, are refined by the Gauss-Newton polish
 that the full-rank factorization also uses (fullrank.polish_coefficients)
 to the final target, which by its one stopping rule takes one step past
-the first iterate that meets it.
+the first iterate that meets it.  On generic spectra its steps solve the
+Cholesky-factored normal equations of the tall factor's Jacobian; on
+projector spectra, whose Jacobians are far worse conditioned, they may
+fall back to xGELSY.
 The start is accepted only when the polish reaches that target and the
 result has no interior rank drop; a residual within tol is not enough,
 since on projector spectra the polish can stall near 1e-10 at a factor that

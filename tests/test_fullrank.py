@@ -12,6 +12,7 @@ from scipy.linalg import cholesky_banded
 
 from parafact.errors import NotFactorableError
 from parafact.fullrank import (
+    _CHORD_CONTRACTION,
     _FINAL_POLISH,
     _LADDER_STEPS,
     _JacobianFactor,
@@ -308,16 +309,18 @@ class TestFactorPositiveDefinite:
     # The ladder first meets _FINAL_POLISH on (1,1,40) seed 1189 at step 12,
     # residual 9.2e-16; the step past it, to 1.2e-16, brings it within 1e-9
     # of the secret.  (8,6,8) seeds 101 and 106, where the rational stage
-    # is fragile, take the regularized start.  Scalar spectra of order 80
-    # and 120 take the same Bauer path as matrices, and the ladder takes
+    # is fragile, take the regularized start, as does seed 11, whose
+    # polish factors a 1,152 x 864 real Jacobian.  Scalar spectra of order
+    # 80 and 120 take the same Bauer path as matrices, and the ladder takes
     # (4,4,16) and (2,2,64) to the floor with n = N k = 64 and 128
-    # reblocked rows.
+    # reblocked rows.  At (4,4,32) seed 12 the ladder's gain rule stops
+    # early and the dense polish of a 1,056 x 1,056 Jacobian finishes it.
     @pytest.mark.parametrize(
         "shape,seed",
-        [((1, 1, 40), 1189), ((8, 6, 8), 101), ((8, 6, 8), 106)]
+        [((1, 1, 40), 1189), ((8, 6, 8), 101), ((8, 6, 8), 106), ((8, 6, 8), 11)]
         + [((1, 1, N), seed) for N in (80, 120) for seed in range(4)]
         + [((4, 4, 16), seed) for seed in (11, 12, 13)]
-        + [((2, 2, 64), 11)],
+        + [((2, 2, 64), 11), ((4, 4, 32), 12)],
     )
     def test_factor_matches_the_secret(self, shape, seed):
         inst = gen_spectrum(*shape, seed, interior_zero_free=True)
@@ -411,6 +414,11 @@ def hermitian_basis(k):
                 E[i, j], E[j, i] = 1j, -1j
                 basis.append(E)
     return basis
+
+
+def branch_of(factor):
+    """The branch a _JacobianFactor solves by; the xGELSY one drops the Cholesky factor."""
+    return "gelsy" if factor.chol is None else "cholesky"
 
 
 def polish_start(kind):
@@ -602,43 +610,112 @@ class TestPolishCoefficients:
 
     # (P, m, k) = (N + 1, m, k) of the Jacobians on the benchmark: the five
     # factor-fullrank shapes, the four factor-rankdef shapes and the three
-    # completion blocks.
+    # completion blocks.  Each takes the Cholesky branch.
     BENCH_JACOBIANS = [
         (25, 1, 1), (41, 1, 1), (5, 4, 4), (9, 3, 3), (4, 6, 6),
         (5, 4, 2), (4, 6, 3), (5, 8, 4), (7, 6, 4),
         (5, 3, 2), (9, 4, 3), (7, 6, 5),
     ]
+    # Peeled completion blocks: the (4,8) block at seed 0 has a non-gauge
+    # singular value ratio of 1e-5 and keeps the Cholesky branch; at (4,8)
+    # seeds 23 and 177 and (6,6) seed 8 the ratio is 4e-11 to 8e-10, the
+    # normal equations lose every digit, and the factor takes xGELSY.
+    COMPLETION_BLOCKS = {
+        (4, 8, 0): "cholesky", (4, 8, 23): "gelsy", (4, 8, 177): "gelsy", (6, 6, 8): "gelsy",
+    }
 
-    @pytest.mark.parametrize("case", ["head", "tall", "completion"] + BENCH_JACOBIANS)
-    def test_kept_factorization_solves_as_gelsy(self, case):
-        # The first step of every polish must stay the xGELSY step in every
-        # bit, and a chord step solves another right-hand side with the same
-        # factorization, so both sides are checked against lstsq.
-        rng = np.random.default_rng(5)
+    @staticmethod
+    def jacobian_case(case):
+        """(C, A) for a polish start kind, a completion block or a bench shape."""
         if isinstance(case, str):
-            C, A = polish_start(case)
-        else:
-            A = random_coefficients(rng, case)
-            C = _conv_coeffs(A + 1e-6 * random_coefficients(rng, case))
+            return polish_start(case)
+        if case in TestPolishCoefficients.COMPLETION_BLOCKS:
+            m, N, seed = case
+            row = gen_lossless(m, N, seed).row.as_matrix()
+            H = np.stack([row.coeff(n)[0] for n in range(N + 1)])
+            C = -_conv_coeffs(H[:, :, None])
+            C[0] += np.eye(m)
+            return C, _peel_completion(H)
+        rng = np.random.default_rng(5)
+        A = random_coefficients(rng, case)
+        return _conv_coeffs(A + 1e-6 * random_coefficients(rng, case)), A
+
+    @pytest.mark.parametrize(
+        "case,branch",
+        [(kind, "cholesky") for kind in ("head", "tall", "completion")]
+        + [(shape, "cholesky") for shape in BENCH_JACOBIANS]
+        + list(COMPLETION_BLOCKS.items()),
+    )
+    def test_factor_branch_takes_the_minimum_norm_step(self, case, branch):
+        # Either branch must give the pinv step.  Both it and pinv are off
+        # the exact step by least-squares perturbation theory, u (kappa +
+        # kappa^2 ||r|| / (||J|| ||x||)) up to a modest constant.  The
+        # Cholesky branch adds what its one refinement leaves: with the
+        # first solve off by a fraction rho <= _CHORD_CONTRACTION, the
+        # refinement dx takes that error to rho / (1 - rho) ||dx|| at most.
+        C, A = self.jacobian_case(case)
+        factor = _JacobianFactor(A)
+        b = real_vector((C - _conv_coeffs(A.astype(np.clongdouble))).astype(complex))
+        first = factor._normal_solve(b) if factor.chol is not None else None
+        x = factor.solve(b)
+        assert branch_of(factor) == branch
+        refined = 0.0 if branch == "gelsy" else np.linalg.norm(x - first)
+        J = _coeff_jacobian(A)
+        sv = np.linalg.svd(J, compute_uv=False)
+        k = A.shape[2]
+        kappa = sv[0] / sv[-k * k - 1]
+        best = np.linalg.pinv(J, rcond=np.finfo(float).eps * max(J.shape)) @ b
+        ratio = np.linalg.norm(J @ best - b) / (sv[0] * np.linalg.norm(best))
+        u = np.finfo(float).eps / 2
+        theta = _CHORD_CONTRACTION / (1 - _CHORD_CONTRACTION)
+        bound = 10 * u * (kappa + kappa**2 * ratio) * np.linalg.norm(best) + theta * refined
+        assert np.linalg.norm(x - best) <= bound
+        # No gauge component beyond the tilt of the computed null space.
+        for X in hermitian_basis(k):
+            g = real_vector(A @ (1j * X))
+            g /= np.linalg.norm(g)
+            assert abs(x @ g) <= max(1e-12, 20 * u * kappa) * np.linalg.norm(x)
+
+    @pytest.mark.parametrize(
+        "case", ["head", "tall", "completion"] + BENCH_JACOBIANS + list(COMPLETION_BLOCKS)
+    )
+    def test_gelsy_branch_solves_as_gelsy(self, case, monkeypatch):
+        # Where the check sends a factor to xGELSY, by itself on the
+        # ill-conditioned completion blocks or by a zero bound elsewhere,
+        # its first step and every chord step stay the xGELSY step in every
+        # bit, so both sides are checked against lstsq.
+        C, A = self.jacobian_case(case)
+        factor = _JacobianFactor(A)
+        b = real_vector((C - _conv_coeffs(A.astype(np.clongdouble))).astype(complex))
+        with monkeypatch.context() as patch:
+            patch.setattr("parafact.fullrank._CHORD_CONTRACTION", 0.0)
+            step = real_vector(_gauss_newton_step(C, A, factor))
+        assert branch_of(factor) == "gelsy"
         J = _coeff_jacobian(A)
         cut = np.finfo(float).eps * max(J.shape)
-        factor = _JacobianFactor(A)
-        step = real_vector(_gauss_newton_step(C, A, factor))
-        b = real_vector((C - _conv_coeffs(A.astype(np.clongdouble))).astype(complex))
+        rng = np.random.default_rng(5)
         for rhs in (b, rng.standard_normal(b.size)):
             want, _, rank, _ = scipy.linalg.lstsq(J, rhs, cut, lapack_driver="gelsy")
             assert factor.rank == rank
             assert factor.solve(rhs).tobytes() == want.tobytes()
         assert step.tobytes() == factor.solve(b).tobytes()
 
+    @pytest.mark.parametrize("branch", ["cholesky", "gelsy"])
     @pytest.mark.parametrize("kind", ["head", "tall", "completion"])
-    def test_contraction_bounds_kappa(self, kind):
+    def test_contraction_bounds_kappa(self, kind, branch, monkeypatch):
         # J is real-linear in A, and the bound must cover
-        # ||J(A) - J(A0)||_2 ||J(A0)^+||_2 with the truncated pseudoinverse.
+        # ||J(A) - J(A0)||_2 ||J(A0)^+||_2 with the truncated pseudoinverse,
+        # whose norm is one over the smallest non-gauge singular value.
         _, A0 = polish_start(kind)
         factor = _JacobianFactor(A0)
+        if branch == "gelsy":
+            # A zero bound fails the first solve's check.
+            monkeypatch.setattr("parafact.fullrank._CHORD_CONTRACTION", 0.0)
+            factor.solve(np.ones(_coeff_jacobian(A0).shape[0]))
+        assert branch_of(factor) == branch
         J0 = _coeff_jacobian(A0)
-        pinv = 1.0 / np.linalg.svd(J0, compute_uv=False)[factor.rank - 1]
+        k = A0.shape[2]
+        pinv = 1.0 / np.linalg.svd(J0, compute_uv=False)[-k * k - 1]
         rng = np.random.default_rng(6)
         for scale in (1e-9, 1e-5, 1e-2):
             E = scale * random_coefficients(rng, A0.shape)
@@ -648,14 +725,15 @@ class TestPolishCoefficients:
             assert np.linalg.norm(JE, 2) * pinv <= factor.contraction(A0 + E)
         assert factor.contraction(A0) == 0.0
 
-    def test_far_start_refactors_every_step(self, monkeypatch):
+    def test_far_start_refactors_until_a_chord_step_is_allowed(self, monkeypatch):
         # 1e-3 off the tall factor the first steps move J by far more than a
-        # chord step tolerates, so each of them factors J afresh; the step
-        # past the target is a chord step on the last factorization.
+        # chord step tolerates, so they factor J afresh; once the kept
+        # factorization's bound allows it, the polish takes chord steps, and
+        # the step past the target is one of them.
         steps, factors = [], []
 
         def counted(C, A, factor):
-            steps.append(factor)
+            steps.append((A, factor))
             return _gauss_newton_step(C, A, factor)
 
         def factored(A):
@@ -667,9 +745,12 @@ class TestPolishCoefficients:
         C, A = polish_start("tall")
         _, rel = polish_coefficients(C, A, 1e-15)
         assert rel <= 1e-15
-        assert len(steps) >= 3
-        assert steps[:-1] == factors
-        assert steps[-1] is factors[-1]
+        assert len(factors) >= 2 and [kept for _, kept in steps[:2]] == factors[:2]
+        for (_, kept), (A, used) in zip(steps, steps[1:-1]):
+            chord = kept.contraction(A) <= _CHORD_CONTRACTION
+            assert (used is kept) == chord
+            assert chord or used is factors[factors.index(kept) + 1]
+        assert steps[-1][1] is steps[-2][1] is factors[-1]
 
 
 class TestCanonicalize:

@@ -37,9 +37,9 @@ from parafact.fileio import read_matrix, read_report  # noqa: E402
 from parafact.paraunitary import compare_completions  # noqa: E402
 from parafact.rankdef import RankDefOptions, compare_factors  # noqa: E402
 
-SPECTRA = ((1, 1, 24), (4, 4, 4), (4, 2, 4), (8, 4, 4))
+SPECTRA = ((1, 1, 24), (4, 4, 4), (4, 2, 4), (6, 3, 3), (8, 4, 4), (6, 4, 6))
 SPECTRUM_SEEDS = (0, 1, 2)
-LOSSLESS = ((3, 4), (6, 6))
+LOSSLESS = ((3, 4), (4, 8), (6, 6))
 LOSSLESS_SEEDS = (0, 8)
 
 

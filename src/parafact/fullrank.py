@@ -12,8 +12,9 @@ blocks converge to the factor coefficients as the section grows.  Cut into
 blocks of N k rows the section is block tridiagonal, so cyclic reduction
 (Meini) doubles it for one Cholesky of an N k x N k matrix per step, and
 the ladder runs until its estimate reaches the rounding floor, takes one
-step past it, and stops; at a circle zero of det S, where the gain per
-step stays near 4, it stops once the gain fails to grow.  A start that
+step past it, and stops, or ends where a section stops being positive
+definite; at a circle zero of det S, where the residual falls by only
+about 4 per step, it gets there within 23 to 26 steps.  A start that
 still misses the tolerance is refined by polish_coefficients: damped
 Gauss-Newton least squares on the quadratic coefficient equations
 sum_q A_{n+q} A_q^H = C_n.  A polish factors the Jacobian once, by a
@@ -65,7 +66,7 @@ _RANK0_TOL = 1e-12
 # the doubled section size, and from a residual of at most 1 it reaches the
 # rounding unit u = 2^-53 after log_4(1 / u) = 26.5 steps.  A ladder
 # slower than that cannot reach the floor and is left to the polish, so
-# the ladder stops after _LADDER_STEPS = 27 steps.
+# the ladder's only count-based stop is after _LADDER_STEPS = 27 steps.
 _LADDER_STEPS = 27
 # The recovery loop at multiple circle zeros polishes Bauer sections of at
 # least this many block rows (and at least 2 * order + 2), doubled up to
@@ -76,8 +77,7 @@ _BAUER_DOUBLINGS = 5
 # overshoots by its quadratic term, which the next step removes; so a step
 # may raise the residual up to _POLISH_GROWTH times the best one before it
 # is halved.  The polish stops after _POLISH_STALLS consecutive steps that
-# fail to halve the best residual, and in any case after _POLISH_MAX_ITERS;
-# the cyclic-reduction ladder after as many steps whose gain fails to grow.
+# fail to halve the best residual, and in any case after _POLISH_MAX_ITERS.
 _POLISH_GROWTH = 10.0
 _POLISH_STALLS = 3
 _POLISH_MAX_ITERS = 30
@@ -569,32 +569,26 @@ def _bauer_estimate(C: np.ndarray, tol: float) -> np.ndarray:
     The cyclic-reduction ladder gives the sections of N 2^j + 1 block rows.
     Once its best estimate is at most _FINAL_POLISH it takes exactly one
     step more and keeps that estimate, the step past of polish_coefficients'
-    rule.  It also stops after _POLISH_STALLS consecutive steps whose gain
-    fails to grow, when a section is no longer positive definite, or after
-    _LADDER_STEPS steps.  Only a best estimate still above tol is polished
-    toward 0.3 * tol.  If that polish stalls above tol, banded sections of
-    _BAUER_BLOCKS block rows and up are polished one after another.  Raises
-    NumericalFailureError when the residual still exceeds tol.
+    rule.  It stops earlier only where a section is no longer positive
+    definite, and in any case after _LADDER_STEPS steps.  Only a best
+    estimate still above tol is polished toward 0.3 * tol.  If that polish
+    stalls above tol, banded sections of _BAUER_BLOCKS block rows and up are
+    polished one after another.  Raises NumericalFailureError when the
+    residual still exceeds tol.
     """
     N, k = C.shape[0] - 1, C.shape[1]
     ladder = _cyclic_reduction(C)
     best_A = next(ladder, None)
     best_rel = np.inf if best_A is None else _relative_residual(C, best_A)
-    last_gain, stalls, past = 0.0, 0, False
+    past = False
     for _, A in zip(range(_LADDER_STEPS), ladder):
         rel = _relative_residual(C, A)
         if past:
             best_A, best_rel = A, rel
             break
-        gain = best_rel / max(rel, 1e-300)
         if rel < best_rel:
             best_A, best_rel = A, rel
-        stalls = stalls + 1 if gain <= last_gain else 0
-        last_gain = gain
-        if best_rel <= _FINAL_POLISH:
-            past = True
-        elif stalls >= _POLISH_STALLS:
-            break
+        past = best_rel <= _FINAL_POLISH
     if best_rel > tol and best_A is not None:
         best_A, best_rel = polish_coefficients(C, best_A, 0.3 * tol)
     if best_rel > tol:

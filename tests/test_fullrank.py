@@ -5,12 +5,14 @@ known outer q must come back as q exactly, up to the pinned phase.  Matrix
 cases are checked through the defining identity and the canonical form.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
 from scipy.linalg import cholesky_banded
 
-from parafact.errors import NotFactorableError
+from parafact.errors import NotFactorableError, NumericalFailureError
 from parafact.fullrank import (
     _CHORD_CONTRACTION,
     _FINAL_POLISH,
@@ -201,27 +203,30 @@ class TestFactorPositiveDefinite:
         assert (F @ F.adjoint() - S).max_abs <= 1e-11 * S.max_abs
 
     # A det zero on the circle makes the ladder converge algebraically: the
-    # residual falls by about 4 per step, the square of the doubled section.
-    # Where that gain settles onto 4 from above, it fails to grow on three
-    # consecutive steps and the ladder stops by the gain rule, far short of
-    # the floor, and a polish steps.  Where it climbs onto 4 from below, the
-    # ladder runs down to the floor and stops one step past it.  Either
-    # way it stops well before _LADDER_STEPS.
+    # residual falls by about 4 per step, the square of the doubled section,
+    # so it reaches the floor in 23 or 24 steps, inside the _LADDER_STEPS
+    # cap, stops one step past it, and the factor takes no Gauss-Newton
+    # step.  On (4,4,2) seeds 1 and 2 a section stops being positive
+    # definite at 1.0e-15 and 1.2e-15, just short of the floor, and the
+    # final polish takes two steps.
     @pytest.mark.parametrize(
-        "shape,seed,ladder_steps",
+        "shape,seed,ladder_steps,gn_steps",
         [
-            ((2, 2, 2), 0, 17), ((2, 2, 2), 1, 6), ((2, 2, 2), 2, 23),
-            ((3, 3, 3), 0, 23), ((3, 3, 3), 1, 7), ((3, 3, 3), 2, 19),
-            ((4, 4, 2), 0, 8), ((4, 4, 2), 1, 9), ((4, 4, 2), 2, 5),
+            ((2, 2, 2), 0, 24, 0), ((2, 2, 2), 1, 23, 0), ((2, 2, 2), 2, 23, 0),
+            ((3, 3, 3), 0, 23, 0), ((3, 3, 3), 1, 23, 0), ((3, 3, 3), 2, 24, 0),
+            ((4, 4, 2), 0, 23, 0), ((4, 4, 2), 1, 26, 2), ((4, 4, 2), 2, 25, 2),
         ],
     )
-    def test_circle_zero_stops_the_doubling_early(self, shape, seed, ladder_steps, monkeypatch):
-        residuals, steps = [], []
+    def test_circle_zero_runs_the_ladder_to_the_floor(
+        self, shape, seed, ladder_steps, gn_steps, monkeypatch
+    ):
+        residuals, steps, ended = [], [], []
 
         def counted(C):
             for A in _cyclic_reduction(C):
                 residuals.append(_relative_residual(C, A))
                 yield A
+            ended.append(True)
 
         def stepped(C, A, factor):
             steps.append(A.shape)
@@ -231,12 +236,11 @@ class TestFactorPositiveDefinite:
         monkeypatch.setattr("parafact.fullrank._gauss_newton_step", stepped)
         F = circle_zero_factor(shape, seed)
         factor_positive_definite(F @ F.adjoint(), 1e-11)
-        assert len(residuals) == ladder_steps + 1 < _LADDER_STEPS
-        if min(residuals) > _FINAL_POLISH:
-            gains = [a / b for a, b in zip(residuals[-5:], residuals[-4:])]
-            assert all(b <= a for a, b in zip(gains, gains[1:]))
-            assert 3.5 < gains[-1] < 4.5
-            assert steps
+        assert len(residuals) == ladder_steps + 1
+        assert ladder_steps < _LADDER_STEPS
+        assert len(steps) == gn_steps
+        if ended:
+            assert min(residuals) > _FINAL_POLISH
         else:
             assert min(residuals[:-1]) <= _FINAL_POLISH < min(residuals[:-2])
 
@@ -285,12 +289,7 @@ class TestFactorPositiveDefinite:
         ],
     )
     def test_multiple_circle_zero_is_factored(self, mult, m, seed):
-        zero = LaurentPoly.one()
-        for _ in range(mult):
-            zero = zero * LaurentPoly({0: 1.0, 1: -1.0})
-        F = gen_spectrum(m, m, 2, seed, interior_zero_free=True).secret_factor
-        F = F @ LaurentMatrix.diagonal([zero] + [LaurentPoly.one()] * (m - 1))
-        S = F @ F.adjoint()
+        S = multiple_circle_zero_spectrum(mult, m, seed)
         G, report = spectral_factor(S)
         assert report.passed
         assert (G @ G.adjoint() - S).max_abs <= 1e-9 * S.max_abs
@@ -300,11 +299,50 @@ class TestFactorPositiveDefinite:
     # across the circle the factor fails verification's no_interior_rank_drop.
     @pytest.mark.parametrize("m,seed", [(2, 4), (3, 7)])
     def test_double_circle_zero_is_reflected_out(self, m, seed):
-        zero = LaurentPoly({0: 1.0, 1: -1.0})
-        F = gen_spectrum(m, m, 2, seed, interior_zero_free=True).secret_factor
-        F = F @ LaurentMatrix.diagonal([zero * zero] + [LaurentPoly.one()] * (m - 1))
-        S = F @ F.adjoint()
+        S = multiple_circle_zero_spectrum(2, m, seed)
         assert verify_factorization(S, spectral_factor(S)[0]).passed
+
+    # The circle-zero stress ladder: det S with a zero of multiplicity 1 to
+    # 4 at z = 1, m = 2 and 3, N = 2, seeds 0-29.  Up to multiplicity 2
+    # every case factors and verifies.
+    @pytest.mark.parametrize("mult", [1, 2])
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_circle_zero_stress_ladder_verifies(self, mult, m):
+        failed = []
+        for seed in range(30):
+            S = multiple_circle_zero_spectrum(mult, m, seed)
+            G, report = spectral_factor(S)
+            if not (report.passed and verify_factorization(S, G).passed):
+                failed.append(seed)
+        assert failed == []
+
+    # At multiplicity 3 and 4 the recovery polish converges only linearly,
+    # and a case fails in one of two ways: spectral_factor raises
+    # NumericalFailureError, or its report passes while verification
+    # fails.  7 raise and 5 are silent; the bound is the 12 (8 raised, 4
+    # silent) of a ladder that also stopped when its gain stalled.
+    def test_circle_zero_stress_ladder_failures_are_bounded(self):
+        raised, silent = [], []
+        for mult, m, seed in itertools.product((3, 4), (2, 3), range(30)):
+            S = multiple_circle_zero_spectrum(mult, m, seed)
+            try:
+                G, report = spectral_factor(S)
+            except NumericalFailureError:
+                raised.append((mult, m, seed))
+                continue
+            assert report.passed
+            if not verify_factorization(S, G).passed:
+                silent.append((mult, m, seed))
+        assert len(raised) + len(silent) <= 12
+
+    # (4,2,1) of the stress ladder reports passed at residual 2.6e-14, but
+    # verification finds an interior rank drop the clearing left.
+    @pytest.mark.xfail(strict=True, reason="an interior rank drop survives clearing")
+    def test_quadruple_circle_zero_leaves_no_interior_drop(self):
+        S = multiple_circle_zero_spectrum(4, 2, 1)
+        G, report = spectral_factor(S)
+        assert report.passed
+        assert verify_factorization(S, G).verdicts["no_interior_rank_drop"].passed
 
     # The ladder first meets _FINAL_POLISH on (1,1,40) seed 1189 at step 12,
     # residual 9.2e-16; the step past it, to 1.2e-16, brings it within 1e-9
@@ -312,15 +350,17 @@ class TestFactorPositiveDefinite:
     # is fragile, take the regularized start, as does seed 11, whose
     # polish factors a 1,152 x 864 real Jacobian.  Scalar spectra of order
     # 80 and 120 take the same Bauer path as matrices, and the ladder takes
-    # (4,4,16) and (2,2,64) to the floor with n = N k = 64 and 128
-    # reblocked rows.  At (4,4,32) seed 12 the ladder's gain rule stops
-    # early and the dense polish of a 1,056 x 1,056 Jacobian finishes it.
+    # (4,4,16), (4,4,32) and (2,2,64) to the floor with n = N k = 64, 128
+    # and 128 reblocked rows.  On (4,4,32) seed 12 the residual gain dips
+    # for three steps before convergence turns quadratic; the ladder runs
+    # through the dip and needs no dense polish of the 1,056 x 1,056
+    # Jacobian.
     @pytest.mark.parametrize(
         "shape,seed",
         [((1, 1, 40), 1189), ((8, 6, 8), 101), ((8, 6, 8), 106), ((8, 6, 8), 11)]
         + [((1, 1, N), seed) for N in (80, 120) for seed in range(4)]
-        + [((4, 4, 16), seed) for seed in (11, 12, 13)]
-        + [((2, 2, 64), 11), ((4, 4, 32), 12)],
+        + [((4, 4, N), seed) for N in (16, 32) for seed in (11, 12, 13)]
+        + [((2, 2, 64), seed) for seed in (11, 12, 13)],
     )
     def test_factor_matches_the_secret(self, shape, seed):
         inst = gen_spectrum(*shape, seed, interior_zero_free=True)
@@ -387,6 +427,16 @@ def circle_zero_factor(shape, seed):
     F = gen_spectrum(m, m, N, seed, interior_zero_free=True).secret_factor
     cols = [LaurentPoly({0: 1.0, 1: -1.0})] + [LaurentPoly({0: 1.0, 1: 0.5})] * (m - 1)
     return F @ LaurentMatrix.diagonal(cols)
+
+
+def multiple_circle_zero_spectrum(mult, m, seed):
+    """F F~ for an outer (m, m, 2) F times diag((1 - z)^mult, 1, ...)."""
+    zero = LaurentPoly.one()
+    for _ in range(mult):
+        zero = zero * LaurentPoly({0: 1.0, 1: -1.0})
+    F = gen_spectrum(m, m, 2, seed, interior_zero_free=True).secret_factor
+    F = F @ LaurentMatrix.diagonal([zero] + [LaurentPoly.one()] * (m - 1))
+    return F @ F.adjoint()
 
 
 def coefficient_stack(M, N):

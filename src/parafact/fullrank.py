@@ -14,7 +14,9 @@ blocks of N k rows the section is block tridiagonal, so cyclic reduction
 the ladder runs until its estimate reaches the rounding floor, takes one
 step past it, and stops, or ends where a section stops being positive
 definite; at a circle zero of det S, where the residual falls by only
-about 4 per step, it gets there within 23 to 26 steps.  A start that
+about 4 per step, it gets there within 23 to 26 steps.  The residual of
+a step is formed in full only near the floor: its top power, C_N -
+A_N A_0^H, is one k x k product and bounds it from below.  A start that
 still misses the tolerance is refined by polish_coefficients: damped
 Gauss-Newton least squares on the quadratic coefficient equations
 sum_q A_{n+q} A_q^H = C_n.  A polish factors the Jacobian once, by a
@@ -41,6 +43,7 @@ fallback.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 import scipy.linalg
@@ -124,11 +127,12 @@ def scalar_factor(f: LaurentPoly, tol: float = 1e-9) -> LaurentPoly:
     return factor_positive_definite(LaurentMatrix.from_entries([[f]]), tol).entry(0, 0)
 
 
-def _screen_definite(S: LaurentMatrix, tol: float) -> None:
+def _screen_definite(S: LaurentMatrix, tol: float) -> np.ndarray:
     """Reject a spectrum that is not square, para-Hermitian and nonnegative.
 
     Raises ValueError for the first two and NotFactorableError when an
     eigenvalue on the unit circle falls below -tol times the largest.
+    Returns the eigenvalues, one row per point of the order grid.
     """
     if S.rows != S.cols:
         raise ValueError("spectrum must be square")
@@ -142,6 +146,7 @@ def _screen_definite(S: LaurentMatrix, tol: float) -> None:
         raise NotFactorableError(
             "spectrum is indefinite on the unit circle (min eig %.3e)" % eigs.min()
         )
+    return eigs
 
 
 def _bauer_last_row(C, k: int, N: int, L: int) -> np.ndarray:
@@ -570,25 +575,35 @@ def _bauer_estimate(C: np.ndarray, tol: float) -> np.ndarray:
     Once its best estimate is at most _FINAL_POLISH it takes exactly one
     step more and keeps that estimate, the step past of polish_coefficients'
     rule.  It stops earlier only where a section is no longer positive
-    definite, and in any case after _LADDER_STEPS steps.  Only a best
-    estimate still above tol is polished toward 0.3 * tol.  If that polish
-    stalls above tol, banded sections of _BAUER_BLOCKS block rows and up are
-    polished one after another.  Raises NumericalFailureError when the
-    residual still exceeds tol.
+    definite, and in any case after _LADDER_STEPS steps.  A step forms its
+    full residual only where its single-term power N, max |C_N - A_N A_0^H|
+    over max |C|, a lower bound on it, does not exceed _FINAL_POLISH by
+    more than 3 (k + 2) u, the rounding of both ways of forming that block;
+    a ladder that ends short of the floor forms the ones it skipped and
+    keeps the first best estimate.  Only a best estimate still above tol is
+    polished toward 0.3 * tol.  If that polish stalls above tol, banded
+    sections of _BAUER_BLOCKS block rows and up are polished one after
+    another.  Raises NumericalFailureError when the residual still exceeds
+    tol.
     """
     N, k = C.shape[0] - 1, C.shape[1]
-    ladder = _cyclic_reduction(C)
-    best_A = next(ladder, None)
-    best_rel = np.inf if best_A is None else _relative_residual(C, best_A)
-    past = False
-    for _, A in zip(range(_LADDER_STEPS), ladder):
-        rel = _relative_residual(C, A)
-        if past:
-            best_A, best_rel = A, rel
+    scale = max(float(np.max(np.abs(C))), 1e-300)
+    floor = _FINAL_POLISH + 3 * (k + 2) * 0.5 * np.finfo(float).eps
+    best_A, best_rel, reached, steps = None, np.inf, False, []
+    for j, A in enumerate(islice(_cyclic_reduction(C), _LADDER_STEPS + 1)):
+        if reached and j > 1:
+            best_A, best_rel = A, _relative_residual(C, A)
             break
-        if rel < best_rel:
-            best_A, best_rel = A, rel
-        past = best_rel <= _FINAL_POLISH
+        bound = float(np.max(np.abs(C[N] - A[N] @ A[0].conj().T))) / scale
+        rel = None if bound > floor else _relative_residual(C, A)
+        steps.append((A, rel))
+        reached = reached or (rel is not None and rel <= _FINAL_POLISH)
+    else:
+        if not reached:
+            steps = [(A, _relative_residual(C, A) if r is None else r) for A, r in steps]
+        best_A, best_rel = min(
+            steps, key=lambda s: np.inf if s[1] is None else s[1], default=(None, np.inf)
+        )
     if best_rel > tol and best_A is not None:
         best_A, best_rel = polish_coefficients(C, best_A, 0.3 * tol)
     if best_rel > tol:

@@ -5,9 +5,10 @@ k < m almost everywhere on the unit circle factors as S = S+ S+~ with S+ an
 m x k analytic polynomial matrix of order N and full column rank everywhere
 in the open unit disk.  The pipeline:
 
-1. estimate the almost-everywhere rank from unit-circle samples;
-2. pick a symmetric permutation putting a well-conditioned k x k head block
-   in the leading position.
+1. read the almost-everywhere rank off the eigenvalues that the
+   definiteness screen computes on its unit-circle grid;
+2. for k < m, pick a symmetric permutation putting a well-conditioned
+   k x k head block in the leading position (for k = m it is the identity).
 
 For k < m the regularized start comes next.  S + delta I is positive
 definite, so a Bauer section (fullrank._bauer_last_row) factors it; in the
@@ -274,12 +275,32 @@ def _circle_samples(S: LaurentMatrix, opts: RankDefOptions, tag: int) -> np.ndar
     return (waves @ stack).reshape(count, S.rows, S.cols)
 
 
+def _rank_counts(values: np.ndarray) -> np.ndarray:
+    """Per sample, the count of |values| above _RANK_TOL times the sample's largest.
+
+    values holds one row per sample: singular values, or the eigenvalues of
+    a Hermitian sample, whose moduli are its singular values.  A sample
+    whose largest is zero counts 0.  The rank is the maximum count.
+    """
+    mags = np.abs(values)
+    top = mags.max(axis=1)
+    return np.where(top > 0, np.sum(mags > _RANK_TOL * top[:, None], axis=1), 0)
+
+
+def _require_majority(full: np.ndarray, k: int) -> None:
+    """Raise DegenerateInputError unless the head block is full rank at most samples."""
+    if int(np.sum(full)) <= len(full) // 2:
+        raise DegenerateInputError(
+            "no permutation keeps the leading %d x %d block full rank "
+            "at a majority of samples" % (k, k)
+        )
+
+
 def estimate_rank(S: LaurentMatrix, opts: RankDefOptions | None = None) -> int:
     """Almost-everywhere rank of S on the unit circle.
 
-    Counts singular values above _RANK_TOL times the sample's largest
-    singular value at 2*order + 17 pseudo-random circle points and takes the
-    maximum count over samples.
+    The maximum _rank_counts of the singular values at 2*order + 17
+    pseudo-random circle points, so S need not be Hermitian.
     """
     opts = opts or RankDefOptions()
     if S.rows != S.cols:
@@ -288,8 +309,7 @@ def estimate_rank(S: LaurentMatrix, opts: RankDefOptions | None = None) -> int:
     if S.is_zero:
         return 0
     sv = np.linalg.svd(_circle_samples(S, opts, _TAG_RANK), compute_uv=False)
-    counts = np.sum(sv > _RANK_TOL * sv[:, :1], axis=1)
-    return int(np.max(np.where(sv[:, 0] > 0, counts, 0)))
+    return int(_rank_counts(sv).max())
 
 
 def _pivot_heads(blocks, k: int) -> list:
@@ -341,12 +361,7 @@ def select_pivot(S: LaurentMatrix, k: int, opts: RankDefOptions | None = None) -
         if score > best_score:
             best_idx, best_minsv, best_score = idx, minsv, score
 
-    hits = int(np.sum(live & (best_minsv > _RANK_TOL * scales)))
-    if hits <= len(samples) // 2:
-        raise DegenerateInputError(
-            "no permutation keeps the leading %d x %d block full rank "
-            "at a majority of samples" % (k, k)
-        )
+    _require_majority(live & (best_minsv > _RANK_TOL * scales), k)
     rest = tuple(i for i in range(m) if i not in best_idx)
     return best_idx + rest
 
@@ -763,7 +778,7 @@ def _common_denominator(R: RationalMatrix):
 
 
 def _head_factor(head: LaurentMatrix, opts: RankDefOptions) -> AnalyticPolyMatrix:
-    """factor_positive_definite of the pivoted k x k head block.
+    """factor_positive_definite of the pivoted k x k head block, or of S for k = m.
 
     The head factor's error is amplified by the root conditioning of the
     derived determinant and adjugate before it reaches the deflation step,
@@ -855,13 +870,15 @@ def spectral_factor(
     records the detected rank, pivot, every Blaschke operation, the final
     residual, and named verdicts.
 
-    For k = m the head factor is the factor: factor_positive_definite has
-    already cleared, polished and canonicalized it.  For k < m the
-    regularized start of S + delta I is tried first and kept when its
-    polish reaches the final target with no interior rank drop; otherwise
-    the rational construction runs (head factor, tail quotient, pole
-    removal, drop clearing, final polish).  report.path names which of the
-    three ran.
+    The rank is read off the eigenvalues of the definiteness screen.  For
+    k = m the pivot is the identity, with no pivot search and a vacuous
+    rank identity, and the head factor is the factor:
+    factor_positive_definite has already cleared, polished and
+    canonicalized it.  For k < m the regularized start of S + delta I is
+    tried first and kept when its polish reaches the final target with no
+    interior rank drop; otherwise the rational construction runs (head
+    factor, tail quotient, pole removal, drop clearing, final polish).
+    report.path names which of the three ran.
 
     rank overrides the sampled rank estimate when given.  Raises
     ValueError / NotFactorableError on bad input, DegenerateInputError when
@@ -872,24 +889,28 @@ def spectral_factor(
     S = S.trim(0.0)
     if S.is_zero:
         raise ValueError("spectrum is identically zero")
-    _screen_definite(S, opts.tol)
+    counts = _rank_counts(_screen_definite(S, opts.tol))
     m = S.rows
     scale = S.max_abs
 
-    k = rank if rank is not None else estimate_rank(S, opts)
+    k = rank if rank is not None else int(counts.max())
     if not 1 <= k <= m:
         raise ValueError("rank %r out of range for size %d" % (k, m))
 
-    perm = select_pivot(S, k, opts)
-    identity_check = check_rank_identity(S, perm, k, opts)
     pole_ops = zero_ops = ()
     if k == m:
-        # The pivot is the identity, and factor_positive_definite has
-        # already cleared the factor's interior rank drops, with the same
-        # finder that verification runs, polished it and canonicalized it.
+        # Every candidate pivot is the identity, so select_pivot's majority
+        # rule reads the screen's counts, and the rank identity is vacuous.
+        # factor_positive_definite has already cleared the factor's interior
+        # rank drops, with the same finder that verification runs, polished
+        # it and canonicalized it.
+        _require_majority(counts == m, m)
+        perm, identity_check = tuple(range(m)), Check(True, 0.0, opts.tol)
         path = "full-rank"
         factor = _head_factor(S, opts)
     else:
+        perm = select_pivot(S, k, opts)
+        identity_check = check_rank_identity(S, perm, k, opts)
         path = "regularized"
         A = _regularized_start(S, perm, k, opts)
         if A is None:

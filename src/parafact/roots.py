@@ -260,8 +260,9 @@ class RankDefOptions:
     """Tolerances and seeds for the rank-deficient pipeline.
 
     tol: relative residual target for the factorization.
-    rng_seed: seed for rank sampling, pivoting, and the drop-finding
-        compression.
+    rng_seed: seed for the rank sampling of estimate_rank (spectral_factor
+        reads the rank off its definiteness screen), pivoting, and the
+        drop-finding compression.
     """
 
     tol: float = 1e-9

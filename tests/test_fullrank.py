@@ -18,6 +18,7 @@ from parafact.fullrank import (
     _FINAL_POLISH,
     _LADDER_STEPS,
     _JacobianFactor,
+    _bauer_estimate,
     _bauer_last_row,
     _coeff_jacobian,
     _conv_coeffs,
@@ -244,6 +245,60 @@ class TestFactorPositiveDefinite:
         else:
             assert min(residuals[:-1]) <= _FINAL_POLISH < min(residuals[:-2])
 
+    # The ladder forms a step's full residual only where the lower bound
+    # from its top power cannot show it above _FINAL_POLISH, and must keep
+    # the estimate that forming it at every step kept, in every bit: on the
+    # bench's k = m shapes, on the circle-zero spectra above, two of which
+    # end short of the floor, on (4,4,16), on a spectrum whose first
+    # estimate is already at the floor, where the step after the next is
+    # kept, and at multiple circle zeros, where the ladder ends far above
+    # the floor and keeps its first best estimate, at step 14 of 28 for
+    # the double zero with m = 3.
+    @pytest.mark.parametrize(
+        "kind,shape,seed",
+        [("outer", shape, seed)
+         for shape in [(1, 1, 24), (1, 1, 40), (4, 4, 4), (3, 3, 8), (6, 6, 3)]
+         for seed in range(4)]
+        + [("circle", (m, m, N), seed)
+           for m, N in [(2, 2), (3, 3), (4, 2)] for seed in range(3)]
+        + [("outer", (4, 4, 16), seed) for seed in (11, 12, 13)]
+        + [("floor", (3, 3, 1), 0)]
+        + [("multiple", (mult, m), 0) for mult in (2, 3, 4) for m in (2, 3)],
+    )
+    def test_ladder_keeps_the_every_step_estimate(self, kind, shape, seed):
+        C = ladder_spectrum(kind, shape, seed)
+        want, want_rel = every_step_estimate(C)
+        if kind == "floor":
+            assert _relative_residual(C, next(_cyclic_reduction(C))) <= _FINAL_POLISH
+        got = _bauer_estimate(C, np.inf)
+        assert got.tobytes() == want.tobytes()
+        assert _relative_residual(C, got) == want_rel
+
+    # On (4,4,4) seeds 0-3 the ladder yields 8 to 11 estimates and forms
+    # the full residual of two: the first its bound cannot certify above
+    # the floor, which is at it, and the step past it.  A first estimate at
+    # the floor is followed by two more steps, each formed in full.
+    def test_ladder_forms_the_full_residual_near_the_floor(self, monkeypatch):
+        formed, steps = [], []
+
+        def counted(C, A):
+            formed[-1] += 1
+            return _relative_residual(C, A)
+
+        def stepped(C):
+            for A in _cyclic_reduction(C):
+                steps[-1] += 1
+                yield A
+
+        monkeypatch.setattr("parafact.fullrank._relative_residual", counted)
+        monkeypatch.setattr("parafact.fullrank._cyclic_reduction", stepped)
+        cases = [("outer", (4, 4, 4), seed) for seed in range(4)] + [("floor", (4, 4, 1), 0)]
+        for case in cases:
+            formed.append(0)
+            steps.append(0)
+            _bauer_estimate(ladder_spectrum(*case), 1e-9)
+        assert formed == [2, 2, 2, 2, 3] and steps == [9, 9, 8, 11, 3]
+
     # A rank-deficient spectrum has singular sections from N + 1 block rows
     # on, so the ladder yields no estimate; the banded sections, lifted by
     # _bauer_last_row's retries, then factor it as they did before.
@@ -427,6 +482,49 @@ def circle_zero_factor(shape, seed):
     F = gen_spectrum(m, m, N, seed, interior_zero_free=True).secret_factor
     cols = [LaurentPoly({0: 1.0, 1: -1.0})] + [LaurentPoly({0: 1.0, 1: 0.5})] * (m - 1)
     return F @ LaurentMatrix.diagonal(cols)
+
+
+def ladder_spectrum(kind, shape, seed):
+    """Coefficients C_0..C_N of a k = m spectrum for the ladder tests.
+
+    "outer" is gen_spectrum's, "circle" that of circle_zero_factor,
+    "multiple" multiple_circle_zero_spectrum(*shape, seed), and "floor"
+    that of I + 1e-9 B z for a random m x m B, whose first section is
+    already within the rounding of the factor.
+    """
+    if kind == "outer":
+        S = gen_spectrum(*shape, seed).spectrum
+    elif kind == "multiple":
+        S = multiple_circle_zero_spectrum(*shape, seed)
+    elif kind == "circle":
+        F = circle_zero_factor(shape, seed)
+        S = F @ F.adjoint()
+    else:
+        B = random_coefficients(np.random.default_rng(seed), shape[:2])
+        F = LaurentMatrix.from_coeffs(np.stack([np.eye(shape[0]), 1e-9 * B]))
+        S = F @ F.adjoint()
+    return S.coeff_array(0, S.hi)
+
+
+def every_step_estimate(C):
+    """(estimate, residual) of the ladder that formed every step's full residual.
+
+    The loop of _bauer_estimate before it bounded the residual from its top
+    power, kept as the reference it must match bit for bit.
+    """
+    ladder = _cyclic_reduction(C)
+    best_A = next(ladder, None)
+    best_rel = np.inf if best_A is None else _relative_residual(C, best_A)
+    past = False
+    for _, A in zip(range(_LADDER_STEPS), ladder):
+        rel = _relative_residual(C, A)
+        if past:
+            best_A, best_rel = A, rel
+            break
+        if rel < best_rel:
+            best_A, best_rel = A, rel
+        past = best_rel <= _FINAL_POLISH
+    return best_A, best_rel
 
 
 def multiple_circle_zero_spectrum(mult, m, seed):

@@ -60,6 +60,15 @@ def test_rank_is_invariant_under_permutation_and_scaling(case, data, c):
 
 @SETTINGS
 @given(spectra())
+def test_screen_and_sampled_rank_agree(case):
+    """spectral_factor counts the screen's eigenvalues on the order grid;
+    estimate_rank counts singular values at random circle points."""
+    S, k = case
+    assert spectral_factor(S)[1].detected_rank == estimate_rank(S) == k
+
+
+@SETTINGS
+@given(spectra())
 def test_pivot_head_block_is_nonsingular_on_the_circle(case):
     S, k = case
     perm = select_pivot(S, k)

@@ -239,6 +239,39 @@ class TestBatchedSampling:
         with pytest.raises(DegenerateInputError):
             select_pivot(S, 4)
 
+    # With the rank given as the size there is no pivot search: the majority
+    # rule reads the eigenvalue counts of the definiteness screen, and it
+    # rejects the rank-2 spectrum with select_pivot's message.
+    def test_rank_two_spectrum_has_no_full_rank_factor(self):
+        rng = np.random.default_rng(80)
+        S, _ = rank_k_spectrum(rng, 4, 2, 2)
+        message = "no permutation keeps the leading 4 x 4 block full rank at a majority"
+        with pytest.raises(DegenerateInputError, match=message):
+            spectral_factor(S, rank=4)
+
+    # spectral_factor reads the rank off its definiteness screen, so it
+    # never calls estimate_rank; for k = m the pivot is the identity and the
+    # rank identity vacuous, so neither is computed either.
+    @pytest.mark.parametrize("shape,calls", [
+        ((4, 4, 4), {}),
+        ((6, 6, 3), {}),
+        ((4, 2, 4), {"select_pivot": 1, "check_rank_identity": 1}),
+    ])
+    def test_full_rank_solve_takes_no_pivot_work(self, shape, calls, monkeypatch):
+        counted = {}
+        for name in ("estimate_rank", "select_pivot", "check_rank_identity"):
+            def wrapped(*args, _name=name, _call=getattr(rankdef, name)):
+                counted[_name] = counted.get(_name, 0) + 1
+                return _call(*args)
+
+            monkeypatch.setattr(rankdef, name, wrapped)
+        _, report = spectral_factor(gen_spectrum(*shape, 0).spectrum)
+        assert counted == calls
+        assert report.detected_rank == shape[1]
+        if shape[0] == shape[1]:
+            assert report.pivot == tuple(range(shape[0]))
+            assert report.verdicts["rank_identity"] == rankdef.Check(True, 0.0, 1e-9)
+
     @pytest.mark.parametrize("shape", [(1, 1, 24), (4, 4, 4), (3, 3, 8), (6, 6, 3)])
     def test_full_rank_factor_needs_no_drop_clearing(self, shape):
         for seed in range(2):

@@ -4,8 +4,8 @@ Usage:
     PYTHONPATH=src python tools/cli_snapshot.py OUTDIR
     PYTHONPATH=src python tools/cli_snapshot.py --compare OLD NEW
 
-Each spectrum runs `random --factor-out`, `factor --out --report` and
-`verify --factor --report`; each lossless row runs `random --lossless
+Each spectrum runs `random --factor-out`, `info`, `factor --out --report`
+and `verify --factor --report`; each lossless row runs `random --lossless
 --factor-out`, `complete --out --report` and `verify --paraunitary
 --report`.  Every written file lands in OUTDIR, and each command's exit
 code, stdout and stderr in OUTDIR/streams.txt.  Two checkouts that compute
@@ -37,7 +37,8 @@ from parafact.fileio import read_matrix, read_report  # noqa: E402
 from parafact.paraunitary import compare_completions  # noqa: E402
 from parafact.rankdef import RankDefOptions, compare_factors  # noqa: E402
 
-SPECTRA = ((1, 1, 24), (4, 4, 4), (4, 2, 4), (6, 3, 3), (8, 4, 4), (6, 4, 6))
+SPECTRA = ((1, 1, 24), (1, 1, 40), (4, 4, 4), (3, 3, 8), (6, 6, 3),
+           (4, 2, 4), (6, 3, 3), (8, 4, 4), (6, 4, 6))
 SPECTRUM_SEEDS = (0, 1, 2)
 LOSSLESS = ((3, 4), (4, 8), (6, 6))
 LOSSLESS_SEEDS = (0, 8)
@@ -49,6 +50,7 @@ def commands():
             stem = "s-%d-%d-%d-s%d" % (m, k, n, seed)
             yield ["random", "--m", m, "--k", k, "--order", n, "--seed", seed,
                    "--out", stem + ".json", "--factor-out", stem + "-true.json"]
+            yield ["info", stem + ".json"]
             yield ["factor", stem + ".json", "--out", stem + "-f.json",
                    "--report", stem + "-fr.json"]
             yield ["verify", "--factor", stem + ".json", stem + "-f.json",

@@ -28,16 +28,15 @@ while a bound on their first-order contraction stays below
 _CHORD_CONTRACTION; past it, it factors again.  Every call site stops by
 one rule: a start already at the target takes no step, and a polish that
 had to step takes exactly one chord step past the first iterate that meets
-it.  Should that polish stall, as at a multiple circle zero of det S, banded
-Bauer sections are doubled again from 32 block rows with a polish after
-every section.  Interior rank drops, which Bauer and the polish leave near
+it.  Should that polish stall, as at a multiple circle zero of det S, the
+ladder of the shifted spectrum S + delta I gives a second start, polished
+against S.  Interior rank drops, which Bauer and the polish leave near
 circle zeros of det S, are then reflected across the circle by
 roots.clear_rank_drops, and the factor ends in a polish to _FINAL_POLISH
 (from the ladder's floor it usually takes no step) and canonicalize.
-The rank-deficient pipeline uses both halves on its tall factor: banded
-Bauer sections of the regularized spectra S + delta I and S + 2 delta I
-start it, and the same polish finishes it, as it finishes the rational
-fallback.
+The rank-deficient pipeline uses both halves on its tall factor: ladder
+sections of the regularized spectra S + delta I and S + 2 delta I start
+it, and the same polish finishes it, as it finishes the rational fallback.
 """
 
 from __future__ import annotations
@@ -71,11 +70,15 @@ _RANK0_TOL = 1e-12
 # slower than that cannot reach the floor and is left to the polish, so
 # the ladder's only count-based stop is after _LADDER_STEPS = 27 steps.
 _LADDER_STEPS = 27
-# The recovery loop at multiple circle zeros polishes Bauer sections of at
-# least this many block rows (and at least 2 * order + 2), doubled up to
-# _BAUER_DOUBLINGS + 1 times.
-_BAUER_BLOCKS = 32
-_BAUER_DOUBLINGS = 5
+# A ladder of S + delta I, delta = _REGULARIZATION * max |C_n|, starts the
+# polish where S itself has too little definiteness: the recovery at
+# multiple circle zeros of det S, and rankdef's regularized start, which
+# extrapolates the shift's linear term away.  So delta is as small as
+# rounding allows.  Each ladder step factors an N m x N m pivot Q, which
+# perturbs it by about N m u ||Q||, and ||Q|| <= ||T|| <= (2N + 1) m
+# max |C_n|: 1e-12 of max |C_n| at (8, ., 8).  1e-10 is the first power of
+# ten 40x above that, and both shifts of the start add at least delta.
+_REGULARIZATION = 1e-10
 # A Gauss-Newton step that is large along ill-conditioned directions
 # overshoots by its quadratic term, which the next step removes; so a step
 # may raise the residual up to _POLISH_GROWTH times the best one before it
@@ -147,56 +150,6 @@ def _screen_definite(S: LaurentMatrix, tol: float) -> np.ndarray:
             "spectrum is indefinite on the unit circle (min eig %.3e)" % eigs.min()
         )
     return eigs
-
-
-def _bauer_last_row(C, k: int, N: int, L: int) -> np.ndarray:
-    """Deep-row block Cholesky estimate of the factor coefficients.
-
-    Builds the Hermitian block Toeplitz section T[i, j] = C_{i-j} of L block
-    rows in banded storage, factors it, and reads the last block row, whose
-    blocks converge to (A_N, ..., A_0) as L grows.  Returns A with shape
-    (N + 1, k, k).
-
-    In lower band storage ab[r, c] = T[c + r, c].  Block column c // k holds
-    C_d[p, q] at row r, with q = c % k and d k + p = r + q, which is the flat
-    index k (r + q) + q of C; so one (bw + 1, k) column block repeated L
-    times is the band, once the entries with c + r >= n, outside T, are
-    zeroed.  It is filled as the transpose of a C-ordered array, which is
-    the Fortran order LAPACK factors in place.
-    The last block row is read the same way: A_d[p, q] sits at row
-    d k + p - q of column (L - 1 - d) k + q, and above the diagonal of A_0
-    the factor is zero.
-    """
-    C = np.asarray(C)
-    n = k * L
-    bw = k * (N + 1) - 1
-    s = np.arange(bw + 1)[:, None] + np.arange(k)
-    block = np.where(s <= bw, C.reshape(-1)[k * np.minimum(s, bw) + np.arange(k)], 0)
-    w = min(bw, n)
-    outside = np.arange(bw + 1)[:, None] + np.arange(w) >= w
-    for bump in range(4):
-        # The band is factored in place, so each try fills a fresh one.
-        band = np.empty((L, k, bw + 1), dtype=complex)
-        band[:] = block.T
-        ab = band.reshape(n, bw + 1).T
-        ab[:, n - w :][outside] = 0.0
-        if bump:
-            scale = max(float(np.max(np.abs(Cd))) for Cd in C)
-            ab[0, :] += scale * (1e-13 * 100.0 ** (bump - 1))
-        try:
-            chol = scipy.linalg.cholesky_banded(
-                ab, overwrite_ab=True, lower=True, check_finite=False
-            )
-            break
-        except scipy.linalg.LinAlgError:
-            pass
-    else:
-        raise NumericalFailureError("block Toeplitz section is not positive definite")
-    d, p, q = np.ix_(np.arange(N + 1), np.arange(k), np.arange(k))
-    rows = d * k + p - q
-    A = chol[np.maximum(rows, 0), (L - 1 - d) * k + q]
-    A[rows < 0] = 0.0
-    return A
 
 
 def _conv_coeffs(A: np.ndarray) -> np.ndarray:
@@ -568,59 +521,55 @@ def _cyclic_reduction(C: np.ndarray):
         W = H.conj().T @ G
 
 
-def _bauer_estimate(C: np.ndarray, tol: float) -> np.ndarray:
-    """Factor coefficients (N+1, k, k) of C_0..C_N within tol, from Bauer sections.
+def _ladder_estimate(C: np.ndarray):
+    """(A, residual) of the cyclic-reduction ladder's kept estimate, or (None, inf).
 
-    The cyclic-reduction ladder gives the sections of N 2^j + 1 block rows.
-    Once its best estimate is at most _FINAL_POLISH it takes exactly one
-    step more and keeps that estimate, the step past of polish_coefficients'
-    rule.  It stops earlier only where a section is no longer positive
-    definite, and in any case after _LADDER_STEPS steps.  A step forms its
-    full residual only where its single-term power N, max |C_N - A_N A_0^H|
-    over max |C|, a lower bound on it, does not exceed _FINAL_POLISH by
-    more than 3 (k + 2) u, the rounding of both ways of forming that block;
-    a ladder that ends short of the floor forms the ones it skipped and
-    keeps the first best estimate.  Only a best estimate still above tol is
-    polished toward 0.3 * tol.  If that polish stalls above tol, banded
-    sections of _BAUER_BLOCKS block rows and up are polished one after
-    another.  Raises NumericalFailureError when the residual still exceeds
-    tol.
+    Once the ladder's best estimate is at most _FINAL_POLISH it takes
+    exactly one step more and keeps that estimate, the step past of
+    polish_coefficients' rule.  It stops earlier only where a section is no
+    longer positive definite, and in any case after _LADDER_STEPS steps.  A
+    step forms its full residual only where its single-term power N,
+    max |C_N - A_N A_0^H| over max |C|, a lower bound on it, does not
+    exceed _FINAL_POLISH by more than 3 (k + 2) u, the rounding of both
+    ways of forming that block; a ladder that ends short of the floor forms
+    the ones it skipped and keeps the first best estimate.
     """
     N, k = C.shape[0] - 1, C.shape[1]
     scale = max(float(np.max(np.abs(C))), 1e-300)
     floor = _FINAL_POLISH + 3 * (k + 2) * 0.5 * np.finfo(float).eps
-    best_A, best_rel, reached, steps = None, np.inf, False, []
+    reached, steps = False, []
     for j, A in enumerate(islice(_cyclic_reduction(C), _LADDER_STEPS + 1)):
         if reached and j > 1:
-            best_A, best_rel = A, _relative_residual(C, A)
-            break
+            return A, _relative_residual(C, A)
         bound = float(np.max(np.abs(C[N] - A[N] @ A[0].conj().T))) / scale
         rel = None if bound > floor else _relative_residual(C, A)
         steps.append((A, rel))
         reached = reached or (rel is not None and rel <= _FINAL_POLISH)
-    else:
-        if not reached:
-            steps = [(A, _relative_residual(C, A) if r is None else r) for A, r in steps]
-        best_A, best_rel = min(
-            steps, key=lambda s: np.inf if s[1] is None else s[1], default=(None, np.inf)
-        )
+    if not reached:
+        steps = [(A, _relative_residual(C, A) if r is None else r) for A, r in steps]
+    return min(steps, key=lambda s: np.inf if s[1] is None else s[1], default=(None, np.inf))
+
+
+def _bauer_estimate(C: np.ndarray, tol: float) -> np.ndarray:
+    """Factor coefficients (N+1, k, k) of C_0..C_N within tol, from Bauer sections.
+
+    The cyclic-reduction ladder gives the sections of N 2^j + 1 block rows
+    (_ladder_estimate).  Only a kept estimate still above tol is polished
+    toward 0.3 * tol.  If that polish stalls above tol, as at a multiple
+    circle zero of det S, where the ladder ends far above the floor and
+    Gauss-Newton converges only linearly, the ladder of S + delta I,
+    delta = _REGULARIZATION max |C_n|, starts a second polish against S.
+    Raises NumericalFailureError when the residual still exceeds tol.
+    """
+    best_A, best_rel = _ladder_estimate(C)
     if best_rel > tol and best_A is not None:
         best_A, best_rel = polish_coefficients(C, best_A, 0.3 * tol)
     if best_rel > tol:
-        # At a multiple circle zero of det S Gauss-Newton converges only
-        # linearly and a polish stalls; polishing after every doubling from
-        # the first section, each polish with a fresh stall count, recovers.
-        L, best_rel = max(_BAUER_BLOCKS, 2 * N + 2), np.inf
-        for _ in range(_BAUER_DOUBLINGS + 2):
-            A = _bauer_last_row(C, k, N, L)
-            rel = _relative_residual(C, A)
-            if rel < best_rel:
-                best_A, best_rel = A, rel
-            if best_rel > tol:
-                best_A, best_rel = polish_coefficients(C, best_A, 0.3 * tol)
-            if best_rel <= tol:
-                break
-            L *= 2
+        shifted = C.copy()
+        shifted[0] += _REGULARIZATION * np.max(np.abs(C)) * np.eye(C.shape[1])
+        A, _ = _ladder_estimate(shifted)
+        if A is not None:
+            best_A, best_rel = polish_coefficients(C, A, 0.3 * tol)
     if best_rel > tol:
         raise NumericalFailureError(
             "factorization residual %.3e exceeds tol %.3e" % (best_rel, tol),
@@ -651,8 +600,6 @@ def factor_positive_definite(S: LaurentMatrix, tol: float = 1e-9) -> AnalyticPol
         raise NotFactorableError("zero spectrum has no full-rank factor")
     _screen_definite(S, tol)
     N = S.hi
-    scale = S.max_abs
-
     C = S.coeff_array(0, N)
     if N == 0:
         C0 = 0.5 * (C[0] + C[0].conj().T)
@@ -663,10 +610,10 @@ def factor_positive_definite(S: LaurentMatrix, tol: float = 1e-9) -> AnalyticPol
     else:
         F = LaurentMatrix.from_coeffs(_bauer_estimate(C, tol))
         A = clear_rank_drops(F, RankDefOptions(tol=tol))[0].coeff_array(0, N)
-    A, _ = polish_coefficients(C, A, _FINAL_POLISH)
+    A, final = polish_coefficients(C, A, _FINAL_POLISH)
+    # canonicalize applies a constant unitary, which leaves F F~ as it is
+    # up to rounding, so the polish's residual is the factor's.
     factor = canonicalize(LaurentMatrix.from_coeffs(A)).factor
-
-    final = (factor @ factor.adjoint() - S).max_abs / scale
     if final > 10.0 * tol:
         raise NumericalFailureError(
             "post-reflection residual %.3e exceeds tolerance" % final,

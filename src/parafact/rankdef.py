@@ -11,19 +11,19 @@ in the open unit disk.  The pipeline:
    k x k head block in the leading position (for k = m it is the identity).
 
 For k < m the regularized start comes next.  S + delta I is positive
-definite, so a Bauer section (fullrank._bauer_last_row) factors it; in the
-pivot's row order the trailing m - k columns of that factor shrink like
-sqrt(delta), because a rank-k process has a rank-k innovation, while the
-first k columns are off the outer factor by a term linear in delta.  Two
-sections, of S + delta I and S + 2 delta I, give the Richardson start
-2 B(delta) - B(2 delta), which cancels that term.  Its first k columns,
-back in the original row order, are refined by the Gauss-Newton polish
-that the full-rank factorization also uses (fullrank.polish_coefficients)
-to the final target, which by its one stopping rule takes one step past
-the first iterate that meets it.  On generic spectra its steps solve the
-Cholesky-factored normal equations of the tall factor's Jacobian; on
-projector spectra, whose Jacobians are far worse conditioned, they may
-fall back to xGELSY.
+definite, so a Bauer section (a step of fullrank's cyclic-reduction
+ladder) factors it; in the pivot's row order the trailing m - k columns of
+that factor shrink like sqrt(delta), because a rank-k process has a rank-k
+innovation, while the first k columns are off the outer factor by a term
+linear in delta.  Two sections, of S + delta I and S + 2 delta I, give the
+Richardson start 2 B(delta) - B(2 delta), which cancels that term.  Its
+first k columns, back in the original row order, are refined by the
+Gauss-Newton polish that the full-rank factorization also uses
+(fullrank.polish_coefficients) to the final target, which by its one
+stopping rule takes one step past the first iterate that meets it.  On
+generic spectra its steps solve the Cholesky-factored normal equations of
+the tall factor's Jacobian; on projector spectra, whose Jacobians are far
+worse conditioned, they may fall back to xGELSY.
 The start is accepted only when the polish reaches that target and the
 result has no interior rank drop; a residual within tol is not enough,
 since on projector spectra the polish can stall near 1e-10 at a factor that
@@ -77,7 +77,8 @@ from .errors import (
 )
 from .fullrank import (
     _FINAL_POLISH,
-    _bauer_last_row,
+    _REGULARIZATION,
+    _cyclic_reduction,
     _relative_residual,
     _screen_definite,
     canonicalize,
@@ -135,21 +136,14 @@ _TAG_PIVOT = 102
 _IDENTITY_GATE = 1e-4
 
 # The regularized start factors sections of S + t delta I, t = 1 and 2,
-# delta = _REGULARIZATION * max |C_n|.  The first k columns of a section are
-# off the outer factor by a term linear in delta, B(t delta) = B(0) +
-# t delta B' + o(delta), so delta is as small as rounding allows: the
-# banded Cholesky perturbs the section by about (bw + 1) eps ||T||, with
-# bw + 1 = m (N + 1) and ||T|| <= (2N + 1) m max |C_n|, which is 2e-12 of
-# max |C_n| at (8, ., 8); 1e-10 is the first power of ten 40x above that,
-# and both sections add at least delta.  The Richardson start 2 B(delta) - B(2 delta) cancels the
-# linear term: on the bench shapes and (8, 6, 8) the start residual falls
-# 169x or more below the single section's.  Both sections have the same
-# max(_REGULARIZED_BLOCKS, 2N + 2) block rows, so Bauer's truncation error
-# does not cancel (up to 8e-9 of the coefficients at (8, 6, 8) with 128).
-# It stays below what the start leaves: 256 or 1024 blocks change the
-# extrapolated start residual by a factor of 0.3 to 3.4, either way, on
-# every shape measured up to (8, 6, 8).
-_REGULARIZATION = 1e-10
+# delta = fullrank._REGULARIZATION * max |C_n|.  The first k columns of a
+# section are off the outer factor by a term linear in delta, B(t delta) =
+# B(0) + t delta B' + o(delta), and the Richardson start 2 B(delta) -
+# B(2 delta) cancels that term.  Both sections are the same ladder step,
+# the first with N 2^j + 1 >= _REGULARIZED_BLOCKS block rows, so Bauer's
+# truncation error does not cancel.  It stays below what the start leaves:
+# the start's residual saturates at the regularization's own error by
+# ladder step 2 to 5, and deeper steps do not lower it.
 _REGULARIZED_BLOCKS = 128
 
 
@@ -795,26 +789,29 @@ def _regularized_start(S: LaurentMatrix, perm: tuple, k: int, opts: RankDefOptio
     """Coefficients (N+1, m, k) of the outer factor of a rank-k S, or None.
 
     Bauer sections B(delta) of S + delta I and B(2 delta) of S + 2 delta I,
-    delta = _REGULARIZATION max |C_n|, are factored in the pivot's row
-    order.  The first k columns of 2 B(delta) - B(2 delta), read back in
+    delta = _REGULARIZATION max |C_n|, are the cyclic-reduction ladder's
+    first step with at least _REGULARIZED_BLOCKS block rows, in the pivot's
+    row order.  The first k columns of 2 B(delta) - B(2 delta), read back in
     the original row order, are polished to _FINAL_POLISH; the polish's
     rule takes one chord step past the first iterate that meets it.  None,
     which sends spectral_factor to the rational construction, means the
-    polish missed that target, the result has an interior rank drop, or
-    the section or the drop finder raised NumericalFailureError.
+    polish missed that target, the result has an interior rank drop, a
+    ladder ended before that step, or the drop finder raised
+    NumericalFailureError.
     """
     m, N = S.rows, S.hi
     C = S.coeff_array(0, N)
     section = S.permuted(perm).coeff_array(0, N)
-    L = max(_REGULARIZED_BLOCKS, 2 * N + 2)
     sections = []
     for t in (1.0, 2.0):
         shifted = section.copy()
         shifted[0] += t * _REGULARIZATION * S.max_abs * np.eye(m)
-        try:
-            sections.append(_bauer_last_row(shifted, m, N, L))
-        except NumericalFailureError:
+        # At N = 0 no block row couples to another, so every step is exact.
+        ladder = enumerate(_cyclic_reduction(shifted))
+        B = next((A for j, A in ladder if N == 0 or N * 2**j + 1 >= _REGULARIZED_BLOCKS), None)
+        if B is None:
             return None
+        sections.append(B)
     B = (2.0 * sections[0] - sections[1])[:, np.argsort(perm), :k]
     A, rel = polish_coefficients(C, B, _FINAL_POLISH)
     if rel > _FINAL_POLISH:

@@ -50,6 +50,7 @@ from parafact.roots import (
     _screened_starts,
     clear_rank_drops,
 )
+from test_fullrank import banded_section
 
 
 def circle_points(count=33):
@@ -853,7 +854,7 @@ class TestSpectralFactor:
         section = S.permuted(perm).coeff_array(0, N)
         section[0] += rankdef._REGULARIZATION * S.max_abs * np.eye(m)
         blocks = max(rankdef._REGULARIZED_BLOCKS, 2 * N + 2)
-        single = fullrank._bauer_last_row(section, m, N, blocks)[:, np.argsort(perm), :k]
+        single = banded_section(section, blocks)[:, np.argsort(perm), :k]
         C = S.coeff_array(0, N)
         extrapolated = fullrank._relative_residual(C, starts[0])
         assert extrapolated * 10.0 <= fullrank._relative_residual(C, single)

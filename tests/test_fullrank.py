@@ -17,6 +17,7 @@ from parafact.fullrank import (
     _CHORD_CONTRACTION,
     _FINAL_POLISH,
     _LADDER_STEPS,
+    _REGULARIZATION,
     _JacobianFactor,
     _bauer_estimate,
     _coeff_jacobian,
@@ -425,6 +426,25 @@ class TestFactorPositiveDefinite:
         assert report.passed
         assert report.path == ("full-rank" if shape[1] == shape[0] else "regularized")
         assert compare_factors(inst.secret_factor, G) is not None
+
+    # The regularized start reads the ladder of S + delta I at its first
+    # step with at least `blocks` block rows; that step must equal the
+    # banded section of as many rows, filled and read back entry by entry.
+    # The rank-deficient shapes, whose section is conditioned by delta
+    # alone, agree to 4.6e-10 relative; the full-rank ones to 1.3e-15.
+    @pytest.mark.parametrize(
+        "shape", [(4, 2, 4), (6, 3, 3), (8, 4, 4), (6, 4, 6), (1, 1, 40), (6, 6, 3)]
+    )
+    @pytest.mark.parametrize("blocks", [32, 128])
+    def test_band_matches_the_loop_reference(self, shape, blocks):
+        S = gen_spectrum(*shape, 0).spectrum
+        m, N = S.rows, S.hi
+        C = S.coeff_array(0, N)
+        C[0] += _REGULARIZATION * S.max_abs * np.eye(m)
+        j, A = next((j, A) for j, A in enumerate(_cyclic_reduction(C)) if N * 2**j + 1 >= blocks)
+        want = banded_section(C, N * 2**j + 1)
+        tol = 1e-14 if shape[1] == shape[0] else 1e-8
+        assert np.abs(A - want).max() <= tol * np.abs(want).max()
 
 
 def circle_zero_factor(shape, seed):

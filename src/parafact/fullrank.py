@@ -30,10 +30,10 @@ one rule: a start already at the target takes no step, and a polish that
 had to step takes exactly one chord step past the first iterate that meets
 it.  Should that polish stall, as at a multiple circle zero of det S, the
 ladder of the shifted spectrum S + delta I gives a second start, polished
-against S.  Interior rank drops, which Bauer and the polish leave near
-circle zeros of det S, are then reflected across the circle by
-roots.clear_rank_drops, and the factor ends in a polish to _FINAL_POLISH
-(from the ladder's floor it usually takes no step) and canonicalize.
+against S.  The factor is polished to _FINAL_POLISH (from the ladder's
+floor it usually takes no step), roots.clear_rank_drops reflects the
+interior rank drops it keeps near circle zeros of det S across the circle,
+a reflected factor is polished again, and canonicalize ends it.
 The rank-deficient pipeline uses both halves on its tall factor: ladder
 sections of the regularized spectra S + delta I and S + 2 delta I start
 it, and the same polish finishes it, as it finishes the rational fallback.
@@ -587,11 +587,12 @@ def factor_positive_definite(S: LaurentMatrix, tol: float = 1e-9) -> AnalyticPol
     polished to _FINAL_POLISH, and S+ is the canonical representative of
     its right-unitary class.
 
-    A constant spectrum starts from its eigenvalue square root.  For N >= 1,
-    _bauer_estimate gives a factor within tol, and clear_rank_drops
-    reflects its interior rank drops across the circle.  Either start then
-    takes the final polish to _FINAL_POLISH, because a factor that meets
-    tol can still be far from the outer one, and is rotated by canonicalize.
+    A constant spectrum starts from its eigenvalue square root, and for
+    N >= 1 _bauer_estimate gives a factor within tol.  Either takes the
+    final polish to _FINAL_POLISH, because a factor that meets tol can
+    still be far from the outer one.  For N >= 1 clear_rank_drops then
+    reflects the polished factor's interior rank drops, and a reflected
+    factor is polished again.  canonicalize rotates the result.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -607,14 +608,16 @@ def factor_positive_definite(S: LaurentMatrix, tol: float = 1e-9) -> AnalyticPol
         if w[0] <= tol * w[-1]:
             raise NotFactorableError("constant spectrum is numerically singular")
         A = (V @ np.diag(np.sqrt(np.maximum(w, 0.0))))[None]
+        A, final = polish_coefficients(C, A, _FINAL_POLISH)
     else:
-        F = LaurentMatrix.from_coeffs(_bauer_estimate(C, tol))
-        A = clear_rank_drops(F, RankDefOptions(tol=tol))[0].coeff_array(0, N)
-    A, final = polish_coefficients(C, A, _FINAL_POLISH)
+        A, final = polish_coefficients(C, _bauer_estimate(C, tol), _FINAL_POLISH)
+        F, ops = clear_rank_drops(LaurentMatrix.from_coeffs(A), RankDefOptions(tol=tol))
+        if ops:
+            A, final = polish_coefficients(C, F.coeff_array(0, N), _FINAL_POLISH)
     # canonicalize applies a constant unitary, which leaves F F~ as it is
     # up to rounding, so the polish's residual is the factor's.
     factor = canonicalize(LaurentMatrix.from_coeffs(A)).factor
-    if final > 10.0 * tol:
+    if final > tol:
         raise NumericalFailureError(
             "post-reflection residual %.3e exceeds tolerance" % final,
             residual=final,

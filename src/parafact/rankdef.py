@@ -52,9 +52,10 @@ as the fallback:
 
 Every path ends in that polish and a rotation to the canonical
 representative.  For k = m the head factor is the whole factor, and
-factor_positive_definite has already done both, after clearing its
-interior rank drops with the clearer of step 5.  The report names the path
-taken: "full-rank", "regularized" or "rational".
+factor_positive_definite has already done both: it polishes, clears the
+polished factor's interior rank drops with the clearer of step 5, and
+polishes again only after a reflection.  The report names the path taken:
+"full-rank", "regularized" or "rational".
 
 Every transformation of the fallback multiplies columns by unit-modulus
 scalars or the whole factor by constant unitaries, so F F~ is preserved
@@ -771,20 +772,6 @@ def _common_denominator(R: RationalMatrix):
 # ---------------------------------------------------------------------------
 
 
-def _head_factor(head: LaurentMatrix, opts: RankDefOptions) -> AnalyticPolyMatrix:
-    """factor_positive_definite of the pivoted k x k head block, or of S for k = m.
-
-    The head factor's error is amplified by the root conditioning of the
-    derived determinant and adjugate before it reaches the deflation step,
-    so it aims two orders below the requested tolerance and falls back to
-    the nominal target only when that proves unreachable.
-    """
-    try:
-        return factor_positive_definite(head, opts.tol * 1e-2)
-    except NumericalFailureError:
-        return factor_positive_definite(head, opts.tol)
-
-
 def _regularized_start(S: LaurentMatrix, perm: tuple, k: int, opts: RankDefOptions):
     """Coefficients (N+1, m, k) of the outer factor of a rank-k S, or None.
 
@@ -831,7 +818,7 @@ def _outer_tall_factor(S: LaurentMatrix, perm: tuple, k: int, opts: RankDefOptio
     """
     m, N = S.rows, S.hi
     Sp = S.permuted(perm)
-    head_factor = _head_factor(Sp.submatrix(range(k), range(k)), opts)
+    head_factor = factor_positive_definite(Sp.submatrix(range(k), range(k)), opts.tol)
     tail = tail_quotient(Sp.submatrix(range(k, m), range(k)), head_factor)
     R = stack_rational_factor(head_factor, tail)
     R, pole_ops = remove_inner_poles(R)
@@ -869,9 +856,9 @@ def spectral_factor(
 
     The rank is read off the eigenvalues of the definiteness screen.  For
     k = m the pivot is the identity, with no pivot search and a vacuous
-    rank identity, and the head factor is the factor:
-    factor_positive_definite has already cleared, polished and
-    canonicalized it.  For k < m the regularized start of S + delta I is
+    rank identity, and factor_positive_definite gives the factor polished,
+    cleared of interior rank drops (and polished again after a reflection)
+    and canonicalized.  For k < m the regularized start of S + delta I is
     tried first and kept when its polish reaches the final target with no
     interior rank drop; otherwise the rational construction runs (head
     factor, tail quotient, pole removal, drop clearing, final polish).
@@ -895,32 +882,32 @@ def spectral_factor(
         raise ValueError("rank %r out of range for size %d" % (k, m))
 
     pole_ops = zero_ops = ()
-    if k == m:
-        # Every candidate pivot is the identity, so select_pivot's majority
-        # rule reads the screen's counts, and the rank identity is vacuous.
-        # factor_positive_definite has already cleared the factor's interior
-        # rank drops, with the same finder that verification runs, polished
-        # it and canonicalized it.
-        _require_majority(counts == m, m)
-        perm, identity_check = tuple(range(m)), Check(True, 0.0, opts.tol)
-        path = "full-rank"
-        factor = _head_factor(S, opts)
-    else:
-        perm = select_pivot(S, k, opts)
-        identity_check = check_rank_identity(S, perm, k, opts)
-        path = "regularized"
-        A = _regularized_start(S, perm, k, opts)
-        if A is None:
-            path = "rational"
-            try:
+    perm, path = tuple(range(m)), "full-rank"
+    try:
+        if k == m:
+            # Every candidate pivot is the identity, so select_pivot's
+            # majority rule reads the screen's counts, and the rank identity
+            # is vacuous.  factor_positive_definite polishes the factor,
+            # clears its interior rank drops with the same finder that
+            # verification runs, and canonicalizes it.
+            _require_majority(counts == m, m)
+            identity_check = Check(True, 0.0, opts.tol)
+            factor = factor_positive_definite(S, opts.tol)
+        else:
+            perm = select_pivot(S, k, opts)
+            identity_check = check_rank_identity(S, perm, k, opts)
+            path = "regularized"
+            A = _regularized_start(S, perm, k, opts)
+            if A is None:
+                path = "rational"
                 A, pole_ops, zero_ops = _outer_tall_factor(S, perm, k, opts)
-            except NumericalFailureError as exc:
-                if exc.report is None:
-                    exc.report = FactorReport(
-                        detected_rank=k, pivot=perm, rng_seed=opts.rng_seed, path=path
-                    )
-                raise
-        factor = canonicalize(LaurentMatrix.from_coeffs(A)).factor
+            factor = canonicalize(LaurentMatrix.from_coeffs(A)).factor
+    except NumericalFailureError as exc:
+        if exc.report is None:
+            exc.report = FactorReport(
+                detected_rank=k, pivot=perm, rng_seed=opts.rng_seed, path=path
+            )
+        raise
 
     product = factor @ factor.adjoint()
     residual = (product - S).max_abs / scale

@@ -28,12 +28,13 @@ while a bound on their first-order contraction stays below
 _CHORD_CONTRACTION; past it, it factors again.  Every call site stops by
 one rule: a start already at the target takes no step, and a polish that
 had to step takes exactly one chord step past the first iterate that meets
-it.  Should that polish stall, as at a multiple circle zero of det S, the
-ladder of the shifted spectrum S + delta I gives a second start, polished
-against S.  The factor is polished to _FINAL_POLISH (from the ladder's
-floor it usually takes no step), roots.clear_rank_drops reflects the
-interior rank drops it keeps near circle zeros of det S across the circle,
-a reflected factor is polished again, and canonicalize ends it.
+it.  factor_positive_definite polishes the ladder's estimate to one
+target, _FINAL_POLISH; where that polish misses it, as at a multiple
+circle zero of det S, the ladder of S + delta I is polished against S as
+well and the lower residual kept.  roots.clear_rank_drops then reflects
+the interior rank drops left near circle zeros of det S across the
+circle, and the factor is polished again, until a pass reflects nothing.
+One check holds the residual to tol, and canonicalize ends it.
 The rank-deficient pipeline uses both halves on its tall factor: ladder
 sections of the regularized spectra S + delta I and S + 2 delta I start
 it, and the same polish finishes it, as it finishes the rational fallback.
@@ -51,7 +52,7 @@ from scipy.linalg import blas, lapack
 
 from .errors import NotFactorableError, NumericalFailureError
 from .laurent import AnalyticPolyMatrix, LaurentMatrix, LaurentPoly, _order_grid_count
-from .roots import RankDefOptions, clear_rank_drops
+from .roots import RankDefOptions, _drop_budget, clear_rank_drops
 
 __all__ = [
     "CanonicalForm",
@@ -88,8 +89,8 @@ _POLISH_GROWTH = 10.0
 _POLISH_STALLS = 3
 _POLISH_MAX_ITERS = 30
 _POLISH_HALVINGS = 10
-# Residual target of the final polish, which ends factor_positive_definite,
-# the tall factors of spectral_factor and the paraunitary completion.
+# Residual target of every polish of factor_positive_definite and of the
+# final polish of the tall factors and the paraunitary completion.
 _FINAL_POLISH = 1e-15
 # A chord step contracts the error by kappa to first order, where a
 # Gauss-Newton step contracts it by a term quadratic in the error.  The
@@ -550,32 +551,10 @@ def _ladder_estimate(C: np.ndarray):
     return min(steps, key=lambda s: np.inf if s[1] is None else s[1], default=(None, np.inf))
 
 
-def _bauer_estimate(C: np.ndarray, tol: float) -> np.ndarray:
-    """Factor coefficients (N+1, k, k) of C_0..C_N within tol, from Bauer sections.
-
-    The cyclic-reduction ladder gives the sections of N 2^j + 1 block rows
-    (_ladder_estimate).  Only a kept estimate still above tol is polished
-    toward 0.3 * tol.  If that polish stalls above tol, as at a multiple
-    circle zero of det S, where the ladder ends far above the floor and
-    Gauss-Newton converges only linearly, the ladder of S + delta I,
-    delta = _REGULARIZATION max |C_n|, starts a second polish against S.
-    Raises NumericalFailureError when the residual still exceeds tol.
-    """
-    best_A, best_rel = _ladder_estimate(C)
-    if best_rel > tol and best_A is not None:
-        best_A, best_rel = polish_coefficients(C, best_A, 0.3 * tol)
-    if best_rel > tol:
-        shifted = C.copy()
-        shifted[0] += _REGULARIZATION * np.max(np.abs(C)) * np.eye(C.shape[1])
-        A, _ = _ladder_estimate(shifted)
-        if A is not None:
-            best_A, best_rel = polish_coefficients(C, A, 0.3 * tol)
-    if best_rel > tol:
-        raise NumericalFailureError(
-            "factorization residual %.3e exceeds tol %.3e" % (best_rel, tol),
-            residual=best_rel,
-        )
-    return best_A
+def _polished_ladder(C: np.ndarray, section: np.ndarray):
+    """(A, residual) of the ladder estimate of section polished against C, or (None, inf)."""
+    A = _ladder_estimate(section)[0]
+    return (None, np.inf) if A is None else polish_coefficients(C, A, _FINAL_POLISH)
 
 
 def factor_positive_definite(S: LaurentMatrix, tol: float = 1e-9) -> AnalyticPolyMatrix:
@@ -584,15 +563,18 @@ def factor_positive_definite(S: LaurentMatrix, tol: float = 1e-9) -> AnalyticPol
     Postconditions: S+ is analytic of the same order as S, S+ S+~ matches S
     within tol relative to the largest coefficient, find_rank_drop_points
     reports no rank drop of S+ in the open unit disk, its coefficients are
-    polished to _FINAL_POLISH, and S+ is the canonical representative of
-    its right-unitary class.
+    polished toward _FINAL_POLISH, and S+ is the canonical representative
+    of its right-unitary class.
 
     A constant spectrum starts from its eigenvalue square root, and for
-    N >= 1 _bauer_estimate gives a factor within tol.  Either takes the
-    final polish to _FINAL_POLISH, because a factor that meets tol can
-    still be far from the outer one.  For N >= 1 clear_rank_drops then
-    reflects the polished factor's interior rank drops, and a reflected
-    factor is polished again.  canonicalize rotates the result.
+    N >= 1 the ladder's estimate starts; each is polished to _FINAL_POLISH,
+    since a factor that meets tol can still be far from the outer one.
+    Where the ladder's polish misses that, as at a multiple circle zero of
+    det S, the ladder of S + delta I, delta = _REGULARIZATION max |C_n|, is
+    polished against S too, and the lower residual is kept.  For N >= 1,
+    while within tol, clear_rank_drops and a polish repeat until a pass
+    reflects nothing, the passes sharing its budget of reflected columns.
+    One check holds the residual to tol, and canonicalize rotates the result.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -600,7 +582,7 @@ def factor_positive_definite(S: LaurentMatrix, tol: float = 1e-9) -> AnalyticPol
     if S.is_zero:
         raise NotFactorableError("zero spectrum has no full-rank factor")
     _screen_definite(S, tol)
-    N = S.hi
+    N, k = S.hi, S.rows
     C = S.coeff_array(0, N)
     if N == 0:
         C0 = 0.5 * (C[0] + C[0].conj().T)
@@ -610,16 +592,24 @@ def factor_positive_definite(S: LaurentMatrix, tol: float = 1e-9) -> AnalyticPol
         A = (V @ np.diag(np.sqrt(np.maximum(w, 0.0))))[None]
         A, final = polish_coefficients(C, A, _FINAL_POLISH)
     else:
-        A, final = polish_coefficients(C, _bauer_estimate(C, tol), _FINAL_POLISH)
+        A, final = _polished_ladder(C, C)
+        if final > _FINAL_POLISH:
+            shifted = C.copy()
+            shifted[0] += _REGULARIZATION * np.max(np.abs(C)) * np.eye(k)
+            A, final = min([(A, final), _polished_ladder(C, shifted)], key=lambda s: s[1])
+    budget, reflected = _drop_budget(k, N), 0
+    while N and final <= tol:
         F, ops = clear_rank_drops(LaurentMatrix.from_coeffs(A), RankDefOptions(tol=tol))
-        if ops:
-            A, final = polish_coefficients(C, F.coeff_array(0, N), _FINAL_POLISH)
-    # canonicalize applies a constant unitary, which leaves F F~ as it is
-    # up to rounding, so the polish's residual is the factor's.
-    factor = canonicalize(LaurentMatrix.from_coeffs(A)).factor
+        if not ops:
+            break
+        reflected += len(ops)
+        if reflected > budget:
+            raise NumericalFailureError("rank drops left after a budget of %d" % budget)
+        A, final = polish_coefficients(C, F.coeff_array(0, N), _FINAL_POLISH)
     if final > tol:
         raise NumericalFailureError(
-            "post-reflection residual %.3e exceeds tolerance" % final,
-            residual=final,
+            "factorization residual %.3e exceeds tol %.3e" % (final, tol), residual=final
         )
-    return factor
+    # canonicalize applies a constant unitary, which leaves F F~ as it is
+    # up to rounding, so the polish's residual is the factor's.
+    return canonicalize(LaurentMatrix.from_coeffs(A)).factor

@@ -52,10 +52,10 @@ as the fallback:
 
 Every path ends in that polish and a rotation to the canonical
 representative.  For k = m the head factor is the whole factor, and
-factor_positive_definite has already done both: it polishes, clears the
-polished factor's interior rank drops with the clearer of step 5, and
-polishes again only after a reflection.  The report names the path taken:
-"full-rank", "regularized" or "rational".
+factor_positive_definite has already done both: it polishes its start,
+then clears the factor's interior rank drops with the clearer of step 5
+and polishes again, until a clearing pass reflects nothing.  The report
+names the path taken: "full-rank", "regularized" or "rational".
 
 Every transformation of the fallback multiplies columns by unit-modulus
 scalars or the whole factor by constant unitaries, so F F~ is preserved
@@ -857,8 +857,8 @@ def spectral_factor(
     The rank is read off the eigenvalues of the definiteness screen.  For
     k = m the pivot is the identity, with no pivot search and a vacuous
     rank identity, and factor_positive_definite gives the factor polished,
-    cleared of interior rank drops (and polished again after a reflection)
-    and canonicalized.  For k < m the regularized start of S + delta I is
+    cleared of interior rank drops until the finder reports none, and
+    canonicalized.  For k < m the regularized start of S + delta I is
     tried first and kept when its polish reaches the final target with no
     interior rank drop; otherwise the rational construction runs (head
     factor, tail quotient, pole removal, drop clearing, final polish).
@@ -866,8 +866,8 @@ def spectral_factor(
 
     rank overrides the sampled rank estimate when given.  Raises
     ValueError / NotFactorableError on bad input, DegenerateInputError when
-    no pivot works, and NumericalFailureError (carrying the partial report)
-    when the tolerance cannot be met.
+    no pivot works, and NumericalFailureError, carrying the partial report
+    and its measured residual, when the tolerance cannot be met.
     """
     opts = opts or RankDefOptions()
     S = S.trim(0.0)
@@ -904,8 +904,9 @@ def spectral_factor(
             factor = canonicalize(LaurentMatrix.from_coeffs(A)).factor
     except NumericalFailureError as exc:
         if exc.report is None:
+            residual = np.inf if exc.residual is None else exc.residual
             exc.report = FactorReport(
-                detected_rank=k, pivot=perm, rng_seed=opts.rng_seed, path=path
+                detected_rank=k, pivot=perm, residual=residual, rng_seed=opts.rng_seed, path=path
             )
         raise
 

@@ -513,6 +513,11 @@ def fix_rank_drop(
     return G.as_analytic(0.0), ops
 
 
+def _drop_budget(k: int, N: int) -> int:
+    """Reflected columns that clearing a k-column factor of order N may spend."""
+    return 4 * k * max(N, 1) + 16
+
+
 def clear_rank_drops(F: LaurentMatrix, opts: RankDefOptions | None = None):
     """Reflect every interior rank drop of a tall analytic F across the circle.
 
@@ -523,7 +528,7 @@ def clear_rank_drops(F: LaurentMatrix, opts: RankDefOptions | None = None):
     A point that no longer passes the rank gate is skipped: near a multiple
     zero the finder can report a second point, which an earlier fix of the
     same pass has already cleared.  Raises NumericalFailureError when a
-    pass fixes no point, or when drops remain after 4 k max(N, 1) + 16
+    pass fixes no point, or when drops remain after _drop_budget(k, N)
     reflected columns.
 
     Returns (F, ops): the cleared factor and the BlaschkeOps of every fix,
@@ -531,7 +536,7 @@ def clear_rank_drops(F: LaurentMatrix, opts: RankDefOptions | None = None):
     ops is () when F had no interior rank drop.
     """
     opts = opts or RankDefOptions()
-    budget = 4 * F.cols * max(F.hi or 0, 1) + 16
+    budget = _drop_budget(F.cols, F.hi or 0)
     scale = None
     applied = []
     while drops := find_rank_drop_points(F, opts):

@@ -944,17 +944,29 @@ class TestSpectralFactor:
         assert report.pivot == select_pivot(S, 2, opts)
         assert report.detected_rank == 2 and report.rng_seed == 5
 
-    # A k = m failure carries the same partial report: with no ladder
-    # estimate, unshifted or shifted, factor_positive_definite raises.
+    # A k = m failure carries the same partial report, with the residual
+    # the error measured: inf where there is no ladder estimate, unshifted
+    # or shifted, and 5 tol where every polish ends there.
     def test_full_rank_failure_names_its_path_and_pivot(self, monkeypatch):
-        monkeypatch.setattr("parafact.fullrank._cyclic_reduction", lambda C: iter(()))
         S = gen_spectrum(3, 3, 2, 0).spectrum
-        with pytest.raises(NumericalFailureError) as info:
-            spectral_factor(S, RankDefOptions(rng_seed=5))
-        report = info.value.report
-        assert report.path == "full-rank"
-        assert report.pivot == (0, 1, 2)
-        assert report.detected_rank == 3 and report.rng_seed == 5
+        polish = fullrank.polish_coefficients
+
+        def missed(C, A, target):
+            return polish(C, A, target)[0], 5e-9
+
+        for patch, residual in [
+            (("parafact.fullrank._cyclic_reduction", lambda C: iter(())), np.inf),
+            (("parafact.fullrank.polish_coefficients", missed), 5e-9),
+        ]:
+            with monkeypatch.context() as patched:
+                patched.setattr(*patch)
+                with pytest.raises(NumericalFailureError) as info:
+                    spectral_factor(S, RankDefOptions(rng_seed=5))
+            report = info.value.report
+            assert report.path == "full-rank"
+            assert report.pivot == (0, 1, 2)
+            assert report.detected_rank == 3 and report.rng_seed == 5
+            assert report.residual == info.value.residual == residual
 
     def test_report_records_operations(self):
         rng = np.random.default_rng(74)

@@ -39,7 +39,6 @@ from .fileio import (
     write_report,
 )
 from .fullrank import (
-    CanonicalForm,
     canonicalize,
     factor_positive_definite,
     scalar_factor,
@@ -81,7 +80,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalyticPolyMatrix",
     "BlaschkeOp",
-    "CanonicalForm",
     "Check",
     "DegenerateInputError",
     "FactorReport",

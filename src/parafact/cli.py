@@ -86,7 +86,6 @@ def _echo_factor(args) -> dict:
         "input": args.input,
         "tol": args.tol,
         "rank": args.rank,
-        "seed": args.seed,
         "out": args.out,
         "report": args.report,
     }
@@ -101,8 +100,7 @@ def cmd_factor(args) -> int:
             rank = int(args.rank)
         except ValueError:
             raise ValueError("--rank must be 'auto' or an integer, got %r" % args.rank)
-    opts = RankDefOptions(tol=args.tol, rng_seed=args.seed)
-    factor, report = spectral_factor(S, opts, rank=rank)
+    factor, report = spectral_factor(S, RankDefOptions(tol=args.tol), rank=rank)
     if args.out:
         write_matrix(args.out, factor, metadata=None)
         print("wrote %s" % args.out)
@@ -245,7 +243,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--rank", default="auto", help="'auto' or the almost-everywhere rank"
     )
-    p.add_argument("--seed", type=int, default=0, help="seed for sampling choices")
     p.add_argument("--out", help="path for the factor matrix file")
     p.add_argument("--report", help="path for the verdict report file")
     p.set_defaults(echo=_echo_factor)

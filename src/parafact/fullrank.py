@@ -42,7 +42,6 @@ it, and the same polish finishes it, as it finishes the rational fallback.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
@@ -51,11 +50,16 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import blas, lapack
 
 from .errors import NotFactorableError, NumericalFailureError
-from .laurent import AnalyticPolyMatrix, LaurentMatrix, LaurentPoly, _order_grid_count
+from .laurent import (
+    AnalyticPolyMatrix,
+    LaurentMatrix,
+    LaurentPoly,
+    _grid_values,
+    _order_grid_count,
+)
 from .roots import RankDefOptions, _drop_budget, clear_rank_drops
 
 __all__ = [
-    "CanonicalForm",
     "scalar_factor",
     "factor_positive_definite",
     "canonicalize",
@@ -103,14 +107,6 @@ _FINAL_POLISH = 1e-15
 _CHORD_CONTRACTION = 0.5 * np.finfo(float).eps / _FINAL_POLISH
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
-    """A canonical factor and the constant unitary that produced it."""
-
-    factor: AnalyticPolyMatrix
-    applied_unitary: np.ndarray
-
-
 def scalar_factor(f: LaurentPoly, tol: float = 1e-9) -> LaurentPoly:
     """Outer spectral factor of a scalar symbol: q analytic with q q~ = f.
 
@@ -131,18 +127,34 @@ def scalar_factor(f: LaurentPoly, tol: float = 1e-9) -> LaurentPoly:
     return factor_positive_definite(LaurentMatrix.from_entries([[f]]), tol).entry(0, 0)
 
 
+def _screen_samples(S: LaurentMatrix) -> np.ndarray:
+    """S at the order grid turned by 1 / count radians, as (count,) + S.shape.
+
+    The grid is the one of _order_grid_count(order), order the largest
+    |power| of the nonzero S.  A turn of a rational number of radians puts
+    no point at a rational multiple of pi, where comb spectra |1 - c z^N|^2,
+    c a root of unity, vanish: unturned, every grid point can be a zero of
+    one entry.  The turn is the phase e^(i n / count) on the power-n
+    coefficient, folded onto the grid as eval_unit_grid folds.
+    """
+    lo, hi = S.lo, S.hi
+    count = _order_grid_count(max(hi, -lo))
+    turn = np.exp(1j * np.arange(lo, hi + 1) / count)
+    return _grid_values(S.coeff_array(lo, hi) * turn[:, None, None], lo, count)
+
+
 def _screen_definite(S: LaurentMatrix, tol: float) -> np.ndarray:
     """Reject a spectrum that is not square, para-Hermitian and nonnegative.
 
     Raises ValueError for the first two and NotFactorableError when an
     eigenvalue on the unit circle falls below -tol times the largest.
-    Returns the eigenvalues, one row per point of the order grid.
+    Returns the eigenvalues, one row per point of _screen_samples.
     """
     if S.rows != S.cols:
         raise ValueError("spectrum must be square")
     if not S.is_parahermitian(max(tol, 1e-12)):
         raise ValueError("spectrum is not para-Hermitian within tolerance")
-    samples = S.eval_unit_grid(_order_grid_count(S.hi))
+    samples = _screen_samples(S)
     samples = 0.5 * (samples + np.conj(np.transpose(samples, (0, 2, 1))))
     eigs = np.linalg.eigvalsh(samples)
     top = float(eigs.max()) if eigs.size else 0.0
@@ -423,7 +435,7 @@ def polish_coefficients(C: np.ndarray, A: np.ndarray, target: float):
     return best, best_rel
 
 
-def canonicalize(F: LaurentMatrix) -> CanonicalForm:
+def canonicalize(F: LaurentMatrix) -> AnalyticPolyMatrix:
     """Rotate an analytic factor to its canonical right-unitary representative.
 
     With F(0) = W Sigma V^H (thin SVD), applies V D where the diagonal phase
@@ -443,8 +455,7 @@ def canonicalize(F: LaurentMatrix) -> CanonicalForm:
         x = B[idx, j]
         phases[j] = x.conjugate() / abs(x)
     applied = Vh.conj().T @ np.diag(phases)
-    factor = (F @ LaurentMatrix.constant(applied)).as_analytic(0.0)
-    return CanonicalForm(factor=factor, applied_unitary=applied)
+    return (F @ LaurentMatrix.constant(applied)).as_analytic(0.0)
 
 
 def _reblocked_section(C: np.ndarray):
@@ -612,4 +623,4 @@ def factor_positive_definite(S: LaurentMatrix, tol: float = 1e-9) -> AnalyticPol
         )
     # canonicalize applies a constant unitary, which leaves F F~ as it is
     # up to rounding, so the polish's residual is the factor's.
-    return canonicalize(LaurentMatrix.from_coeffs(A)).factor
+    return canonicalize(LaurentMatrix.from_coeffs(A))

@@ -67,6 +67,22 @@ def _order_grid_count(order: int) -> int:
     return _next_pow2(max(2 * order + 1, 64))
 
 
+def _grid_values(C: np.ndarray, lo: int, count: int) -> np.ndarray:
+    """Values at e^(2 pi i j / count) of the coefficient array C of powers lo..
+
+    Exact at the grid points: powers are folded modulo count, in ascending
+    order, before an inverse FFT along the grid axis.
+    """
+    folded = np.zeros((count,) + C.shape[1:], dtype=complex)
+    for start in range(0, len(C), count):
+        chunk = C[start : start + count]
+        s = (lo + start) % count
+        head = min(count - s, len(chunk))
+        folded[s : s + head] += chunk[:head]
+        folded[: len(chunk) - head] += chunk[head:]
+    return np.fft.ifft(folded, axis=0) * count
+
+
 def _cmul(x: np.ndarray, w) -> np.ndarray:
     """x * w rounded as scalar complex arithmetic rounds it.
 
@@ -255,21 +271,11 @@ class _Laurent:
     # -- evaluation ------------------------------------------------------
 
     def eval_unit_grid(self, count: int) -> np.ndarray:
-        """Stacked values (count,) + shape at e^(2 pi i j / count).
-
-        Exact at the grid points: powers are folded modulo count, in
-        ascending order, before an inverse FFT along the grid axis.
-        """
+        """Stacked values (count,) + shape at e^(2 pi i j / count), exact at
+        the grid points (_grid_values)."""
         if count < 1:
             raise ValueError("count must be >= 1")
-        folded = np.zeros((count,) + self.shape, dtype=complex)
-        for start in range(0, len(self._coeffs), count):
-            chunk = self._coeffs[start : start + count]
-            s = (self._lo + start) % count
-            head = min(count - s, len(chunk))
-            folded[s : s + head] += chunk[:head]
-            folded[: len(chunk) - head] += chunk[head:]
-        return np.fft.ifft(folded, axis=0) * count
+        return _grid_values(self._coeffs, self._lo, count)
 
     # -- structure checks ------------------------------------------------
 

@@ -261,7 +261,7 @@ def complete_to_paraunitary(
         C = -_conv_coeffs(H[:, :, None])
         C[0] += np.eye(m)
         A, _ = polish_coefficients(C, _peel_completion(H), _FINAL_POLISH)
-        lower = canonicalize(LaurentMatrix.from_coeffs(A)).factor
+        lower = canonicalize(LaurentMatrix.from_coeffs(A))
         blocks.append(lower.transpose())
     U = LaurentMatrix.vstack(blocks).as_analytic(0.0)
     report = verify_paraunitary(U, opts.tol)

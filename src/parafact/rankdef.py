@@ -6,7 +6,7 @@ m x k analytic polynomial matrix of order N and full column rank everywhere
 in the open unit disk.  The pipeline:
 
 1. read the almost-everywhere rank off the eigenvalues that the
-   definiteness screen computes on its unit-circle grid;
+   definiteness screen computes on its turned unit-circle grid;
 2. for k < m, pick a symmetric permutation putting a well-conditioned
    k x k head block in the leading position (for k = m it is the identity).
 
@@ -82,6 +82,7 @@ from .fullrank import (
     _cyclic_reduction,
     _relative_residual,
     _screen_definite,
+    _screen_samples,
     canonicalize,
     factor_positive_definite,
     polish_coefficients,
@@ -126,9 +127,8 @@ __all__ = [
     "verify_factorization",
 ]
 
-# Stream tags so each randomized step draws from an independent,
-# reproducible generator for a given rng_seed; roots._TAG_COMPRESS is 103.
-_TAG_RANK = 101
+# Stream tag of select_pivot's circle samples, one of roots._rng's fixed
+# streams; roots._TAG_COMPRESS is 103.
 _TAG_PIVOT = 102
 
 # Head-block conditioning gate for the block identity check: samples where
@@ -186,7 +186,6 @@ class FactorReport:
     residual: float = np.inf
     order: Optional[int] = None
     verdicts: dict = field(default_factory=dict)
-    rng_seed: Optional[int] = None
     path: Optional[str] = None
 
     @property
@@ -256,15 +255,16 @@ class RationalMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _circle_samples(S: LaurentMatrix, opts: RankDefOptions, tag: int) -> np.ndarray:
+def _circle_samples(S: LaurentMatrix) -> np.ndarray:
     """S at 2*order + 17 pseudo-random circle points, as a (count, m, m) array.
 
-    The angles come from the tag's stream of rng_seed, and all points are
-    evaluated at once as exp(i n theta) times the stacked coefficients.
+    The angles are the first draws of the fixed _TAG_PIVOT stream, and all
+    points are evaluated at once as exp(i n theta) times the stacked
+    coefficients.
     """
     lo, hi = S.lo or 0, S.hi or 0
     count = 2 * hi + 17
-    theta = _rng(opts.rng_seed, tag).uniform(0.0, 2.0 * np.pi, count)
+    theta = _rng(_TAG_PIVOT).uniform(0.0, 2.0 * np.pi, count)
     stack = S.coeff_array(lo, hi).reshape(hi - lo + 1, -1)
     waves = np.exp(1j * np.outer(theta, np.arange(lo, hi + 1)))
     return (waves @ stack).reshape(count, S.rows, S.cols)
@@ -291,19 +291,19 @@ def _require_majority(full: np.ndarray, k: int) -> None:
         )
 
 
-def estimate_rank(S: LaurentMatrix, opts: RankDefOptions | None = None) -> int:
+def estimate_rank(S: LaurentMatrix) -> int:
     """Almost-everywhere rank of S on the unit circle.
 
-    The maximum _rank_counts of the singular values at 2*order + 17
-    pseudo-random circle points, so S need not be Hermitian.
+    The maximum _rank_counts of the singular values at the points of the
+    definiteness screen (fullrank._screen_samples), so S need not be
+    Hermitian: the rule spectral_factor applies to the screen's eigenvalues.
     """
-    opts = opts or RankDefOptions()
     if S.rows != S.cols:
         raise ValueError("rank estimation needs a square matrix")
     S = S.trim(0.0)
     if S.is_zero:
         return 0
-    sv = np.linalg.svd(_circle_samples(S, opts, _TAG_RANK), compute_uv=False)
+    sv = np.linalg.svd(_screen_samples(S), compute_uv=False)
     return int(_rank_counts(sv).max())
 
 
@@ -323,7 +323,7 @@ def _pivot_heads(blocks, k: int) -> list:
     return heads
 
 
-def select_pivot(S: LaurentMatrix, k: int, opts: RankDefOptions | None = None) -> tuple:
+def select_pivot(S: LaurentMatrix, k: int) -> tuple:
     """Symmetric permutation placing a robust k x k head block first.
 
     Candidates come from greedy QR column pivoting of the stacked circle
@@ -333,13 +333,12 @@ def select_pivot(S: LaurentMatrix, k: int, opts: RankDefOptions | None = None) -
     pivoting is skipped.  Raises DegenerateInputError when no candidate
     keeps the head block nonsingular at a majority of samples.
     """
-    opts = opts or RankDefOptions()
     m = S.rows
     if S.rows != S.cols:
         raise ValueError("pivot selection needs a square matrix")
     if not 1 <= k <= m:
         raise ValueError("rank k must be between 1 and the matrix size")
-    samples = _circle_samples(S, opts, _TAG_PIVOT)
+    samples = _circle_samples(S)
     scales = np.linalg.svd(samples, compute_uv=False)[:, 0]
 
     candidates = [tuple(range(k))]
@@ -772,7 +771,7 @@ def _common_denominator(R: RationalMatrix):
 # ---------------------------------------------------------------------------
 
 
-def _regularized_start(S: LaurentMatrix, perm: tuple, k: int, opts: RankDefOptions):
+def _regularized_start(S: LaurentMatrix, perm: tuple, k: int):
     """Coefficients (N+1, m, k) of the outer factor of a rank-k S, or None.
 
     Bauer sections B(delta) of S + delta I and B(2 delta) of S + 2 delta I,
@@ -804,7 +803,7 @@ def _regularized_start(S: LaurentMatrix, perm: tuple, k: int, opts: RankDefOptio
     if rel > _FINAL_POLISH:
         return None
     try:
-        drops = find_rank_drop_points(LaurentMatrix.from_coeffs(A), opts)
+        drops = find_rank_drop_points(LaurentMatrix.from_coeffs(A))
     except NumericalFailureError:
         return None
     return None if drops else A
@@ -894,20 +893,18 @@ def spectral_factor(
             identity_check = Check(True, 0.0, opts.tol)
             factor = factor_positive_definite(S, opts.tol)
         else:
-            perm = select_pivot(S, k, opts)
+            perm = select_pivot(S, k)
             identity_check = check_rank_identity(S, perm, k, opts)
             path = "regularized"
-            A = _regularized_start(S, perm, k, opts)
+            A = _regularized_start(S, perm, k)
             if A is None:
                 path = "rational"
                 A, pole_ops, zero_ops = _outer_tall_factor(S, perm, k, opts)
-            factor = canonicalize(LaurentMatrix.from_coeffs(A)).factor
+            factor = canonicalize(LaurentMatrix.from_coeffs(A))
     except NumericalFailureError as exc:
         if exc.report is None:
             residual = np.inf if exc.residual is None else exc.residual
-            exc.report = FactorReport(
-                detected_rank=k, pivot=perm, residual=residual, rng_seed=opts.rng_seed, path=path
-            )
+            exc.report = FactorReport(detected_rank=k, pivot=perm, residual=residual, path=path)
         raise
 
     product = factor @ factor.adjoint()
@@ -926,7 +923,6 @@ def spectral_factor(
         residual=residual,
         order=order,
         verdicts=verdicts,
-        rng_seed=opts.rng_seed,
         path=path,
     )
     if residual > opts.tol:
@@ -1006,12 +1002,7 @@ def verify_factorization(
     )
     verdicts["dimensions"] = Check(dims_ok, float(not dims_ok), 0.5)
     if not dims_ok:
-        return FactorReport(
-            detected_rank=factor.cols,
-            residual=np.inf,
-            verdicts=verdicts,
-            rng_seed=opts.rng_seed,
-        )
+        return FactorReport(detected_rank=factor.cols, residual=np.inf, verdicts=verdicts)
     scale = max(S.max_abs, 1e-300)
     negative = factor.coeff_array(min(factor.lo or 0, 0), -1)
     neg_mass = float(np.abs(negative).max(initial=0.0)) / max(factor.max_abs, 1e-300)
@@ -1030,7 +1021,7 @@ def verify_factorization(
     order_f, verdicts["order_matches"] = _order_check(S, product)
 
     try:
-        drops = find_rank_drop_points(factor, opts)
+        drops = find_rank_drop_points(factor)
         verdicts["no_interior_rank_drop"] = Check(not drops, float(len(drops)), 0.5)
     except (NumericalFailureError, ValueError, ZeroDivisionError):
         # A candidate with negative powers cannot even be probed at z = 0;
@@ -1042,5 +1033,4 @@ def verify_factorization(
         residual=residual,
         order=order_f,
         verdicts=verdicts,
-        rng_seed=opts.rng_seed,
     )

@@ -38,7 +38,7 @@ __all__ = [
 # stripped before building the companion matrix.
 _LEAD_TRIM = 1e-13
 
-# Stream tag of the drop finder's random compression.
+# Stream tag (see _rng) of the drop finder's pseudo-random compression.
 _TAG_COMPRESS = 103
 
 # Relative singular-value cutoff for every rank decision.
@@ -251,22 +251,19 @@ def reflect_column_zero(F: LaurentMatrix, a: complex, null_basis: np.ndarray):
     return LaurentMatrix.from_coeffs(C), U, worst
 
 
-def _rng(seed: int, tag: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, tag])))
+def _rng(tag: int) -> np.random.Generator:
+    """The fixed pseudo-random stream of a randomized step, named by its tag."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([0, tag])))
 
 
 @dataclass(frozen=True)
 class RankDefOptions:
-    """Tolerances and seeds for the rank-deficient pipeline.
+    """Tolerance of the rank-deficient pipeline.
 
     tol: relative residual target for the factorization.
-    rng_seed: seed for the rank sampling of estimate_rank (spectral_factor
-        reads the rank off its definiteness screen), pivoting, and the
-        drop-finding compression.
     """
 
     tol: float = 1e-9
-    rng_seed: int = 0
 
     def __post_init__(self):
         if not self.tol > 0:
@@ -388,17 +385,15 @@ def _screened_starts(F: LaurentMatrix, starts: np.ndarray) -> np.ndarray:
     return starts[_smallest_svs(F, starts) <= _MULTI_ROOT_RADIUS * slope]
 
 
-def find_rank_drop_points(
-    F: LaurentMatrix, opts: RankDefOptions | None = None
-) -> list:
+def find_rank_drop_points(F: LaurentMatrix) -> list:
     """Interior points where a tall analytic factor drops column rank.
 
-    Heuristic but verified.  P(z) = L F(z), for one random k x m
-    compression L, is singular wherever F drops rank.  The starts are the
-    finite eigenvalues inside the disk of the kN x kN block-companion
-    pencil z X + Y of P (X = diag(P_N, I, ..., I); Y has the top block row
-    [P_{N-1} ... P_0] and -I on the block sub-diagonal), from the QZ of
-    the pencil.  A start a is dropped when sigma_min(F(a)) exceeds
+    Heuristic but verified.  P(z) = L F(z), for one fixed pseudo-random
+    k x m compression L drawn from the _TAG_COMPRESS stream, is singular
+    wherever F drops rank.  The starts are the finite eigenvalues inside
+    the disk of the kN x kN block-companion pencil z X + Y of P (X =
+    diag(P_N, I, ..., I); Y has the top block row [P_{N-1} ... P_0] and -I
+    on the block sub-diagonal), from the QZ of the pencil.  A start a is dropped when sigma_min(F(a)) exceeds
     _MULTI_ROOT_RADIUS sum_n n ||F_n||_2, which proves it farther than that
     radius from every drop (_screened_starts): the eigenvalue estimates of
     a zero of multiplicity up to 3 lie well within it, so every drop keeps
@@ -413,7 +408,6 @@ def find_rank_drop_points(
     powers, and NumericalFailureError when F drops rank at every circle
     sample (its normal rank is deficient, so every point would be a drop).
     """
-    opts = opts or RankDefOptions()
     m, k = F.rows, F.cols
     if m < k:
         raise ValueError("factor must be tall")
@@ -427,7 +421,7 @@ def find_rank_drop_points(
             "factor drops rank at every circle sample: largest sampled "
             "smallest singular value %.3e, cut %.3e" % (np.max(sv[:, -1]), cut)
         )
-    gen = _rng(opts.rng_seed, _TAG_COMPRESS)
+    gen = _rng(_TAG_COMPRESS)
     L = (gen.standard_normal((k, m)) + 1j * gen.standard_normal((k, m))) / np.sqrt(2)
     N = F.hi or 0
     P = L @ F.coeff_array(0, N)
@@ -539,7 +533,7 @@ def clear_rank_drops(F: LaurentMatrix, opts: RankDefOptions | None = None):
     budget = _drop_budget(F.cols, F.hi or 0)
     scale = None
     applied = []
-    while drops := find_rank_drop_points(F, opts):
+    while drops := find_rank_drop_points(F):
         if len(applied) >= budget:
             raise NumericalFailureError("rank drops left after a budget of %d" % budget)
         if scale is None:

@@ -239,6 +239,24 @@ def test_bad_arguments_exit_2():
     assert run("verify") == 2
 
 
+def test_factor_takes_no_seed(tmp_path):
+    # Every sampling choice of the factorization is fixed, so the parser
+    # refuses a seed before any file is read or written.
+    rep = tmp_path / "rep.json"
+    assert run("factor", tmp_path / "s.json", "--seed", 0, "--report", rep) == 2
+    assert not rep.exists()
+
+
+def test_info_reads_the_rank_of_negative_powers(tmp_path, capsys):
+    # A top power of -9 or below once gave a negative sample count.
+    path = tmp_path / "m.json"
+    M = LaurentMatrix.from_coeffs(np.array([[[1, 2], [0, 1]]], dtype=complex), -9)
+    write_matrix(path, M)
+    capsys.readouterr()
+    assert run("info", path) == 0
+    assert capsys.readouterr().out == "2x2, powers [-9,-9], not para-Hermitian, rank 2\n"
+
+
 @pytest.mark.parametrize("value", ["inf", "nan"])
 @pytest.mark.parametrize("command", ["factor", "complete", "verify"])
 def test_non_finite_tol_exits_2_before_any_file_is_written(
@@ -344,7 +362,6 @@ class TestReportBytes:
             '    "input": "zero.json",\n'
             '    "tol": 1.0000000000000001e-09,\n'
             '    "rank": "x",\n'
-            '    "seed": 0,\n'
             '    "out": null,\n'
             '    "report": "e.json"\n'
             "  },\n"

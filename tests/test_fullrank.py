@@ -349,7 +349,7 @@ class TestFactorPositiveDefinite:
         F = circle_zero_factor(shape, seed)
         G, report = spectral_factor(F @ F.adjoint())
         assert report.residual <= 2e-15
-        target = canonicalize(F).factor
+        target = canonicalize(F)
         assert G.hi == target.hi
         assert max(np.abs(G.coeff(n) - target.coeff(n)).max() for n in range(G.hi + 1)) <= 1e-6
 
@@ -992,14 +992,15 @@ class TestCanonicalize:
         S, _ = random_pd_spectrum(rng, 3, 2)
         F = factor_positive_definite(S)
         once = canonicalize(F)
-        twice = canonicalize(once.factor)
-        assert (once.factor - twice.factor).max_abs < 1e-10
-        assert np.max(np.abs(twice.applied_unitary - np.eye(3))) < 1e-8
+        twice = canonicalize(once)
+        assert (once - twice).max_abs < 1e-10
+        U = compare_factors(once, twice)
+        assert U is not None and np.max(np.abs(U - np.eye(3))) < 1e-8
 
     def test_unitary_rotation_lands_on_same_representative(self):
         rng = np.random.default_rng(52)
         S, _ = random_pd_spectrum(rng, 2, 2)
-        F = canonicalize(factor_positive_definite(S)).factor
+        F = canonicalize(factor_positive_definite(S))
         theta = 0.7
         Q = np.array(
             [
@@ -1008,12 +1009,14 @@ class TestCanonicalize:
             ]
         )
         rotated = F @ LaurentMatrix.constant(Q)
-        back = canonicalize(rotated).factor
+        back = canonicalize(rotated)
         assert (back - F).max_abs < 1e-9
 
     def test_applied_unitary_is_unitary(self):
         rng = np.random.default_rng(53)
         S, _ = random_pd_spectrum(rng, 2, 1)
-        form = canonicalize(factor_positive_definite(S))
-        U = form.applied_unitary
+        Q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+        F = factor_positive_definite(S) @ LaurentMatrix.constant(Q)
+        U = compare_factors(F, canonicalize(F))
+        assert U is not None and np.max(np.abs(U - np.eye(2))) > 0.1
         assert np.max(np.abs(U.conj().T @ U - np.eye(2))) < 1e-10

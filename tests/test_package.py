@@ -10,7 +10,6 @@ import parafact
 PUBLIC = [
     "AnalyticPolyMatrix",
     "BlaschkeOp",
-    "CanonicalForm",
     "Check",
     "DegenerateInputError",
     "FactorReport",

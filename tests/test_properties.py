@@ -61,8 +61,8 @@ def test_rank_is_invariant_under_permutation_and_scaling(case, data, c):
 @SETTINGS
 @given(spectra())
 def test_screen_and_sampled_rank_agree(case):
-    """spectral_factor counts the screen's eigenvalues on the order grid;
-    estimate_rank counts singular values at random circle points."""
+    """spectral_factor counts the screen's eigenvalues on the turned order
+    grid; estimate_rank counts singular values at the same points."""
     S, k = case
     assert spectral_factor(S)[1].detected_rank == estimate_rank(S) == k
 

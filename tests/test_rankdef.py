@@ -24,7 +24,6 @@ from parafact.rankdef import (
     _DEFLATION_RADIUS,
     _RANK_TOL,
     _TAG_PIVOT,
-    _TAG_RANK,
     _circle_samples,
     _outer_tall_factor,
     _pivot_heads,
@@ -106,26 +105,33 @@ class TestRankAndPivot:
         assert not check.passed
 
 
-def pointwise_samples(S, opts, tag):
+def pointwise_samples(S, tag):
     """The sampled spectrum, one S.eval call per point of the tag's stream."""
     count = 2 * (S.hi or 0) + 17
-    angles = _rng(opts.rng_seed, tag).uniform(0.0, 2.0 * np.pi, count)
+    angles = _rng(tag).uniform(0.0, 2.0 * np.pi, count)
     return [S.eval(np.exp(1j * theta)) for theta in angles]
 
 
-def pointwise_rank(S, opts):
+def turned_grid_samples(S):
+    """S at e^(i (2 pi j + 1) / count), one S.eval call per point: the order
+    grid turned by 1 / count radians."""
+    count = _order_grid_count(max(S.hi, -S.lo))
+    return [S.eval(np.exp(1j * (2 * np.pi * j + 1) / count)) for j in range(count)]
+
+
+def pointwise_rank(S):
     best = 0
-    for M in pointwise_samples(S, opts, _TAG_RANK):
+    for M in turned_grid_samples(S.trim(0.0)):
         sv = np.linalg.svd(M, compute_uv=False)
         if sv[0] > 0:
             best = max(best, int(np.sum(sv > _RANK_TOL * sv[0])))
     return best
 
 
-def pointwise_pivot(S, k, opts):
+def pointwise_pivot(S, k):
     """Pivot selection over per-point samples and per-sample pivoted QR."""
     m = S.rows
-    samples = pointwise_samples(S, opts, _TAG_PIVOT)
+    samples = pointwise_samples(S, _TAG_PIVOT)
     scales = [np.linalg.svd(M, compute_uv=False)[0] for M in samples]
     candidates = [tuple(range(k))]
     for M in [np.vstack(samples)] + samples:
@@ -184,22 +190,24 @@ def pointwise_rank_identity(S, perm, k, opts=None):
 class TestBatchedSampling:
     @pytest.mark.parametrize("make", SAMPLED_SPECTRA)
     def test_samples_match_pointwise_eval(self, make):
-        opts = RankDefOptions()
         for seed in range(4):
             S = make(seed)
-            got = _circle_samples(S, opts, _TAG_PIVOT)
-            want = np.array(pointwise_samples(S, opts, _TAG_PIVOT))
-            assert got.shape == want.shape
-            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+            for got, want in [
+                (_circle_samples(S), pointwise_samples(S, _TAG_PIVOT)),
+                (fullrank._screen_samples(S), turned_grid_samples(S)),
+                (fullrank._screen_samples(S.shifted(-40)), turned_grid_samples(S.shifted(-40))),
+            ]:
+                want = np.array(want)
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("make", SAMPLED_SPECTRA)
     def test_rank_and_pivot_match_pointwise_reference(self, make):
-        opts = RankDefOptions()
         for seed in range(4):
             S = make(seed)
-            k = estimate_rank(S, opts)
-            assert k == pointwise_rank(S, opts)
-            assert select_pivot(S, k, opts) == pointwise_pivot(S, k, opts)
+            k = estimate_rank(S)
+            assert k == pointwise_rank(S)
+            assert select_pivot(S, k) == pointwise_pivot(S, k)
 
     @pytest.mark.parametrize("make", SAMPLED_SPECTRA)
     def test_rank_identity_matches_per_sample_loop(self, make):
@@ -226,7 +234,7 @@ class TestBatchedSampling:
     def test_pivot_heads_are_the_pivoted_qr_ones(self, make, k):
         # xGEQP3 alone, without forming Q, on the benchmark shapes' samples.
         for seed in range(3):
-            samples = _circle_samples(make(seed), RankDefOptions(), _TAG_PIVOT)
+            samples = _circle_samples(make(seed))
             blocks = [samples.reshape(-1, samples.shape[2]), *samples]
             want = [
                 tuple(sorted(scipy.linalg.qr(M, mode="economic", pivoting=True)[2][:k]))
@@ -288,8 +296,7 @@ class TestPipelineStages:
         rng = np.random.default_rng(64)
         self.m, self.k, self.N = 4, 2, 2
         self.S, _ = rank_k_spectrum(rng, self.m, self.k, self.N)
-        self.opts = RankDefOptions()
-        self.perm = select_pivot(self.S, self.k, self.opts)
+        self.perm = select_pivot(self.S, self.k)
         Sp = self.S.permuted(self.perm)
         self.head = Sp.submatrix(range(self.k), range(self.k))
         self.tail_block = Sp.submatrix(range(self.k, self.m), range(self.k))
@@ -414,8 +421,7 @@ class TestRankDropPoints:
     def test_operation_counts_are_pinned(self, m, k, N, seed, zero_ops, pole_ops):
         inst = gen_spectrum(m, k, N, seed, interior_zero_free=True)
         S = inst.spectrum.trim(0.0)
-        opts = RankDefOptions()
-        A, pole, zero = _outer_tall_factor(S, select_pivot(S, k, opts), k, opts)
+        A, pole, zero = _outer_tall_factor(S, select_pivot(S, k), k, RankDefOptions())
         assert len(zero) == zero_ops
         assert len(pole) == pole_ops
         assert compare_factors(inst.secret_factor, LaurentMatrix.from_coeffs(A)) is not None
@@ -435,17 +441,16 @@ class TestRankDropPoints:
     def test_drop_clearing_takes_two_finder_passes(self, m, k, N, monkeypatch):
         calls = []
 
-        def counted(F, opts=None):
+        def counted(F):
             calls.append(F.shape)
-            return find_rank_drop_points(F, opts)
+            return find_rank_drop_points(F)
 
         monkeypatch.setattr("parafact.rankdef.find_rank_drop_points", counted)
         monkeypatch.setattr("parafact.roots.find_rank_drop_points", counted)
         inst = gen_spectrum(m, k, N, 0, interior_zero_free=True)
         S = inst.spectrum.trim(0.0)
-        opts = RankDefOptions()
         calls.clear()
-        _outer_tall_factor(S, select_pivot(S, k, opts), k, opts)
+        _outer_tall_factor(S, select_pivot(S, k), k, RankDefOptions())
         assert calls.count((m, k)) == 2
         assert calls.count((k, k)) == 1
         assert len(calls) == 3
@@ -480,8 +485,7 @@ class TestRankDropPoints:
         monkeypatch.setattr("parafact.rankdef.clear_rank_drops", clear)
         inst = gen_spectrum(6, 3, 3, 0, interior_zero_free=True)
         S = inst.spectrum.trim(0.0)
-        opts = RankDefOptions()
-        _, _, zero = _outer_tall_factor(S, select_pivot(S, 3, opts), 3, opts)
+        _, _, zero = _outer_tall_factor(S, select_pivot(S, 3), 3, RankDefOptions())
         assert [len(ops) > 0 for ops in cleared] == [True]
         assert len(scales) == 1
         assert len(passed) >= 2 and set(passed) <= set(scales)
@@ -533,7 +537,7 @@ class TestRankDropPoints:
 
     def test_clear_rank_drops_raises_when_a_pass_fixes_nothing(self, monkeypatch):
         F = gen_spectrum(3, 2, 2, 7, interior_zero_free=True).secret_factor
-        monkeypatch.setattr("parafact.roots.find_rank_drop_points", lambda G, opts: [0.1j])
+        monkeypatch.setattr("parafact.roots.find_rank_drop_points", lambda G: [0.1j])
         with pytest.raises(NumericalFailureError, match="no reported point of a pass drops rank"):
             clear_rank_drops(F)
 
@@ -607,7 +611,7 @@ def scalar_refine_drop_point(F, a, iters=8):
     return best_a
 
 
-def per_start_drop_points(F, opts=None):
+def per_start_drop_points(F):
     """find_rank_drop_points with one scalar polish per start.
 
     The reference for the batched polish: the same compression, origin
@@ -615,11 +619,10 @@ def per_start_drop_points(F, opts=None):
     its QZ, each start polished on its own by scalar_refine_drop_point, and
     every smallest singular value taken from F.eval one point at a time.
     """
-    opts = opts or RankDefOptions()
     m, k = F.shape
     N = F.hi
     radius = _DEFLATION_RADIUS
-    gen = _rng(opts.rng_seed, _TAG_COMPRESS)
+    gen = _rng(_TAG_COMPRESS)
     L = (gen.standard_normal((k, m)) + 1j * gen.standard_normal((k, m))) / np.sqrt(2)
     X = np.eye(k * N, dtype=complex)
     Y = np.zeros((k * N, k * N), dtype=complex)
@@ -772,6 +775,19 @@ class TestBatchedDropPolish:
 
 
 class TestSpectralFactor:
+    # Every point of the 64-point grid of roots of unity is a zero of one
+    # entry of diag(|1 - i^j z^16|^2, j = 0..3), so the screen turns its
+    # grid off them: the rank is 4 at every turned point.
+    def test_comb_spectrum_keeps_its_rank(self):
+        S = LaurentMatrix.diagonal(
+            [LaurentPoly({-16: -np.conj(1j**j), 0: 2.0, 16: -(1j**j)}) for j in range(4)]
+        )
+        assert estimate_rank(S) == 4
+        for rank in (None, 4):
+            factor, report = spectral_factor(S, rank=rank)
+            assert (report.detected_rank, report.path) == (4, "full-rank")
+            assert verify_factorization(S, factor).passed
+
     def test_rank_one_diagonal_fixture(self):
         S = LaurentMatrix.constant(np.diag([1.0, 0.0]))
         factor, report = spectral_factor(S)
@@ -850,7 +866,7 @@ class TestSpectralFactor:
         assert len(starts) == 1
         assert compare_factors(inst.secret_factor, F) is not None
 
-        perm = select_pivot(S, k, RankDefOptions())
+        perm = select_pivot(S, k)
         section = S.permuted(perm).coeff_array(0, N)
         section[0] += rankdef._REGULARIZATION * S.max_abs * np.eye(m)
         blocks = max(rankdef._REGULARIZED_BLOCKS, 2 * N + 2)
@@ -936,13 +952,12 @@ class TestSpectralFactor:
         monkeypatch.setattr("parafact.rankdef._regularized_start", lambda *args: None)
         monkeypatch.setattr("parafact.rankdef." + stage, failing)
         S = gen_spectrum(4, 2, 4, 0, interior_zero_free=True).spectrum.trim(0.0)
-        opts = RankDefOptions(rng_seed=5)
         with pytest.raises(NumericalFailureError, match="injected") as info:
-            spectral_factor(S, opts)
+            spectral_factor(S)
         report = info.value.report
         assert report.path == "rational"
-        assert report.pivot == select_pivot(S, 2, opts)
-        assert report.detected_rank == 2 and report.rng_seed == 5
+        assert report.pivot == select_pivot(S, 2)
+        assert report.detected_rank == 2
 
     # A k = m failure carries the same partial report, with the residual
     # the error measured: inf where there is no ladder estimate, unshifted
@@ -961,11 +976,11 @@ class TestSpectralFactor:
             with monkeypatch.context() as patched:
                 patched.setattr(*patch)
                 with pytest.raises(NumericalFailureError) as info:
-                    spectral_factor(S, RankDefOptions(rng_seed=5))
+                    spectral_factor(S)
             report = info.value.report
             assert report.path == "full-rank"
             assert report.pivot == (0, 1, 2)
-            assert report.detected_rank == 3 and report.rng_seed == 5
+            assert report.detected_rank == 3
             assert report.residual == info.value.residual == residual
 
     def test_report_records_operations(self):
@@ -981,15 +996,6 @@ class TestSpectralFactor:
 
 
 class TestCompareAndVerify:
-    def test_two_seeds_agree_up_to_constant_unitary(self):
-        rng = np.random.default_rng(75)
-        S, _ = rank_k_spectrum(rng, 3, 2, 2)
-        F1, _ = spectral_factor(S, RankDefOptions(rng_seed=0))
-        F2, _ = spectral_factor(S, RankDefOptions(rng_seed=99))
-        U = compare_factors(F1, F2, RankDefOptions(tol=1e-6))
-        assert U is not None
-        assert np.max(np.abs(U.conj().T @ U - np.eye(2))) < 1e-6
-
     def test_compare_rejects_unrelated_factors(self):
         rng = np.random.default_rng(76)
         S1, _ = rank_k_spectrum(rng, 3, 2, 2)

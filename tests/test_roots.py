@@ -267,7 +267,7 @@ def _clear_rank_drops_reference(F):
     the fix is given."""
     opts = RankDefOptions()
     budget = 4 * F.cols * max(F.hi or 0, 1) + 16
-    while drops := find_rank_drop_points(F, opts):
+    while drops := find_rank_drop_points(F):
         assert budget > 0
         skipped = 0
         for a in drops:

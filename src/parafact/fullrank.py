@@ -34,6 +34,9 @@ circle zero of det S, the ladder of S + delta I is polished against S as
 well and the lower residual kept.  roots.clear_rank_drops then reflects
 the interior rank drops left near circle zeros of det S across the
 circle, and the factor is polished again, until a pass reflects nothing.
+Each pass first tries to certify det of the factor zero-free in the disk
+by one Schur-Cohn Cholesky, and runs the QZ of the drop finder only where
+that fails, so the last pass on an outer factor costs no QZ.
 One check holds the residual to tol, and canonicalize ends it.
 The rank-deficient pipeline uses both halves on its tall factor: ladder
 sections of the regularized spectra S + delta I and S + 2 delta I start

@@ -38,7 +38,10 @@ as the fallback:
    write the columns over one shared, outer denominator;
 5. reflect the interior rank drops of the numerator across the circle
    (roots.clear_rank_drops: the finder's points, each reflected with its
-   whole null space in one step) and divide out the shared denominator,
+   whole null space in one step; the numerator is tall, so its finder
+   always runs the QZ of a compressed pencil, while the square head
+   factor's passes run it only where a Schur-Cohn test of the determinant
+   fails) and divide out the shared denominator,
    leaving a polynomial factor.  The numerator is cleared first because
    the division is exact only then: each denominator root r must be a zero
    of the whole numerator, and the reflection of the drop at 1/conj(r) is
@@ -256,14 +259,16 @@ class RationalMatrix:
 
 
 def _circle_samples(S: LaurentMatrix) -> np.ndarray:
-    """S at 2*order + 17 pseudo-random circle points, as a (count, m, m) array.
+    """S at 2 max(hi, -lo) + 17 pseudo-random circle points, as a (count, m, m) array.
 
-    The angles are the first draws of the fixed _TAG_PIVOT stream, and all
-    points are evaluated at once as exp(i n theta) times the stacked
-    coefficients.
+    The count is sized by the larger of the top and the bottom power, as the
+    definiteness screen's grid is, so a matrix of only negative powers is
+    sampled too; for a para-Hermitian S it is 2 hi + 17.  The angles are
+    the first draws of the fixed _TAG_PIVOT stream, and all points are
+    evaluated at once as exp(i n theta) times the stacked coefficients.
     """
     lo, hi = S.lo or 0, S.hi or 0
-    count = 2 * hi + 17
+    count = 2 * max(hi, -lo) + 17
     theta = _rng(_TAG_PIVOT).uniform(0.0, 2.0 * np.pi, count)
     stack = S.coeff_array(lo, hi).reshape(hi - lo + 1, -1)
     waves = np.exp(1j * np.outer(theta, np.arange(lo, hi + 1)))

@@ -2,7 +2,9 @@
 
 All root finding goes through companion-matrix eigenvalues (np.roots, whose
 eigensolver balances the companion matrix, or the QZ of a block-companion
-pencil for the interior rank drops of a matrix).  Division routines pick the
+pencil for the interior rank drops of a matrix).  A square factor reaches
+that QZ only when a Schur-Cohn test, one Cholesky factorization, fails to
+certify its determinant zero-free in the disk.  Division routines pick the
 recurrence direction that keeps the multipliers inside the unit disk:
 dividing by (z - a) runs top-down when |a| <= 1 and bottom-up otherwise so
 accumulated error stays bounded.
@@ -10,6 +12,7 @@ accumulated error stays bounded.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -17,7 +20,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NumericalFailureError
-from .laurent import LaurentMatrix, LaurentPoly, _cmul
+from .laurent import LaurentMatrix, LaurentPoly, _cmul, _grid_values, _next_pow2
 
 __all__ = [
     "poly_roots",
@@ -46,6 +49,13 @@ _RANK_TOL = 1e-8
 
 # Relative radius for root deflation; |a| >= 1 - _DEFLATION_RADIUS is on the circle.
 _DEFLATION_RADIUS = 1e-7
+
+# Bound on the relative error of one complex multiply-add, sqrt(2) gamma_2
+# + u, and of one radix-2 level of an FFT, mu + gamma_4 (sqrt(2) + mu) with
+# twiddle error mu <= u (Higham, Accuracy and Stability, 2002, section 3.6
+# and Theorem 24.2), both below 8u, u = eps / 2.  _zero_free_disk's error
+# bound uses it.
+_CFLOP = 4.0 * np.finfo(float).eps
 
 # Radius within which find_rank_drop_points keeps only the best-confirmed
 # candidate: eigenvalue estimates of a multiplicity-mu zero scatter by
@@ -385,20 +395,76 @@ def _screened_starts(F: LaurentMatrix, starts: np.ndarray) -> np.ndarray:
     return starts[_smallest_svs(F, starts) <= _MULTI_ROOT_RADIUS * slope]
 
 
+def _gamma(n: int) -> float:
+    """Higham's gamma_n = n v / (1 - n v), with v = _CFLOP."""
+    return n * _CFLOP / (1.0 - n * _CFLOP)
+
+
+def _zero_free_disk(F: LaurentMatrix) -> bool:
+    """True when det F of a square analytic F has no zero in |z| < 1 - _DEFLATION_RADIUS.
+
+    The Schur-Cohn test (Lancaster & Tismenetsky, The Theory of Matrices,
+    1985, 13.5) of p(z) = det F(rho z), rho = 1 - _DEFLATION_RADIUS, whose
+    degree is at most n = k N.  Its coefficients a_0..a_n come from the
+    determinants at count >= n + 1 roots of unity by an FFT, the
+    interpolation of LaurentMatrix.det.  With A and B the lower-triangular
+    n x n Toeplitz matrices of a_0..a_{n-1} and of conj(a_n)..conj(a_1),
+    and H = A^H A - B^H B,
+        |p(z)|^2 - |z^n conj(p(1/conj z))|^2 = (1 - |z|^2) v^H H v
+    for v = (1, conj z, ..., conj z^(n-1)), so a positive definite H leaves
+    p no zero in the open unit disk.  The test is one zpotrf of H - tau I.
+    tau bounds what rounding can hide, from computed quantities alone: the
+    error of the samples, the determinants and the FFT, what that error
+    moves H by, and the backward error of the Cholesky.  CHANGES.md derives
+    it.  False means only that the test did not certify F.
+    """
+    k, N = F.cols, F.hi or 0
+    n, count = k * N, max(8, _next_pow2(k * N + 1))
+    rho_n = (1.0 - _DEFLATION_RADIUS) ** np.arange(N + 1)
+    X = _grid_values(F.coeff_array(0, N) * rho_n[:, None, None], 0, count)
+    a = np.fft.fft(np.linalg.det(X))[: n + 1] / count
+    s, lg = np.max(np.linalg.norm(X, axis=(1, 2))), math.log2(count)
+    # The 2-norm perturbation of a sample, relative to s, that the scaling,
+    # the FFT and the LU with partial pivoting account for (a complex pivot
+    # step grows entries by at most 1 + sqrt(2)); the error of a sample's
+    # determinant, relative to s^k, which adds numpy's sign * exp(sum of
+    # log |u_ii|) rounding; then an l2 bound on the coefficients' error,
+    # times sqrt(n), which bounds that error's Toeplitz matrices in norm.
+    growth = (1.0 + math.sqrt(2.0)) ** (k - 1)
+    lu = _gamma(k) * k * math.sqrt(k * (k + 1) / 2) * growth
+    pert = _CFLOP * (lg * math.sqrt(count) + math.sqrt(N + 1)) + lu
+    logs = 2 + 3 * k * (math.log(growth) + abs(math.log(s)))
+    det_err = (_gamma(3 * k) * logs + 2 * k * pert) * (1.0 + pert) ** k
+    d = math.sqrt(n) * (det_err + _CFLOP * lg * (1.0 + det_err)) * s**k
+    a1 = float(np.sum(np.abs(a)))
+    tau = 4 * n * _gamma(n + 1) * a1**2 + 2 * d * (2 * a1 + d)
+    A = scipy.linalg.toeplitz(a[:n], np.zeros(n))
+    B = scipy.linalg.toeplitz(a[:0:-1].conj(), np.zeros(n))
+    H = A.conj().T @ A - B.conj().T @ B
+    return scipy.linalg.lapack.zpotrf(H - tau * np.eye(n))[1] == 0
+
+
 def find_rank_drop_points(F: LaurentMatrix) -> list:
     """Interior points where a tall analytic factor drops column rank.
 
-    Heuristic but verified.  P(z) = L F(z), for one fixed pseudo-random
-    k x m compression L drawn from the _TAG_COMPRESS stream, is singular
-    wherever F drops rank.  The starts are the finite eigenvalues inside
-    the disk of the kN x kN block-companion pencil z X + Y of P (X =
-    diag(P_N, I, ..., I); Y has the top block row [P_{N-1} ... P_0] and -I
-    on the block sub-diagonal), from the QZ of the pencil.  A start a is dropped when sigma_min(F(a)) exceeds
+    Heuristic but verified.  A square F (k = m) is first put to
+    _zero_free_disk, the Schur-Cohn test of det F(z) on |z| < 1 -
+    _DEFLATION_RADIUS: where it certifies that no zero lies there, the
+    search has no start, and no compression or QZ is formed.  Otherwise,
+    and for every tall F, the starts come from a pencil.  (A tall F is not
+    tested: the zeros of its compressed pencil are those of L F, which has
+    zeros that F lacks, so the test would seldom hold.)
+    P(z) = L F(z), for one fixed pseudo-random k x m compression L drawn
+    from the _TAG_COMPRESS stream, is singular wherever F drops rank.  The
+    starts are the finite eigenvalues inside the disk of the kN x kN
+    block-companion pencil z X + Y of P (X = diag(P_N, I, ..., I); Y has
+    the top block row [P_{N-1} ... P_0] and -I on the block sub-diagonal),
+    from the QZ of the pencil.  A start a is dropped when sigma_min(F(a)) exceeds
     _MULTI_ROOT_RADIUS sum_n n ||F_n||_2, which proves it farther than that
     radius from every drop (_screened_starts): the eigenvalue estimates of
     a zero of multiplicity up to 3 lie well within it, so every drop keeps
-    its own start.  On an outer factor typically none is left, and then
-    nothing is polished.  The rest are polished against F itself in one
+    its own start.  On an outer tall factor typically none is left, and
+    then nothing is polished.  The rest are polished against F itself in one
     batched Gauss-Newton, _refine_drop_points.  The landings inside the disk and
     the origin, which joins unpolished, are scored by their smallest
     singular value; going from the best, each one below the cut is
@@ -421,12 +487,12 @@ def find_rank_drop_points(F: LaurentMatrix) -> list:
             "factor drops rank at every circle sample: largest sampled "
             "smallest singular value %.3e, cut %.3e" % (np.max(sv[:, -1]), cut)
         )
-    gen = _rng(_TAG_COMPRESS)
-    L = (gen.standard_normal((k, m)) + 1j * gen.standard_normal((k, m))) / np.sqrt(2)
     N = F.hi or 0
-    P = L @ F.coeff_array(0, N)
     z = np.zeros(0, dtype=complex)
-    if N:
+    if N and not (m == k and _zero_free_disk(F)):
+        gen = _rng(_TAG_COMPRESS)
+        L = (gen.standard_normal((k, m)) + 1j * gen.standard_normal((k, m))) / np.sqrt(2)
+        P = L @ F.coeff_array(0, N)
         X = np.eye(k * N, dtype=complex)
         X[:k, :k] = P[N]
         Y = -np.eye(k * N, k=-k, dtype=complex)

@@ -7,6 +7,7 @@ cases are checked through the defining identity and the canonical form.
 
 import itertools
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -472,6 +473,11 @@ class TestFactorPositiveDefinite:
     # differently in the last bits; at multiple circle zeros that once
     # changed which cases failed.  The stress ladder, the clearing and
     # kept-start cases and the rotated probe must pass with two threads.
+    # The tall circle-zero rung of test_rankdef.py runs too, and there two
+    # threads still change three mu = 3 outcomes of (4,3,3): seed 0, which
+    # raises with one thread, passes its report and fails verification with
+    # an interior drop, and seeds 1 and 6 raise.  The other 87 cases keep
+    # their one-thread outcomes.
     def test_two_blas_threads_give_the_same_outcomes(self):
         root = Path(__file__).resolve().parent.parent
         env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2", MKL_NUM_THREADS="2")
@@ -485,11 +491,15 @@ class TestFactorPositiveDefinite:
         ]
         run = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__,
-             "-k", " or ".join(names)],
+             str(Path(__file__).with_name("test_rankdef.py")),
+             "-k", " or ".join(names + ["tall_circle_zero_rung"])],
             cwd=root, env=env, capture_output=True, text=True, timeout=600,
         )
-        assert run.returncode == 0, run.stdout[-3000:]
-        assert "12 passed" in run.stdout
+        failed = re.findall(r"^FAILED \S+\[(\S+)\]", run.stdout, re.M)
+        assert sorted(failed) == [
+            "4x3x3-mu3-seed0", "4x3x3-mu3-seed1", "4x3x3-mu3-seed6"
+        ], run.stdout[-3000:]
+        assert "3 failed, 91 passed" in run.stdout and "8 xfailed" in run.stdout
 
     # The ladder first meets _FINAL_POLISH on (1,1,40) seed 1189 at step 12,
     # residual 9.2e-16; the step past it, to 1.2e-16, brings it within 1e-9

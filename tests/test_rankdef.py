@@ -90,6 +90,13 @@ class TestRankAndPivot:
             sv = np.linalg.svd(head.eval(z), compute_uv=False)
             assert sv[-1] > 1e-6 * sv[0]
 
+    # Only the power -9: 2 hi + 17 samples would be -1 of them.
+    def test_select_pivot_samples_a_matrix_of_negative_powers(self):
+        S = LaurentMatrix(2, 2, {-9: np.array([[1.0, 2.0], [0.0, 1.0]])})
+        assert _circle_samples(S).shape == (35, 2, 2)
+        assert select_pivot(S, 2) == (0, 1)
+        assert select_pivot(S, 1) == (0, 1)
+
     def test_rank_identity_on_true_rank(self):
         rng = np.random.default_rng(62)
         S, _ = rank_k_spectrum(rng, 4, 2, 2)
@@ -107,7 +114,7 @@ class TestRankAndPivot:
 
 def pointwise_samples(S, tag):
     """The sampled spectrum, one S.eval call per point of the tag's stream."""
-    count = 2 * (S.hi or 0) + 17
+    count = 2 * max(S.hi or 0, -(S.lo or 0)) + 17
     angles = _rng(tag).uniform(0.0, 2.0 * np.pi, count)
     return [S.eval(np.exp(1j * theta)) for theta in angles]
 
@@ -993,6 +1000,52 @@ class TestSpectralFactor:
         for op in report.zero_ops:
             assert op.direction == "zero-removal"
             assert abs(op.a) < 1.0
+
+
+def tall_circle_zero_spectrum(shape, mu, seed):
+    """F F~ for the outer tall (m, k, N) factor of seed times diag((1 - z)^mu, 1, ...)."""
+    m, k, N = shape
+    zero = LaurentPoly.one()
+    for _ in range(mu):
+        zero = zero * LaurentPoly({0: 1.0, 1: -1.0})
+    F = gen_spectrum(m, k, N, seed, interior_zero_free=True).secret_factor
+    F = F @ LaurentMatrix.diagonal([zero] + [LaurentPoly.one()] * (k - 1))
+    return F @ F.adjoint()
+
+
+# The tall circle-zero rung, with one BLAS thread: a zero of multiplicity
+# mu at z = 1 in the first column of a tall outer factor.  mu = 1 takes the
+# regularized path, mu = 2 and 3 the rational one, whose head block is
+# factored by the full-rank path and its drop clearing.  These 9 of the
+# 90 cases raise NumericalFailureError: "does not divide" remainders of
+# 1.8e-5 to 8.6e-2, or residuals of 8.0e-9 to 3.0e-6 above tol.
+TALL_RUNG_RAISES = {
+    ((3, 2, 2), 3, 2), ((3, 2, 2), 3, 5), ((3, 2, 2), 3, 6), ((3, 2, 2), 3, 8),
+    ((4, 2, 2), 3, 3), ((4, 2, 2), 3, 4), ((4, 2, 2), 3, 8),
+    ((4, 3, 3), 3, 0), ((4, 3, 3), 3, 2),
+}
+
+
+class TestTallCircleZeroRung:
+    @pytest.mark.parametrize(
+        "shape,mu,seed",
+        [
+            pytest.param(
+                shape, mu, seed,
+                id="%dx%dx%d-mu%d-seed%d" % (shape + (mu, seed)),
+                marks=[pytest.mark.xfail(strict=True, raises=NumericalFailureError)]
+                if (shape, mu, seed) in TALL_RUNG_RAISES else [],
+            )
+            for shape in [(3, 2, 2), (4, 2, 2), (4, 3, 3)]
+            for mu in (1, 2, 3)
+            for seed in range(10)
+        ],
+    )
+    def test_tall_circle_zero_rung_verifies(self, shape, mu, seed):
+        S = tall_circle_zero_spectrum(shape, mu, seed)
+        G, report = spectral_factor(S)
+        assert report.path == ("regularized" if mu == 1 else "rational")
+        assert report.passed and verify_factorization(S, G).passed
 
 
 class TestCompareAndVerify:

@@ -2,16 +2,20 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from parafact import roots
 from parafact.errors import NumericalFailureError
 from parafact.instances import gen_spectrum
 from parafact.laurent import LaurentMatrix, LaurentPoly, _cmul
+from parafact.rankdef import spectral_factor
 from parafact.roots import (
+    _DEFLATION_RADIUS,
     _RANK_TOL,
     RankDefOptions,
     _NoRankDrop,
     _operator_scale,
+    _zero_free_disk,
     clear_rank_drops,
     cluster_points,
     divide_linear,
@@ -367,3 +371,94 @@ def test_fix_rank_drop_gates_by_the_given_scale():
     assert len(fix_rank_drop(F, a, opts)[1]) == 2
     lifted = 1.01 * sv[-3] / _RANK_TOL
     assert len(fix_rank_drop(F, a, opts, lifted)[1]) == 3
+
+
+# ---------------------------------------------------------------------------
+# the Schur-Cohn certificate that spares a square factor the finder's QZ
+# ---------------------------------------------------------------------------
+
+
+def pencil_zeros(F):
+    """Finite eigenvalues of the block-companion pencil of a square analytic F, by QZ."""
+    k, N = F.cols, F.hi
+    P = F.coeff_array(0, N)
+    X = np.eye(k * N, dtype=complex)
+    X[:k, :k] = P[N]
+    Y = -np.eye(k * N, k=-k, dtype=complex)
+    Y[:k] = np.hstack(P[N - 1 :: -1])
+    z = scipy.linalg.eigvals(-Y, X)
+    return z[np.isfinite(z)]
+
+
+def outer_square_factor(shape, seed):
+    return gen_spectrum(*shape, seed, interior_zero_free=True).secret_factor
+
+
+@pytest.fixture(scope="module")
+def plant_factors():
+    """(seed, outer square factor) pairs, 150 seeds of each of four shapes."""
+    shapes = [(1, 1, 8), (2, 2, 2), (3, 3, 3), (4, 4, 4)]
+    return [(seed, outer_square_factor(shape, seed)) for shape in shapes for seed in range(150)]
+
+
+def planted_zero_factor(F, seed, radius):
+    """F times diag(z - a, 1, ...), for a seeded point a with |a| = radius."""
+    a = radius * np.exp(2j * np.pi * np.random.default_rng(seed).uniform())
+    cols = [LaurentPoly({0: -a, 1: 1.0})] + [LaurentPoly.one()] * (F.cols - 1)
+    return F @ LaurentMatrix.diagonal(cols)
+
+
+def certified(F):
+    """Whether _zero_free_disk certifies F; where it does, F's own pencil must
+    have no eigenvalue in the disk that the certificate covers."""
+    held = _zero_free_disk(F)
+    if held:
+        assert not np.any(np.abs(pencil_zeros(F)) < 1.0 - _DEFLATION_RADIUS)
+    return held
+
+
+# A zero planted at 1 - 1.1e-7 or deeper lies in the disk |z| < 1 -
+# _DEFLATION_RADIUS that the certificate covers, so it must never hold
+# there.  From 1 - 0.9e-7 out it may: of the 600 factors per radius it
+# held on 336 at 1 - 0.9e-7, 416 at 1 and 593 at 1 + 1e-4, and wherever it
+# held, the pencil had no eigenvalue in the disk.
+@pytest.mark.parametrize(
+    "radius", [1 - 1e-3, 1 - 2e-7, 1 - 1.1e-7, 1 - 0.9e-7, 1.0, 1 + 1e-4]
+)
+def test_certificate_never_holds_over_a_planted_interior_zero(radius, plant_factors):
+    held = [certified(planted_zero_factor(F, seed, radius)) for seed, F in plant_factors]
+    assert any(held) == (radius > 1.0 - _DEFLATION_RADIUS)
+
+
+# The circle-zero stress spectra of test_fullrank.py: the planted factor,
+# whose determinant has a zero of multiplicity 1 to 4 at z = 1, and the
+# factor spectral_factor returns, whose cluster of zeros near z = 1 it has
+# cleared of interior drops.
+@pytest.mark.parametrize("mult", [1, 2, 3, 4])
+@pytest.mark.parametrize("m", [2, 3])
+def test_certificate_is_sound_on_the_circle_zero_stress_factors(mult, m):
+    zero = LaurentPoly.one()
+    for _ in range(mult):
+        zero = zero * LaurentPoly({0: 1.0, 1: -1.0})
+    diag = LaurentMatrix.diagonal([zero] + [LaurentPoly.one()] * (m - 1))
+    for seed in range(30):
+        F = outer_square_factor((m, m, 2), seed) @ diag
+        certified(F)
+        certified(spectral_factor(F @ F.adjoint())[0])
+
+
+# The fast path itself: every outer factor of the five factor-fullrank
+# bench shapes, the generated one and the computed one, is certified, and
+# its drop search then runs no QZ.  A tall outer factor still runs it.
+@pytest.mark.parametrize("shape", [(1, 1, 24), (1, 1, 40), (4, 4, 4), (3, 3, 8), (6, 6, 3)])
+def test_certificate_holds_on_every_outer_bench_factor(shape, monkeypatch):
+    for seed in range(28):
+        inst = gen_spectrum(*shape, seed, interior_zero_free=True)
+        assert certified(inst.secret_factor)
+        assert certified(spectral_factor(inst.spectrum)[0])
+    calls = []
+    qz = scipy.linalg.eigvals
+    monkeypatch.setattr(scipy.linalg, "eigvals", lambda *a: calls.append(1) or qz(*a))
+    assert find_rank_drop_points(inst.secret_factor) == [] and not calls
+    tall = gen_spectrum(shape[0] + 1, *shape[1:], seed, interior_zero_free=True)
+    assert find_rank_drop_points(tall.secret_factor) == [] and calls

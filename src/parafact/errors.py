@@ -37,7 +37,7 @@ class NumericalFailureError(ParafactError):
 
 
 class IndeterminateError(ParafactError):
-    """A comparison could not be decided (all samples ill-conditioned)."""
+    """A comparison could not be decided (too few well-conditioned samples)."""
 
 
 class NotParaunitaryError(ParafactError):

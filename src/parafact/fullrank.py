@@ -443,14 +443,18 @@ def canonicalize(F: LaurentMatrix) -> AnalyticPolyMatrix:
 
     With F(0) = W Sigma V^H (thin SVD), applies V D where the diagonal phase
     D makes the first largest-magnitude entry of each column of W Sigma real
-    positive.  Requires full column rank at z = 0.
+    positive.  Raises NumericalFailureError when F(0) is rank deficient.
     """
     if not F.is_zero and F.lo < 0:
         raise ValueError("canonicalize expects an analytic matrix")
     F0 = F.coeff(0)
     W, sv, Vh = np.linalg.svd(F0, full_matrices=False)
-    if sv.size == 0 or sv[-1] <= _RANK0_TOL * max(sv[0], 1e-300):
-        raise ValueError("factor is rank deficient at z = 0")
+    ratio = sv[-1] / sv[0] if sv.size and sv[0] > 0 else 0.0
+    if ratio <= _RANK0_TOL:
+        raise NumericalFailureError(
+            "factor is rank deficient at z = 0: singular value ratio %.3e of F(0), "
+            "cut %.0e" % (ratio, _RANK0_TOL)
+        )
     B = W * sv
     phases = np.ones(F.cols, dtype=complex)
     for j in range(F.cols):

@@ -67,6 +67,11 @@ def _order_grid_count(order: int) -> int:
     return _next_pow2(max(2 * order + 1, 64))
 
 
+def _interp_count(span: int) -> int:
+    """The smallest power of two >= span + 1 and >= 8: a grid that interpolates span + 1 powers."""
+    return max(8, _next_pow2(span + 1))
+
+
 def _grid_values(C: np.ndarray, lo: int, count: int) -> np.ndarray:
     """Values at e^(2 pi i j / count) of the coefficient array C of powers lo..
 
@@ -609,9 +614,9 @@ class LaurentMatrix(_Laurent):
     def det(self) -> LaurentPoly:
         """Determinant as a Laurent polynomial, by FFT interpolation.
 
-        Samples the matrix on a uniform unit-circle grid wide enough for the
-        determinant's support window [k*lo, k*hi] and recovers coefficients
-        with a forward FFT.
+        Samples the matrix on the _interp_count grid of the determinant's
+        support window [k*lo, k*hi] and recovers coefficients with a
+        forward FFT.
         """
         if self.rows != self.cols:
             raise ValueError("determinant needs a square matrix")
@@ -621,8 +626,7 @@ class LaurentMatrix(_Laurent):
         if self.is_zero:
             return LaurentPoly.zero()
         wlo, whi = k * self.lo, k * self.hi
-        count = max(8, _next_pow2(whi - wlo + 1))
-        samples = self.eval_unit_grid(count)
+        samples = self.eval_unit_grid(_interp_count(whi - wlo))
         values = np.linalg.det(samples)
         return laurent_from_unit_samples(values, wlo, whi)
 

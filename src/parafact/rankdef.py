@@ -94,7 +94,7 @@ from .laurent import (
     AnalyticPolyMatrix,
     LaurentMatrix,
     LaurentPoly,
-    _next_pow2,
+    _interp_count,
     _order_grid_count,
     laurent_from_unit_samples,
 )
@@ -448,24 +448,17 @@ def _det_and_adjugate(F: LaurentMatrix):
     if k == 1:
         return F.entry(0, 0), LaurentMatrix.identity(1)
     lo, hi = (F.lo or 0), (F.hi or 0)
-    count = _next_pow2(max(8, k * (hi - lo) + 1))
-    samples = F.eval_unit_grid(count)
-    det = _edge_trimmed(
-        laurent_from_unit_samples(np.linalg.det(samples), k * lo, k * hi).trim(1e-14)
-    )
-    wlo, whi = (k - 1) * lo, (k - 1) * hi
-    entries = [[None] * k for _ in range(k)]
-    rows_all = list(range(k))
-    for i in range(k):
-        for j in range(k):
-            ridx = [r for r in rows_all if r != j]
-            cidx = [c for c in rows_all if c != i]
-            minors = np.linalg.det(samples[:, ridx][:, :, cidx])
-            sign = -1.0 if (i + j) % 2 else 1.0
-            entries[i][j] = _edge_trimmed(
-                laurent_from_unit_samples(sign * minors, wlo, whi).trim(1e-14)
-            )
-    return det, LaurentMatrix.from_entries(entries)
+    samples = F.eval_unit_grid(_interp_count(k * (hi - lo)))
+
+    def interpolated(dets, size):
+        return _edge_trimmed(laurent_from_unit_samples(dets, size * lo, size * hi).trim(1e-14))
+
+    def cofactor(i, j):
+        rows, cols = [r for r in range(k) if r != j], [c for c in range(k) if c != i]
+        return (-1.0) ** (i + j) * np.linalg.det(samples[:, rows][:, :, cols])
+
+    adj = [[interpolated(cofactor(i, j), k - 1) for j in range(k)] for i in range(k)]
+    return interpolated(np.linalg.det(samples), k), LaurentMatrix.from_entries(adj)
 
 
 def _monic_normalized(num_entries, den):
@@ -955,9 +948,11 @@ def compare_factors(
 ):
     """Constant unitary U with G = F U, or None when the factors differ.
 
-    Solves (F^H F) U = F^H G at the best-conditioned unit-circle samples and
-    checks the solutions agree and are unitary within tol.  Raises
-    IndeterminateError when every sample is too ill-conditioned to decide.
+    Solves (F^H F) U = F^H G at the best-conditioned max(8, N + 1) points of
+    condition <= 1e8 on the _order_grid_count(N) grid, N the span of their
+    powers, and checks the solutions agree and are unitary within tol: for
+    factors of one spectrum, agreement at N + 1 points forces G - F U to 0.
+    Raises IndeterminateError, naming both counts, if fewer points qualify.
     """
     opts = opts or RankDefOptions()
     if F.shape != G.shape:
@@ -965,26 +960,21 @@ def compare_factors(
     k = F.cols
     if k == 0:
         return np.zeros((0, 0), dtype=complex)
-    count = 16
-    zs = np.exp(2j * np.pi * np.arange(count) / count)
-    entries = []
-    for z in zs:
-        Fz = F.eval(z)
-        M = Fz.conj().T @ Fz
-        sv = np.linalg.svd(M, compute_uv=False)
-        cond = np.inf if sv[-1] == 0 else sv[0] / sv[-1]
-        entries.append((cond, z, Fz, M))
-    entries.sort(key=lambda t: t[0])
-    entries = entries[:8]
-    if not entries or entries[0][0] > 1e8:
-        raise IndeterminateError("factor comparison is ill-conditioned at all samples")
-    Us = []
-    for cond, z, Fz, M in entries:
-        if cond > 1e8:
-            continue
-        Us.append(np.linalg.solve(M, Fz.conj().T @ G.eval(z)))
-    mean = sum(Us) / len(Us)
-    spread = max(float(np.max(np.abs(U - mean))) for U in Us)
+    N = max(F.hi or 0, G.hi or 0) - min(F.lo or 0, G.lo or 0, 0)
+    count = _order_grid_count(N)
+    Fs, Gs = F.eval_unit_grid(count), G.eval_unit_grid(count)
+    FsH = Fs.conj().transpose(0, 2, 1)
+    M = FsH @ Fs
+    cond = np.linalg.cond(M)
+    take = min(np.count_nonzero(cond <= 1e8), max(8, N + 1))
+    use = np.argsort(cond, kind="stable")[:take]
+    if use.size < N + 1:
+        raise IndeterminateError(
+            "%d of %d samples have condition <= 1e8, %d needed" % (use.size, count, N + 1)
+        )
+    Us = np.linalg.solve(M[use], FsH[use] @ Gs[use])
+    mean = Us.mean(axis=0)
+    spread = float(np.max(np.abs(Us - mean)))
     unitary_dev = float(np.max(np.abs(mean.conj().T @ mean - np.eye(k))))
     if spread > opts.tol or unitary_dev > opts.tol:
         return None

@@ -20,7 +20,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NumericalFailureError
-from .laurent import LaurentMatrix, LaurentPoly, _cmul, _grid_values, _next_pow2
+from .laurent import LaurentMatrix, LaurentPoly, _cmul, _grid_values, _interp_count
 
 __all__ = [
     "poly_roots",
@@ -298,8 +298,10 @@ class BlaschkeOp:
 
 
 def _circle_svs(F: LaurentMatrix) -> np.ndarray:
-    """Singular values of F at 16 unit-circle samples, one row per sample."""
-    return np.linalg.svd(F.eval_unit_grid(16), compute_uv=False)
+    """Singular values of an m x k F of order N at _interp_count(k N) circle
+    samples, one row per sample: more than k N, the degree bound of a k x k
+    minor, so a drop at every sample proves the normal rank deficient."""
+    return np.linalg.svd(F.eval_unit_grid(_interp_count(F.cols * (F.hi or 0))), compute_uv=False)
 
 
 def _operator_scale(F: LaurentMatrix) -> float:
@@ -406,7 +408,7 @@ def _zero_free_disk(F: LaurentMatrix) -> bool:
     The Schur-Cohn test (Lancaster & Tismenetsky, The Theory of Matrices,
     1985, 13.5) of p(z) = det F(rho z), rho = 1 - _DEFLATION_RADIUS, whose
     degree is at most n = k N.  Its coefficients a_0..a_n come from the
-    determinants at count >= n + 1 roots of unity by an FFT, the
+    determinants at the _interp_count(n) roots of unity by an FFT, the
     interpolation of LaurentMatrix.det.  With A and B the lower-triangular
     n x n Toeplitz matrices of a_0..a_{n-1} and of conj(a_n)..conj(a_1),
     and H = A^H A - B^H B,
@@ -419,7 +421,7 @@ def _zero_free_disk(F: LaurentMatrix) -> bool:
     it.  False means only that the test did not certify F.
     """
     k, N = F.cols, F.hi or 0
-    n, count = k * N, max(8, _next_pow2(k * N + 1))
+    n, count = k * N, _interp_count(k * N)
     rho_n = (1.0 - _DEFLATION_RADIUS) ** np.arange(N + 1)
     X = _grid_values(F.coeff_array(0, N) * rho_n[:, None, None], 0, count)
     a = np.fft.fft(np.linalg.det(X))[: n + 1] / count
@@ -471,8 +473,8 @@ def find_rank_drop_points(F: LaurentMatrix) -> list:
     reported unless a reported point lies within _MULTI_ROOT_RADIUS.  An
     eigenvalue where only the compression is singular lands on no drop and
     fails the cut.  Raises ValueError when F is wide or has negative
-    powers, and NumericalFailureError when F drops rank at every circle
-    sample (its normal rank is deficient, so every point would be a drop).
+    powers, and NumericalFailureError when F drops rank at every sample of
+    _circle_svs (its normal rank is deficient, so every point is a drop).
     """
     m, k = F.rows, F.cols
     if m < k:

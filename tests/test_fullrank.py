@@ -1030,3 +1030,13 @@ class TestCanonicalize:
         U = compare_factors(F, canonicalize(F))
         assert U is not None and np.max(np.abs(U - np.eye(2))) > 0.1
         assert np.max(np.abs(U.conj().T @ U - np.eye(2))) < 1e-10
+
+    def test_singular_value_at_zero_is_a_typed_failure(self):
+        # F(0) = [[1, 0], [0, 0]] with a nonzero F_1: full rank on the
+        # circle, singular at the origin.
+        F = LaurentMatrix(2, 2, {0: np.diag([1.0, 0.0]), 1: np.eye(2)})
+        message = "ratio 0.000e\\+00 of F\\(0\\), cut 1e-12"
+        with pytest.raises(NumericalFailureError, match=message):
+            canonicalize(F)
+        with pytest.raises(ValueError, match="expects an analytic matrix"):
+            canonicalize(LaurentMatrix(2, 2, {-1: np.eye(2), 0: np.eye(2)}))

@@ -93,6 +93,21 @@ def test_rank_deficient_factor_follows_permutation_and_scaling(case, data, c):
     assert compare_factors(F * np.sqrt(c), H) is not None
 
 
+@SETTINGS
+@given(spectra(), st.integers(0, 2**32 - 1))
+def test_factor_of_a_rotated_spectrum_is_the_rotated_factor(case, seed):
+    # G G~ = V S V^H = (V F) (V F)~, so G and V F are factors of one
+    # spectrum and differ by a constant unitary on the right.
+    S, _ = case
+    rng = np.random.default_rng(seed)
+    m = S.rows
+    Q, R = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+    V = LaurentMatrix.constant(Q * (np.diag(R) / np.abs(np.diag(R))))
+    F, _ = spectral_factor(S)
+    G, _ = spectral_factor(V @ S @ V.adjoint())
+    assert compare_factors(V @ F, G) is not None
+
+
 def plant(F, zeros):
     """(planted, reflected): column 0 of F times (z - a), and times
     (1 - conj(a) z), for every a in zeros."""

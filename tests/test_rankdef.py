@@ -18,7 +18,7 @@ from parafact.errors import (
 )
 from parafact.fullrank import factor_positive_definite
 from parafact.instances import gen_lossless, gen_spectrum
-from parafact.laurent import LaurentMatrix, LaurentPoly, _order_grid_count
+from parafact.laurent import LaurentMatrix, LaurentPoly, _interp_count, _order_grid_count
 from parafact.paraunitary import deficiency_matrix
 from parafact.rankdef import (
     _DEFLATION_RADIUS,
@@ -395,7 +395,7 @@ class TestRankDropPoints:
             F = gen_spectrum(m, k, N, seed).secret_factor
             want = max(
                 float(np.linalg.svd(M, compute_uv=False)[0])
-                for M in F.eval_unit_grid(16)
+                for M in F.eval_unit_grid(_interp_count(F.cols * N))
             )
             assert _operator_scale(F) == want
 
@@ -1057,6 +1057,24 @@ class TestCompareAndVerify:
         F2, _ = spectral_factor(S2)
         assert compare_factors(F1, F2, RankDefOptions(tol=1e-8)) is None
 
+    # f = 1 - c z^p and g = z^p - conj(c) share |f| = |g| on the circle, but
+    # g / f is a Blaschke factor in z^p, no constant.  On a grid where z^p
+    # takes one value, such as 16 points at p = 16 or 32, they look alike.
+    @pytest.mark.parametrize("p", [8, 15, 16, 32])
+    @pytest.mark.parametrize("c", [2.0, 1.5 + 0.5j], ids=["real", "complex"])
+    def test_compare_rejects_a_blaschke_factor_at_every_order(self, p, c):
+        f = LaurentMatrix.from_entries([[LaurentPoly({0: 1.0, p: -c})]])
+        g = LaurentMatrix.from_entries([[LaurentPoly({0: -np.conj(c), p: 1.0})]])
+        assert compare_factors(f, g) is None
+
+    def test_compare_names_the_samples_it_lacks(self):
+        # Two equal columns leave F^H F singular at every sample.
+        col = LaurentMatrix(3, 1, {0: np.array([[1.0], [2.0], [0.5]]), 1: np.ones((3, 1))})
+        F = LaurentMatrix.hstack([col, col])
+        message = "0 of 64 samples have condition <= 1e8, 2 needed"
+        with pytest.raises(IndeterminateError, match=message):
+            compare_factors(F, F)
+
     def test_compare_needs_matching_shapes(self):
         rng = np.random.default_rng(77)
         S, _ = rank_k_spectrum(rng, 3, 2, 1)
@@ -1100,6 +1118,23 @@ class TestCompareAndVerify:
         F = LaurentMatrix(2, 2, {-1: 0.5 * np.eye(2), 0: np.eye(2)})
         report = verify_factorization(S, F)
         assert not report.verdicts["analytic"].passed
+
+    # Outer factors of order 16 and 32 with zeros on the circle.  The
+    # full-rank guard must sample more than k N points: on 16 points
+    # 1 - z^16 vanishes everywhere, and so does the comb's j = 0 column.
+    @pytest.mark.parametrize(
+        "factor",
+        [
+            LaurentMatrix.from_entries([[LaurentPoly({0: 1.0, 16: -1.0})]]),
+            LaurentMatrix.from_entries([[LaurentPoly({0: 1.0, 32: -1.0})]]),
+            LaurentMatrix.diagonal([LaurentPoly({0: 1.0, 16: -(1j**j)}) for j in range(4)]),
+        ],
+        ids=["1-z^16", "1-z^32", "comb"],
+    )
+    def test_verify_accepts_outer_factors_of_order_16_and_32(self, factor):
+        S = (factor @ factor.adjoint()).trim(0.0)
+        report = verify_factorization(S, factor)
+        assert report.passed, report.verdicts
 
     def test_deficient_normal_rank_is_a_failing_drop_verdict(self):
         rng = np.random.default_rng(80)

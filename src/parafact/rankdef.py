@@ -31,11 +31,12 @@ is not the outer one.  Otherwise steps 3-5, the rational construction, run
 as the fallback:
 
 3. factor the head block (full-rank case) and divide the remaining block
-   rows by the adjoint factor, giving a rational tall factor whose columns
-   share monic denominators;
-4. remove denominator zeros inside the disk by unit-modulus rational
-   (Blaschke) column multipliers, cancel residual common factors, and
-   write the columns over one shared, outer denominator;
+   rows by the adjoint factor, giving a rational tall factor: an analytic
+   numerator over one monic denominator, which every later stage shares;
+4. remove the denominator's zeros inside the disk by a unit-modulus
+   rational (Blaschke) multiplier, the same for every column, and cancel
+   the factors it shares with the whole numerator, leaving the denominator
+   outer;
 5. reflect the interior rank drops of the numerator across the circle
    (roots.clear_rank_drops: the finder's points, each reflected with its
    whole null space in one step; the numerator is tall, so its finder
@@ -150,6 +151,13 @@ _IDENTITY_GATE = 1e-4
 # ladder step 2 to 5, and deeper steps do not lower it.
 _REGULARIZED_BLOCKS = 128
 
+# Coefficients of at most _EDGE_REL times the largest are trimmed from the
+# ends of interpolated determinants, minors and the tail quotient's
+# numerator, and _POLISH_STEPS bounds the Newton steps on each root estimate
+# of the denominator or of a numerator entry.
+_EDGE_REL = 1e-12
+_POLISH_STEPS = 4
+
 
 @dataclass(frozen=True)
 class Check:
@@ -197,39 +205,34 @@ class FactorReport:
 
 
 class RationalMatrix:
-    """A tall rational matrix with one monic denominator per column.
+    """A tall rational matrix over one monic denominator.
 
-    Entry (i, j) is numerator(i, j) / denominator_j with all numerator
+    Entry (i, j) is numerator(i, j) / denominator with all numerator
     entries analytic polynomials.  Used for the intermediate factor between
     the head-block factorization and the final polynomial result.
     """
 
-    __slots__ = ("_num", "_dens")
+    __slots__ = ("_num", "_den")
 
-    def __init__(self, numerator: LaurentMatrix, denominators):
-        dens = tuple(denominators)
-        if len(dens) != numerator.cols:
-            raise ValueError("need one denominator per column")
-        for d in dens:
-            if d.is_zero:
-                raise ZeroDivisionError("zero column denominator")
-            if d.lo is not None and d.lo < 0:
-                raise ValueError("denominators must be analytic")
-            lead = d.coeff(d.hi)
-            if abs(lead - 1.0) > 1e-9:
-                raise ValueError("denominators must be monic")
+    def __init__(self, numerator: LaurentMatrix, denominator: LaurentPoly):
+        if denominator.is_zero:
+            raise ZeroDivisionError("zero denominator")
+        if denominator.lo < 0:
+            raise ValueError("denominator must be analytic")
+        if abs(denominator.coeff(denominator.hi) - 1.0) > 1e-9:
+            raise ValueError("denominator must be monic")
         if not numerator.is_zero and numerator.lo < 0:
             raise ValueError("numerator must be analytic")
         self._num = numerator
-        self._dens = dens
+        self._den = denominator
 
     @property
     def numerator(self) -> LaurentMatrix:
         return self._num
 
     @property
-    def denominators(self) -> tuple:
-        return self._dens
+    def denominator(self) -> LaurentPoly:
+        return self._den
 
     @property
     def rows(self) -> int:
@@ -240,17 +243,10 @@ class RationalMatrix:
         return self._num.cols
 
     def eval(self, z) -> np.ndarray:
-        V = self._num.eval(z)
-        for j, d in enumerate(self._dens):
-            V[:, j] = V[:, j] / d.eval(z)
-        return V
-
-    def column_entries(self, j: int):
-        return [self._num.entry(i, j) for i in range(self._num.rows)]
+        return self._num.eval(z) / self._den.eval(z)
 
     def __repr__(self):
-        degs = [d.hi for d in self._dens]
-        return "RationalMatrix(%dx%d, den degrees=%r)" % (self.rows, self.cols, degs)
+        return "RationalMatrix(%dx%d, den degree=%d)" % (self.rows, self.cols, self._den.hi)
 
 
 # ---------------------------------------------------------------------------
@@ -413,24 +409,24 @@ def _edge_trimmed_abs(p: LaurentPoly, cut: float) -> LaurentPoly:
     return LaurentPoly.from_coeffs(c[big[0] : big[-1] + 1], p.lo + big[0])
 
 
-def _edge_trimmed(p: LaurentPoly, rel: float = 1e-12) -> LaurentPoly:
-    """Strip near-zero coefficients from the ends of the support only.
+def _edge_trimmed(p: LaurentPoly) -> LaurentPoly:
+    """Strip coefficients of at most _EDGE_REL times the largest from the support's ends.
 
     Interpolated determinants and minors carry a noise skirt beyond their
     true degree; leaving it in place corrupts the power bookkeeping (shifts,
     folds, and root counts) downstream.
     """
-    return _edge_trimmed_abs(p, rel * p.max_abs)
+    return _edge_trimmed_abs(p, _EDGE_REL * p.max_abs)
 
 
-def _edge_trimmed_matrix(M: LaurentMatrix, rel: float = 1e-12) -> LaurentMatrix:
+def _edge_trimmed_matrix(M: LaurentMatrix) -> LaurentMatrix:
     """Strip the cancellation skirt from the power span of a whole matrix.
 
     Entry edges are trimmed against the largest coefficient of the matrix,
     so an entry made purely of cancellation dust collapses to zero instead
     of stretching the matrix support.
     """
-    cut = rel * max(M.max_abs, 1e-300)
+    cut = _EDGE_REL * max(M.max_abs, 1e-300)
     entries = [
         [_edge_trimmed_abs(M.entry(i, j), cut) for j in range(M.cols)]
         for i in range(M.rows)
@@ -461,19 +457,27 @@ def _det_and_adjugate(F: LaurentMatrix):
     return interpolated(np.linalg.det(samples), k), LaurentMatrix.from_entries(adj)
 
 
-def _monic_normalized(num_entries, den):
-    """Divide a column's numerator entries and denominator by the leading
+def _monic_normalized(entries, den):
+    """Divide the numerator entries and the denominator by the leading
     denominator coefficient so the denominator is monic."""
-    lead = den.coeff(den.hi)
-    inv = 1.0 / lead
-    return [e * inv for e in num_entries], den * inv
+    inv = 1.0 / den.coeff(den.hi)
+    return [e * inv for e in entries], den * inv
 
 
-def _polish_root(
-    p: LaurentPoly, dp: LaurentPoly, a: complex, steps: int = 4
-) -> complex:
-    """A few Newton steps on a root estimate of p, whose derivative is dp."""
-    for _ in range(steps):
+def _entries(M: LaurentMatrix) -> list:
+    """The entries of M in row-major order."""
+    return [M.entry(i, j) for i in range(M.rows) for j in range(M.cols)]
+
+
+def _from_entries(entries, cols: int) -> LaurentMatrix:
+    """The matrix of cols columns holding entries in row-major order."""
+    rows = range(0, len(entries), cols)
+    return LaurentMatrix.from_entries([entries[i : i + cols] for i in rows])
+
+
+def _polish_root(p: LaurentPoly, dp: LaurentPoly, a: complex) -> complex:
+    """At most _POLISH_STEPS Newton steps on a root estimate of p, whose derivative is dp."""
+    for _ in range(_POLISH_STEPS):
         d = dp.eval(a)
         if not np.isfinite(d) or abs(d) < 1e-300:
             break
@@ -486,8 +490,8 @@ def _polish_root(
     return a
 
 
-def _deflate_column(entries, den):
-    """Cancel common roots of a column's numerator entries and denominator.
+def _deflate(entries, den):
+    """Cancel the roots that the denominator shares with every numerator entry.
 
     A denominator root counts as shared when every nonzero entry's
     Newton-estimated distance to its nearest root is within the deflation
@@ -498,7 +502,7 @@ def _deflate_column(entries, den):
     """
     if all(e.is_zero for e in entries):
         return entries, LaurentPoly.one()
-    while den.hi and den.hi > 0:
+    while den.hi > 0:
         removed = False
         dden = den.derivative()
         dentries = [e.derivative() for e in entries]
@@ -532,14 +536,8 @@ def _deflate_column(entries, den):
             if not shared:
                 continue
             root = acc / weight if weight > 0 else a
-            new_entries = []
-            for e in entries:
-                if e.is_zero:
-                    new_entries.append(e)
-                    continue
-                new_entries.append(divide_linear(e, root)[0])
-            qden, _ = divide_linear(den, root)
-            entries, den = _monic_normalized(new_entries, qden)
+            entries = [e if e.is_zero else divide_linear(e, root)[0] for e in entries]
+            entries, den = _monic_normalized(entries, divide_linear(den, root)[0])
             removed = True
             break
         if not removed:
@@ -550,9 +548,9 @@ def _deflate_column(entries, den):
 def tail_quotient(S_tail: LaurentMatrix, head_factor: AnalyticPolyMatrix) -> RationalMatrix:
     """Rational quotient of the coupling block by the adjoint head factor.
 
-    Computes S_tail (head_factor~)^{-1} as numerator / monic denominator per
-    column: the inverse enters through the adjugate and determinant of the
-    adjoint factor, powers are shifted to make everything analytic, and
+    Computes S_tail (head_factor~)^{-1} as numerator / one monic
+    denominator: the inverse enters through the adjugate and determinant of
+    the adjoint factor, powers are shifted to make everything analytic, and
     common roots are deflated away.
     """
     k = head_factor.cols
@@ -573,41 +571,28 @@ def tail_quotient(S_tail: LaurentMatrix, head_factor: AnalyticPolyMatrix) -> Rat
 
     # One determinant serves every column, and a root it shares with the
     # numerator cancels in all columns at once (the adjugate is rank one at
-    # a determinant root).  Normalizing and deflating against the whole
-    # numerator in a single pass keeps the column denominators bitwise
-    # equal, so the later common-denominator step divides them exactly;
-    # per-column deflation would repeat the same divisions with
-    # independently estimated roots and let the denominators drift apart.
-    flat = [num.entry(i, j) for i in range(num.rows) for j in range(num.cols)]
-    flat, det_a = _monic_normalized(flat, det_a)
-    flat, det_a = _deflate_column(flat, det_a)
-
-    rows = [
-        [flat[i * num.cols + j] for j in range(num.cols)] for i in range(num.rows)
-    ]
-    dens = [det_a] * num.cols
-    return RationalMatrix(LaurentMatrix.from_entries(rows), dens)
+    # a determinant root), so it is deflated against the whole numerator in
+    # one pass and stays the one denominator of every later stage.
+    entries, det_a = _monic_normalized(_entries(num), det_a)
+    entries, det_a = _deflate(entries, det_a)
+    return RationalMatrix(_from_entries(entries, num.cols), det_a)
 
 
 def stack_rational_factor(
     head_factor: AnalyticPolyMatrix, tail: RationalMatrix
 ) -> RationalMatrix:
-    """Stack the head factor above the tail quotient over shared denominators.
+    """Stack the head factor above the tail quotient over its one denominator.
 
-    Head entries are multiplied by the column denominators so the stacked
-    matrix is a single numerator / denominator pair per column.
+    Head entries are multiplied by the tail's denominator, so the stacked
+    matrix is a single numerator / denominator pair.
     """
     k = head_factor.cols
     if tail.cols != k:
         raise ValueError("tail width must match the head factor")
-    rows = []
-    for i in range(head_factor.rows):
-        rows.append(
-            [head_factor.entry(i, j) * tail.denominators[j] for j in range(k)]
-        )
-    for i in range(tail.rows):
-        rows.append([tail.numerator.entry(i, j) for j in range(k)])
-    return RationalMatrix(LaurentMatrix.from_entries(rows), tail.denominators)
+    den = tail.denominator
+    head = [[head_factor.entry(i, j) * den for j in range(k)] for i in range(head_factor.rows)]
+    stacked = LaurentMatrix.vstack([LaurentMatrix.from_entries(head), tail.numerator])
+    return RationalMatrix(stacked, den)
 
 
 def remove_inner_poles(R: RationalMatrix):
@@ -615,103 +600,80 @@ def remove_inner_poles(R: RationalMatrix):
 
     Each denominator zero a with |a| < 1 - _DEFLATION_RADIUS is exchanged for
     a zero at 1/conj(a) by the factor (z - a)/(1 - conj(a) z), which has unit
-    modulus on the circle, so R R~ is untouched.  Zeros within the radius of
-    the circle must cancel against the numerator (deflation); when one does
-    not, the pole is irremovable and the input was not factorable at this
+    modulus on the circle, so R R~ is untouched.  The denominator is shared,
+    so every column takes the same factor.  Zeros within the radius of the
+    circle must cancel against the numerator (deflation); when one does not,
+    the pole is irremovable and the input was not factorable at this
     tolerance.
 
-    Returns (cleared RationalMatrix, tuple of BlaschkeOp records).
+    Returns (cleared RationalMatrix, tuple of BlaschkeOp records): one
+    record per column for each moved zero, column by column.
     """
     radius = _DEFLATION_RADIUS
-    ops = []
-    new_cols = []
-    new_dens = []
-    for j in range(R.cols):
-        entries = R.column_entries(j)
-        den = R.denominators[j]
-        entries, den = _deflate_column(entries, den)
-        if den.hi and den.hi > 0:
-            # A pole of multiplicity mu at the origin shows up as mu noise
-            # roots scattered on a ring of radius ~eps^(1/mu), which the
-            # radius snap below cannot catch.  The exact structure is visible
-            # in the coefficients instead: the bottom s of them sit at noise
-            # level, so divide out z^s directly.
-            strip_tol = 1e-12 * max(den.max_abs, 1e-300)
-            s = 0
-            while s < den.hi and abs(den.coeff(s)) <= strip_tol:
-                s += 1
-            if s:
-                den = LaurentPoly.from_coeffs(den.coeff_array(s, den.hi))
-                for _ in range(s):
-                    ops.append(
-                        BlaschkeOp(a=0j, column=j, direction="pole-removal")
-                    )
-        if den.hi and den.hi > 0:
-            inner = [
-                a
-                for a in laurent_roots(den)
-                if abs(a) < 1.0 - radius
-            ]
-            inner.sort(key=lambda w: (abs(w), w.real, w.imag))
-            for a in inner:
-                if abs(a) < radius:
-                    a = 0.0 + 0.0j
-                else:
-                    a = _polish_root(den, den.derivative(), a)
-                q, rem = divide_linear(den, a)
-                if rem > 1e-6 * max(den.max_abs, 1.0):
-                    raise NumericalFailureError(
-                        "denominator division at %s left remainder %.3e" % (a, rem)
-                    )
-                den = q * LaurentPoly({0: 1.0, 1: -a.conjugate()})
-                entries, den = _monic_normalized(entries, den)
-                ops.append(BlaschkeOp(a=complex(a), column=j, direction="pole-removal"))
-            entries, den = _deflate_column(entries, den)
-        if den.hi and den.hi > 0:
-            bad = [
-                a
-                for a in laurent_roots(den)
-                if abs(abs(a) - 1.0) <= radius and abs(a) <= 1.0
-            ]
-            if bad:
+    entries, den = _deflate(_entries(R.numerator), R.denominator)
+    moved = []
+    if den.hi > 0:
+        # A pole of multiplicity mu at the origin shows up as mu noise
+        # roots scattered on a ring of radius ~eps^(1/mu), which the
+        # radius snap below cannot catch.  The exact structure is visible
+        # in the coefficients instead: the bottom s of them sit at noise
+        # level, so divide out z^s directly.
+        strip_tol = 1e-12 * max(den.max_abs, 1e-300)
+        s = 0
+        while s < den.hi and abs(den.coeff(s)) <= strip_tol:
+            s += 1
+        if s:
+            den = LaurentPoly.from_coeffs(den.coeff_array(s, den.hi))
+            moved += [0j] * s
+    if den.hi > 0:
+        inner = [a for a in laurent_roots(den) if abs(a) < 1.0 - radius]
+        for a in sorted(inner, key=lambda w: (abs(w), w.real, w.imag)):
+            if abs(a) < radius:
+                a = 0.0 + 0.0j
+            else:
+                a = _polish_root(den, den.derivative(), a)
+            q, rem = divide_linear(den, a)
+            if rem > 1e-6 * max(den.max_abs, 1.0):
                 raise NumericalFailureError(
-                    "irremovable boundary pole near %s" % bad[0]
+                    "denominator division at %s left remainder %.3e" % (a, rem)
                 )
-        new_cols.append(entries)
-        new_dens.append(den)
-    rows = [[new_cols[j][i] for j in range(R.cols)] for i in range(R.rows)]
-    return RationalMatrix(LaurentMatrix.from_entries(rows), new_dens), tuple(ops)
+            entries, den = _monic_normalized(entries, q * LaurentPoly({0: 1.0, 1: -a.conjugate()}))
+            moved.append(complex(a))
+        entries, den = _deflate(entries, den)
+    if den.hi > 0:
+        bad = [a for a in laurent_roots(den) if abs(abs(a) - 1.0) <= radius and abs(a) <= 1.0]
+        if bad:
+            raise NumericalFailureError("irremovable boundary pole near %s" % bad[0])
+    ops = tuple(
+        BlaschkeOp(a=a, column=j, direction="pole-removal") for j in range(R.cols) for a in moved
+    )
+    return RationalMatrix(_from_entries(entries, R.cols), den), ops
 
 
 def finalize_polynomial(
     R: RationalMatrix, order: int, opts: RankDefOptions | None = None
 ) -> AnalyticPolyMatrix:
-    """Divide out the remaining (outer) denominators, leaving a polynomial.
+    """Divide every entry by the shared (outer) denominator, leaving a polynomial.
 
-    After pole removal every denominator zero lies on or outside the unit
-    circle and must divide each numerator entry exactly; the division is
-    performed entrywise and the remainders checked.  The result is trimmed
-    and must not exceed the target order.
+    After pole removal every zero of the denominator lies on or outside the
+    unit circle and must divide each numerator entry exactly; the division
+    is performed entrywise and each remainder checked.  The result is
+    trimmed and must not exceed the target order.
     """
     opts = opts or RankDefOptions()
     scale = max(R.numerator.max_abs, 1e-300)
-    rows = [[None] * R.cols for _ in range(R.rows)]
-    for j in range(R.cols):
-        den = R.denominators[j]
-        for i in range(R.rows):
-            e = R.numerator.entry(i, j)
-            if den.hi == 0:
-                rows[i][j] = e
-                continue
-            q, rem = divide_out(e, den)
+    den = R.denominator
+    entries = _entries(R.numerator)
+    if den.hi > 0:
+        for n, e in enumerate(entries):
+            entries[n], rem = divide_out(e, den)
             if rem > 1e4 * opts.tol * scale:
                 raise NumericalFailureError(
-                    "denominator of column %d does not divide entry (%d, %d): "
-                    "remainder %.3e" % (j, i, j, rem / scale),
+                    "shared denominator does not divide entry (%d, %d): remainder %.3e"
+                    % (*divmod(n, R.cols), rem / scale),
                     residual=rem / scale,
                 )
-            rows[i][j] = q
-    F = LaurentMatrix.from_entries(rows).trim(1e-12)
+    F = _from_entries(entries, R.cols).trim(1e-12)
     if F.hi is not None and F.hi > order:
         excess = float(np.max(np.abs(F.coeff_array(order + 1, F.hi))))
         if excess > opts.tol * max(F.max_abs, 1e-300):
@@ -720,48 +682,6 @@ def finalize_polynomial(
             )
         F = LaurentMatrix.from_coeffs(F.coeff_array(0, order))
     return F.as_analytic(0.0)
-
-
-def _common_denominator(R: RationalMatrix):
-    """Rewrite a rational matrix over one shared monic denominator.
-
-    Needed before interior zeros can be removed: the zero-removal step mixes
-    columns with a constant unitary, which is only meaningful when every
-    column sits over the same denominator.  Column numerators are multiplied
-    by exact polynomial quotients (or, failing that, by the product of the
-    other columns' denominators), so no root re-estimation error enters.
-
-    Returns (numerator matrix, shared denominator).
-    """
-    dens = R.denominators
-    if all(d.hi == 0 for d in dens):
-        return R.numerator, LaurentPoly.one()
-    dmax = max(dens, key=lambda d: d.hi or 0)
-    extras = []
-    for d in dens:
-        q, rem = divide_out(dmax, d)
-        if rem > 1e-9 * max(dmax.max_abs, 1.0):
-            extras = None
-            break
-        extras.append(q)
-    if extras is None:
-        shared = LaurentPoly.one()
-        for d in dens:
-            shared = shared * d
-        extras = []
-        for j in range(len(dens)):
-            extra = LaurentPoly.one()
-            for l, d in enumerate(dens):
-                if l != j:
-                    extra = extra * d
-            extras.append(extra)
-    else:
-        shared = dmax
-    rows = [
-        [R.numerator.entry(i, j) * extras[j] for j in range(R.cols)]
-        for i in range(R.rows)
-    ]
-    return LaurentMatrix.from_entries(rows), shared
 
 
 # ---------------------------------------------------------------------------
@@ -825,9 +745,8 @@ def _outer_tall_factor(S: LaurentMatrix, perm: tuple, k: int, opts: RankDefOptio
     # of the numerator's drop at 1/conj(r) plants exactly that zero.  The
     # denominator has no zero in the closed disk, so the polynomial factor
     # has the cleared numerator's rank at every point the finder searches.
-    num, shared_den = _common_denominator(R)
-    num, zero_ops = clear_rank_drops(num, opts)
-    F = finalize_polynomial(RationalMatrix(num, [shared_den] * R.cols), N, opts)
+    num, zero_ops = clear_rank_drops(R.numerator, opts)
+    F = finalize_polynomial(RationalMatrix(num, R.denominator), N, opts)
     F = F.submatrix(np.argsort(perm), range(k))
     # Reflections at the noise-limited points of multiple zeros can leave
     # the factor 1e-8 off the outer one at a residual below _FINAL_POLISH,

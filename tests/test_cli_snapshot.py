@@ -8,6 +8,7 @@ import numpy as np
 
 from parafact.cli import main
 from parafact.fileio import read_matrix, read_report, write_matrix, write_report
+from parafact.rankdef import estimate_rank
 
 _TOOL = Path(__file__).resolve().parent.parent / "tools" / "cli_snapshot.py"
 _spec = importlib.util.spec_from_file_location("cli_snapshot", _TOOL)
@@ -67,3 +68,16 @@ def test_changed_outcomes_fail(tmp_path, capsys):
     assert lines["s.json"] == "only in %s" % old
     assert lines["streams.txt"] == "differs, exit codes and verdicts CHANGED"
     assert lines["s-f.json"].endswith(", NO MATCH at 1e-9")
+
+
+def test_projector_spectrum_of_each_lossless_row_is_factored(tmp_path):
+    row, spectrum = str(tmp_path / "l.json"), str(tmp_path / "l-d.json")
+    assert main(["random", "--lossless", "--m", "3", "--order", "2", "--seed", "0",
+                 "--out", row]) == 0
+    cli_snapshot.write_deficiency(row, spectrum)
+    S = read_matrix(spectrum)[0]
+    assert (S @ S - S).max_abs < 1e-12 and estimate_rank(S) == 2
+    factored = [(argv[1], argv[3]) for argv in cli_snapshot.commands()
+                if argv[0] == "factor" and argv[1].endswith("-d.json")]
+    assert factored == [("l-%d-%d-s%d-d.json" % (m, n, seed), m - 1)
+                        for m, n in cli_snapshot.LOSSLESS for seed in cli_snapshot.LOSSLESS_SEEDS]

@@ -29,6 +29,7 @@ from parafact.rankdef import (
     _pivot_heads,
     _rng,
     RankDefOptions,
+    RationalMatrix,
     check_rank_identity,
     compare_factors,
     estimate_rank,
@@ -329,16 +330,33 @@ class TestPipelineStages:
         tail = tail_quotient(self.tail_block, self.head_factor)
         R = stack_rational_factor(self.head_factor, tail)
         R2, ops = remove_inner_poles(R)
-        for den in R2.denominators:
-            if den.hi == 0:
-                continue
-            for r in laurent_roots(den):
-                assert abs(r) > 1.0 - 1e-6
+        for r in laurent_roots(R2.denominator):
+            assert abs(r) > 1.0 - 1e-6
         for z in circle_points(17):
             Rz = R2.eval(z)
             assert np.max(np.abs(Rz @ Rz.conj().T - self.Sp.eval(z))) < 1e-8
         for op in ops:
             assert op.direction == "pole-removal"
+
+    @pytest.mark.parametrize(
+        "shift,denominator,error,message",
+        [
+            (0, {}, ZeroDivisionError, "zero denominator"),
+            (0, {-1: 0.5, 0: 1.0}, ValueError, "denominator must be analytic"),
+            (0, {0: 1.0, 1: 2.0}, ValueError, "denominator must be monic"),
+            (-1, {0: 1.0}, ValueError, "numerator must be analytic"),
+        ],
+        ids=[
+            "zero-denominator",
+            "denominator-negative-powers",
+            "denominator-not-monic",
+            "numerator-negative-powers",
+        ],
+    )
+    def test_rational_matrix_refuses_bad_input(self, shift, denominator, error, message):
+        numerator = LaurentMatrix.identity(2).shifted(shift)
+        with pytest.raises(error, match=message):
+            RationalMatrix(numerator, LaurentPoly(denominator))
 
 
 class TestRankDropPoints:
@@ -966,6 +984,20 @@ class TestSpectralFactor:
         assert report.pivot == select_pivot(S, 2)
         assert report.detected_rank == 2
 
+    # The one projector row of (3,4), (4,8) and (6,6), seeds 0-59, where an
+    # inner denominator root cancels against the entries of some columns
+    # but not of all: deflation against the whole numerator keeps it, pole
+    # removal moves it out for every column, and the factor still passes
+    # and verifies.
+    def test_projector_row_with_a_partly_shared_pole_verifies(self):
+        S = deficiency_matrix(gen_lossless(6, 6, 21).row)
+        factor, report = spectral_factor(S, rank=5)
+        assert report.path == "rational"
+        assert report.passed
+        assert verify_factorization(S, factor).passed
+        per_column = [sum(op.column == j for op in report.pole_ops) for j in range(5)]
+        assert len(set(per_column)) == 1
+
     # A k = m failure carries the same partial report, with the residual
     # the error measured: inf where there is no ladder estimate, unshifted
     # or shifted, and 5 tol where every polish ends there.
@@ -1017,8 +1049,9 @@ def tall_circle_zero_spectrum(shape, mu, seed):
 # mu at z = 1 in the first column of a tall outer factor.  mu = 1 takes the
 # regularized path, mu = 2 and 3 the rational one, whose head block is
 # factored by the full-rank path and its drop clearing.  These 9 of the
-# 90 cases raise NumericalFailureError: "does not divide" remainders of
-# 1.8e-5 to 8.6e-2, or residuals of 8.0e-9 to 3.0e-6 above tol.
+# 90 cases raise NumericalFailureError: "shared denominator does not
+# divide entry" remainders of 1.8e-5 to 8.6e-2, or residuals of 8.0e-9 to
+# 3.0e-6 above tol.
 TALL_RUNG_RAISES = {
     ((3, 2, 2), 3, 2), ((3, 2, 2), 3, 5), ((3, 2, 2), 3, 6), ((3, 2, 2), 3, 8),
     ((4, 2, 2), 3, 3), ((4, 2, 2), 3, 4), ((4, 2, 2), 3, 8),

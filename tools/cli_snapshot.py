@@ -7,9 +7,13 @@ Usage:
 Each spectrum runs `random --factor-out`, `info`, `factor --out --report`
 and `verify --factor --report`; each lossless row runs `random --lossless
 --factor-out`, `complete --out --report` and `verify --paraunitary
---report`.  Every written file lands in OUTDIR, and each command's exit
-code, stdout and stderr in OUTDIR/streams.txt.  Two checkouts that compute
-the same results give snapshots with an empty `diff -r`.
+--report`.  The tool also writes each lossless row's projector spectrum
+I - row^T (row^T)~ (paraunitary.deficiency_matrix), which runs `factor
+--rank m-1 --out --report` and `verify --factor --report`; (4,8) and (6,6)
+take the rational path there.  Every written file lands in OUTDIR, and
+each parafact command's exit code, stdout and stderr in OUTDIR/streams.txt.
+Two checkouts that compute the same results give snapshots with an empty
+`diff -r`.
 
 --compare reads two snapshots and prints one line per file: byte-identical
 files as such, and for a matrix file that differs its largest coefficient
@@ -33,8 +37,12 @@ import numpy as np  # noqa: E402
 
 from parafact.cli import main  # noqa: E402
 from parafact.errors import ParafactError  # noqa: E402
-from parafact.fileio import read_matrix, read_report  # noqa: E402
-from parafact.paraunitary import compare_completions  # noqa: E402
+from parafact.fileio import read_matrix, read_report, write_matrix  # noqa: E402
+from parafact.paraunitary import (  # noqa: E402
+    LosslessRow,
+    compare_completions,
+    deficiency_matrix,
+)
 from parafact.rankdef import RankDefOptions, compare_factors  # noqa: E402
 
 SPECTRA = ((1, 1, 24), (1, 1, 40), (4, 4, 4), (3, 3, 8), (6, 6, 3),
@@ -64,6 +72,17 @@ def commands():
                    "--report", stem + "-cr.json"]
             yield ["verify", "--paraunitary", stem + "-u.json",
                    "--report", stem + "-vr.json"]
+            yield ["deficiency", stem + ".json", stem + "-d.json"]
+            yield ["factor", stem + "-d.json", "--rank", m - 1, "--out", stem + "-d-f.json",
+                   "--report", stem + "-d-fr.json"]
+            yield ["verify", "--factor", stem + "-d.json", stem + "-d-f.json",
+                   "--report", stem + "-d-vr.json"]
+
+
+def write_deficiency(row_file: str, out: str) -> None:
+    """Write the projector spectrum of the single-row matrix file row_file to out."""
+    M = read_matrix(row_file)[0]
+    write_matrix(out, deficiency_matrix(LosslessRow([M.entry(0, j) for j in range(M.cols)])))
 
 
 def main_snapshot(outdir: str) -> None:
@@ -72,6 +91,9 @@ def main_snapshot(outdir: str) -> None:
     with open("streams.txt", "w", encoding="utf-8") as log:
         for argv in commands():
             argv = [str(a) for a in argv]
+            if argv[0] == "deficiency":
+                write_deficiency(*argv[1:])
+                continue
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(argv)

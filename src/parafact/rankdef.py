@@ -33,10 +33,10 @@ as the fallback:
 3. factor the head block (full-rank case) and divide the remaining block
    rows by the adjoint factor, giving a rational tall factor: an analytic
    numerator over one monic denominator, which every later stage shares;
-4. remove the denominator's zeros inside the disk by a unit-modulus
-   rational (Blaschke) multiplier, the same for every column, and cancel
-   the factors it shares with the whole numerator, leaving the denominator
-   outer;
+4. move the denominator's zeros, all inside the disk, out by a
+   unit-modulus rational (Blaschke) multiplier, the same for every column:
+   it replaces the denominator by its conjugate reversal and only rescales
+   the numerator, leaving the denominator outer;
 5. reflect the interior rank drops of the numerator across the circle
    (roots.clear_rank_drops: the finder's points, each reflected with its
    whole null space in one step; the numerator is tall, so its finder
@@ -97,7 +97,6 @@ from .laurent import (
     LaurentPoly,
     _interp_count,
     _order_grid_count,
-    laurent_from_unit_samples,
 )
 # fix_rank_drop is re-exported: the package root and bench/tracing.py
 # take it from this module.
@@ -152,9 +151,10 @@ _IDENTITY_GATE = 1e-4
 _REGULARIZED_BLOCKS = 128
 
 # Coefficients of at most _EDGE_REL times the largest are trimmed from the
-# ends of interpolated determinants, minors and the tail quotient's
-# numerator, and _POLISH_STEPS bounds the Newton steps on each root estimate
-# of the denominator or of a numerator entry.
+# ends of interpolated determinants, minors (each against its own largest)
+# and the tail quotient's numerator (against the whole matrix's), and
+# _POLISH_STEPS bounds the deflation's Newton steps on each root estimate of
+# the denominator or of a numerator entry.
 _EDGE_REL = 1e-12
 _POLISH_STEPS = 4
 
@@ -394,67 +394,55 @@ def check_rank_identity(
 # ---------------------------------------------------------------------------
 
 
-def _edge_trimmed_abs(p: LaurentPoly, cut: float) -> LaurentPoly:
-    """Strip coefficients of magnitude <= cut from the ends of the support.
+def _edge_trimmed(C: np.ndarray, cut) -> np.ndarray:
+    """C with each entry's end coefficients of magnitude <= cut zeroed along axis 0.
 
-    Interior coefficients are kept no matter how small, since those
-    legitimately occur.
+    Interpolated determinants and minors, and the tail quotient's product,
+    carry a noise skirt beyond their true degree; leaving it in place
+    corrupts the power bookkeeping (shifts, folds, and root counts)
+    downstream.  Interior coefficients are kept no matter how small, since
+    those legitimately occur, and an entry made purely of noise becomes
+    zero.  cut is one number or one per entry; magnitudes are taken with
+    hypot, which rounds as Python's complex abs.
     """
-    if p.is_zero:
-        return p
-    c = p.coeff_array(p.lo, p.hi)
-    big = [i for i, x in enumerate(c.tolist()) if abs(x) > cut]
-    if not big:
-        return LaurentPoly.zero()
-    return LaurentPoly.from_coeffs(c[big[0] : big[-1] + 1], p.lo + big[0])
-
-
-def _edge_trimmed(p: LaurentPoly) -> LaurentPoly:
-    """Strip coefficients of at most _EDGE_REL times the largest from the support's ends.
-
-    Interpolated determinants and minors carry a noise skirt beyond their
-    true degree; leaving it in place corrupts the power bookkeeping (shifts,
-    folds, and root counts) downstream.
-    """
-    return _edge_trimmed_abs(p, _EDGE_REL * p.max_abs)
-
-
-def _edge_trimmed_matrix(M: LaurentMatrix) -> LaurentMatrix:
-    """Strip the cancellation skirt from the power span of a whole matrix.
-
-    Entry edges are trimmed against the largest coefficient of the matrix,
-    so an entry made purely of cancellation dust collapses to zero instead
-    of stretching the matrix support.
-    """
-    cut = _EDGE_REL * max(M.max_abs, 1e-300)
-    entries = [
-        [_edge_trimmed_abs(M.entry(i, j), cut) for j in range(M.cols)]
-        for i in range(M.rows)
-    ]
-    return LaurentMatrix.from_entries(entries)
+    big = np.hypot(C.real, C.imag) > cut
+    after_first = np.logical_or.accumulate(big, axis=0)
+    before_last = np.logical_or.accumulate(big[::-1], axis=0)[::-1]
+    return np.where(after_first & before_last, C, 0)
 
 
 def _det_and_adjugate(F: LaurentMatrix):
     """Determinant and adjugate of a square Laurent matrix, via grid sampling.
 
-    Each adjugate entry is a signed complementary minor, interpolated from
-    unit-circle samples; this stays finite where F itself is singular.
+    The determinant and the stacked signed complementary minors are sampled
+    on one unit-circle grid, and one FFT along the grid axis interpolates
+    the minors into one LaurentMatrix; the adjugate stays finite where F
+    itself is singular.  Each entry drops the coefficients of at most 1e-14
+    times its own peak, then the ends of at most _EDGE_REL times it.
     """
     k = F.rows
     if k == 1:
         return F.entry(0, 0), LaurentMatrix.identity(1)
     lo, hi = (F.lo or 0), (F.hi or 0)
-    samples = F.eval_unit_grid(_interp_count(k * (hi - lo)))
+    count = _interp_count(k * (hi - lo))
+    samples = F.eval_unit_grid(count)
 
-    def interpolated(dets, size):
-        return _edge_trimmed(laurent_from_unit_samples(dets, size * lo, size * hi).trim(1e-14))
+    def interpolated(values, size):
+        # Powers are read off modulo the grid size, as in
+        # laurent_from_unit_samples.
+        C = (np.fft.fft(values, axis=0) / count)[np.arange(size * lo, size * hi + 1) % count]
+        peak = np.hypot(C.real, C.imag).max(axis=0)
+        C = np.where(np.hypot(C.real, C.imag) > 1e-14 * peak, C, 0)
+        return _edge_trimmed(C, _EDGE_REL * peak)
 
-    def cofactor(i, j):
-        rows, cols = [r for r in range(k) if r != j], [c for c in range(k) if c != i]
-        return (-1.0) ** (i + j) * np.linalg.det(samples[:, rows][:, :, cols])
-
-    adj = [[interpolated(cofactor(i, j), k - 1) for j in range(k)] for i in range(k)]
-    return interpolated(np.linalg.det(samples), k), LaurentMatrix.from_entries(adj)
+    cofactors = np.empty(samples.shape, dtype=complex)
+    for i in range(k):
+        for j in range(k):
+            rows, cols = [r for r in range(k) if r != j], [c for c in range(k) if c != i]
+            cofactors[:, i, j] = (-1.0) ** (i + j) * np.linalg.det(samples[:, rows][:, :, cols])
+    det = LaurentPoly.from_coeffs(interpolated(np.linalg.det(samples), k), k * lo)
+    adj = LaurentMatrix.from_coeffs(interpolated(cofactors, k - 1), (k - 1) * lo)
+    return det, adj
 
 
 def _monic_normalized(entries, den):
@@ -564,7 +552,10 @@ def tail_quotient(S_tail: LaurentMatrix, head_factor: AnalyticPolyMatrix) -> Rat
     # term-by-term bound; the cancellation dust beyond it must not drive the
     # analytic lift, or the denominator gets padded with spurious roots at
     # the origin that later stages would have to strip one power at a time.
-    num = _edge_trimmed_matrix(S_tail @ adj)
+    product = S_tail @ adj
+    lo, cut = product.lo or 0, _EDGE_REL * max(product.max_abs, 1e-300)
+    C = product.coeff_array(lo, lo + product.span)
+    num = LaurentMatrix.from_coeffs(_edge_trimmed(C, cut), lo)
     shift = max(-det.lo, -(num.lo or 0), 0)
     det_a = det.shifted(shift)
     num = num.shifted(shift)
@@ -583,71 +574,55 @@ def stack_rational_factor(
 ) -> RationalMatrix:
     """Stack the head factor above the tail quotient over its one denominator.
 
-    Head entries are multiplied by the tail's denominator, so the stacked
+    The head factor is multiplied by the tail's denominator, so the stacked
     matrix is a single numerator / denominator pair.
     """
     k = head_factor.cols
     if tail.cols != k:
         raise ValueError("tail width must match the head factor")
     den = tail.denominator
-    head = [[head_factor.entry(i, j) * den for j in range(k)] for i in range(head_factor.rows)]
-    stacked = LaurentMatrix.vstack([LaurentMatrix.from_entries(head), tail.numerator])
-    return RationalMatrix(stacked, den)
+    return RationalMatrix(LaurentMatrix.vstack([head_factor * den, tail.numerator]), den)
 
 
 def remove_inner_poles(R: RationalMatrix):
-    """Multiply columns by unit-modulus rational factors to clear interior poles.
+    """Multiply every column by one unit-modulus rational factor to clear interior poles.
 
-    Each denominator zero a with |a| < 1 - _DEFLATION_RADIUS is exchanged for
-    a zero at 1/conj(a) by the factor (z - a)/(1 - conj(a) z), which has unit
-    modulus on the circle, so R R~ is untouched.  The denominator is shared,
-    so every column takes the same factor.  Zeros within the radius of the
-    circle must cancel against the numerator (deflation); when one does not,
-    the pole is irremovable and the input was not factorable at this
-    tolerance.
+    Every zero a of the shared denominator d lies inside the disk: it is
+    1/conj of a zero of the outer head factor's determinant.  The factor
+    prod (z - a)/(1 - conj(a) z) = d/d# has unit modulus on the circle, so
+    R R~ is untouched, and it trades d for its conjugate reversal d#(z) =
+    z^deg conj(d(1/conj z)), whose zeros are the 1/conj(a): the new
+    denominator is d# made monic and the numerator is only rescaled by the
+    same constant.  A root with |a| >= 1 - _DEFLATION_RADIUS cannot be moved
+    out and raises NumericalFailureError naming it.
 
     Returns (cleared RationalMatrix, tuple of BlaschkeOp records): one
     record per column for each moved zero, column by column.
     """
-    radius = _DEFLATION_RADIUS
-    entries, den = _deflate(_entries(R.numerator), R.denominator)
-    moved = []
-    if den.hi > 0:
-        # A pole of multiplicity mu at the origin shows up as mu noise
-        # roots scattered on a ring of radius ~eps^(1/mu), which the
-        # radius snap below cannot catch.  The exact structure is visible
-        # in the coefficients instead: the bottom s of them sit at noise
-        # level, so divide out z^s directly.
-        strip_tol = 1e-12 * max(den.max_abs, 1e-300)
-        s = 0
-        while s < den.hi and abs(den.coeff(s)) <= strip_tol:
-            s += 1
-        if s:
-            den = LaurentPoly.from_coeffs(den.coeff_array(s, den.hi))
-            moved += [0j] * s
-    if den.hi > 0:
-        inner = [a for a in laurent_roots(den) if abs(a) < 1.0 - radius]
-        for a in sorted(inner, key=lambda w: (abs(w), w.real, w.imag)):
-            if abs(a) < radius:
-                a = 0.0 + 0.0j
-            else:
-                a = _polish_root(den, den.derivative(), a)
-            q, rem = divide_linear(den, a)
-            if rem > 1e-6 * max(den.max_abs, 1.0):
-                raise NumericalFailureError(
-                    "denominator division at %s left remainder %.3e" % (a, rem)
-                )
-            entries, den = _monic_normalized(entries, q * LaurentPoly({0: 1.0, 1: -a.conjugate()}))
-            moved.append(complex(a))
-        entries, den = _deflate(entries, den)
-    if den.hi > 0:
-        bad = [a for a in laurent_roots(den) if abs(abs(a) - 1.0) <= radius and abs(a) <= 1.0]
-        if bad:
-            raise NumericalFailureError("irremovable boundary pole near %s" % bad[0])
+    den = R.denominator
+    # A pole of multiplicity mu at the origin shows up as mu noise roots
+    # scattered on a ring of radius ~eps^(1/mu).  The exact structure is
+    # visible in the coefficients instead: the bottom s of them sit at noise
+    # level, so divide out z^s directly: s zeros moved from the origin.
+    s = 0
+    while s < den.hi and abs(den.coeff(s)) <= 1e-12 * den.max_abs:
+        s += 1
+    c = den.coeff_array(s, den.hi)
+    roots = laurent_roots(LaurentPoly.from_coeffs(c))
+    roots = sorted(roots, key=lambda w: (abs(w), w.real, w.imag))
+    bad = [a for a in roots if abs(a) >= 1.0 - _DEFLATION_RADIUS]
+    if bad:
+        raise NumericalFailureError(
+            "shared denominator root %.6g%+.6gj is not inside |z| < 1 - %g"
+            % (bad[0].real, bad[0].imag, _DEFLATION_RADIUS)
+        )
+    moved = [0j] * s + [complex(a) for a in roots]
     ops = tuple(
         BlaschkeOp(a=a, column=j, direction="pole-removal") for j in range(R.cols) for a in moved
     )
-    return RationalMatrix(_from_entries(entries, R.cols), den), ops
+    lead = np.conj(c[0])
+    reversed_den = LaurentPoly.from_coeffs(np.conj(c[::-1]) / lead)
+    return RationalMatrix(R.numerator * (1.0 / lead), reversed_den), ops
 
 
 def finalize_polynomial(
